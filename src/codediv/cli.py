@@ -12,14 +12,10 @@ Subcommands:
 Every file-producing command writes ``manifest.json`` (command, parameter
 set, tool version, content hashes of inputs) next to its outputs; outputs
 are a pure function of the manifest, so reruns are byte-identical. Output
-files are written atomically. Per-prompt work distributes over a bounded
-thread pool sized by the ``CODEDIV_WORKERS`` environment variable
-(default 1); results are committed in sorted prompt order regardless of
-completion order.
+files are written atomically.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -87,23 +83,6 @@ def _write_manifest(out_dir, command, inputs, params):
     _atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json())
 
 
-def _worker_count():
-    raw = os.environ.get("CODEDIV_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items; parallel when configured, output order fixed."""
-    workers = _worker_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _slug(prompt_id):
     safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in prompt_id)
     if safe == prompt_id and safe:
@@ -155,15 +134,10 @@ def cmd_tokens(args):
 def cmd_similarity(args):
     corpus = _load_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
-    groups = list(corpus)
-
-    def compute(group):
+    for group in corpus:
         matrix = pairwise_matrix(_group_streams(group), min_match=args.min_match)
-        return group.prompt_id, matrix
-
-    for prompt_id, matrix in _map_ordered(compute, groups):
         _atomic_write(
-            os.path.join(args.out, f"{_slug(prompt_id)}.simmatrix.txt"), matrix.to_text()
+            os.path.join(args.out, f"{_slug(group.prompt_id)}.simmatrix.txt"), matrix.to_text()
         )
     _write_manifest(
         args.out,
@@ -287,12 +261,9 @@ def cmd_report(args):
                 raise CliError("parse", str(err)) from err
         inputs["embeddings"] = args.embeddings
 
-    groups = list(corpus)
-    results = _map_ordered(
-        lambda g: _prompt_report(g, k_list, args.tau, args.min_match, embedding_table),
-        groups,
+    prompt_reports = dict(
+        _prompt_report(g, k_list, args.tau, args.min_match, embedding_table) for g in corpus
     )
-    prompt_reports = dict(results)
     lengths = length_stats(corpus)
     report = {
         "params": {
@@ -304,10 +275,10 @@ def cmd_report(args):
         "prompts": prompt_reports,
         "dataset": _dataset_rollup(prompt_reports, k_list),
         "lengths": {
-            "raw_chars": _summary_dict(lengths.corpus.raw_chars),
-            "code_chars": _summary_dict(lengths.corpus.code_chars),
-            "raw_tokens": _summary_dict(lengths.corpus.raw_tokens),
-            "code_tokens": _summary_dict(lengths.corpus.code_tokens),
+            "raw_chars": _summary_dict(lengths.raw_chars),
+            "code_chars": _summary_dict(lengths.code_chars),
+            "raw_tokens": _summary_dict(lengths.raw_tokens),
+            "code_tokens": _summary_dict(lengths.code_tokens),
         },
     }
     os.makedirs(args.out, exist_ok=True)
@@ -324,7 +295,6 @@ def cmd_advantages(args):
     corpus = _load_corpus(args.corpus)
     objective = args.objective
     needs_matrix = objective in ("diversity", "diversity_only", "combined")
-    groups = list(corpus)
 
     def compute(group):
         outcome = rewards.GroupOutcome.from_flags(group.correct_flags())
@@ -352,7 +322,7 @@ def cmd_advantages(args):
             sort_keys=True,
         )
 
-    lines = _map_ordered(compute, groups)
+    lines = [compute(group) for group in corpus]
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "advantages.jsonl"), "".join(line + "\n" for line in lines))
     _write_manifest(
@@ -498,7 +468,7 @@ def cmd_simulate(args):
                 params=params,
                 init_correct_bonus=config.init_correct_bonus,
                 temperature=config.temperature,
-                eval_settings=config.eval_settings,
+                k_list=config.k_list,
             )
             path = os.path.join(args.out, f"trace_{index:02d}_{name}_s{seed}.jsonl")
             _atomic_write(path, "".join(line + "\n" for line in trace.to_jsonl_lines()))
@@ -592,6 +562,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         message = " ".join(str(err).split())
         print(f"error: internal: {message}", file=sys.stderr)
+        return 1
+    except Exception as err:  # any other failure still ends without a traceback
+        message = " ".join(str(err).split())
+        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
         return 1
 
 

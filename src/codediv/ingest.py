@@ -21,14 +21,6 @@ class CorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class RawCompletion:
-    prompt_id: str
-    sample_id: int
-    text: str
-    correct: bool
-
-
-@dataclass(frozen=True)
 class Sample:
     sample_id: int
     text: str  # raw completion
@@ -323,13 +315,9 @@ class LengthGroup:
     code_tokens: LengthSummary
 
 
-@dataclass(frozen=True)
-class LengthReport:
-    per_group: dict  # prompt_id -> LengthGroup
-    corpus: LengthGroup
-
-
-def _length_group(samples) -> LengthGroup:
+def length_stats(corpus: Corpus) -> LengthGroup:
+    """Raw-completion and extracted-code length summaries over the corpus."""
+    samples = [s for group in corpus for s in group.samples]
     raw = [s.text for s in samples]
     code = [s.source if s.source is not None else "" for s in samples]
     return LengthGroup(
@@ -338,13 +326,3 @@ def _length_group(samples) -> LengthGroup:
         raw_tokens=LengthSummary.of([len(lex_tokens(t)) for t in raw]),
         code_tokens=LengthSummary.of([len(lex_tokens(t)) for t in code]),
     )
-
-
-def length_stats(corpus: Corpus) -> LengthReport:
-    """Raw-completion and extracted-code length summaries, per group and overall."""
-    per_group = {}
-    all_samples = []
-    for group in corpus:
-        per_group[group.prompt_id] = _length_group(group.samples)
-        all_samples.extend(group.samples)
-    return LengthReport(per_group=per_group, corpus=_length_group(all_samples))

@@ -29,7 +29,6 @@ from .similarity import SimMatrix
 
 OBJECTIVES = ("base", "passk_loo", "pkpo", "diversity", "combined", "entropy")
 
-CENTERING_TOLERANCE = 1e-9
 _ENUMERATION_LIMIT = 20
 
 

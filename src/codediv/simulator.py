@@ -11,10 +11,11 @@ concentrates the policy on one template family and drains group diversity,
 a combined correctness+diversity objective keeps several correct families
 alive, and diversity alone walks away from correctness.
 
-Traces record, per step: analytic pass@1, Monte-Carlo pass@k estimates
-(the finite-budget estimator applied to sampled evaluation groups, matching
-how a real evaluation pipeline measures it), Monte-Carlo expected group
-diversity, the analytic policy entropy, and the logits.
+Traces record, per step, exact expectations under the policy ``p``: with
+``q`` its mass on correct templates, pass@k is ``1-(1-q)^k`` (the expected
+value of the unbiased pass@k estimator over i.i.d. draws), expected group
+diversity is ``1 - pᵀSp`` for the template similarity matrix ``S``, and the
+policy entropy and logits follow.
 """
 
 import json
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rewards
-from .metrics import pass_at_k
 from .similarity import SimMatrix
 
 SIM_OBJECTIVES = ("base", "passk_loo", "pkpo", "combined", "diversity_only", "entropy")
@@ -34,6 +34,7 @@ DEFAULT_LAMBDA_DIV = 2.0
 DEFAULT_STEPS = 400
 DEFAULT_LR = 0.15
 DEFAULT_GROUP_SIZE = 8
+DEFAULT_K_LIST = (1, 10)
 
 
 @dataclass(frozen=True)
@@ -177,17 +178,6 @@ def step(policy: CategoricalPolicy, world: TemplateWorld, objective: str, params
 
 
 @dataclass(frozen=True)
-class EvalSettings:
-    groups: int = 1000  # Monte-Carlo groups per evaluation
-    n: int = 50  # samples per evaluation group (the estimator's n)
-    k_list: tuple = (1, 10)
-
-    def __post_init__(self):
-        if self.groups < 1000:
-            raise ValueError("evaluation needs >= 1000 Monte-Carlo groups")
-
-
-@dataclass(frozen=True)
 class TraceStep:
     step: int
     pass_at: dict  # k -> estimate
@@ -222,28 +212,15 @@ class TrainingTrace:
             )
 
 
-def _evaluate(policy: CategoricalPolicy, world: TemplateWorld, group_size: int, eval_cfg: EvalSettings, rng) -> dict:
+def _evaluate(policy: CategoricalPolicy, world: TemplateWorld, k_list) -> dict:
+    """Exact expected pass@k, group diversity and entropy of the policy."""
     probs = policy.probs()
-    pass_values = {}
-    m_per_group = None
-    eval_n = max(eval_cfg.n, max(eval_cfg.k_list))
-    for k in sorted(eval_cfg.k_list):
-        if k == 1:
-            pass_values[1] = float(probs[world.correct].sum())  # analytic
-            continue
-        if m_per_group is None:
-            draws = rng.choice(world.n_templates, size=(eval_cfg.groups, eval_n), p=probs)
-            m_per_group = world.correct[draws].sum(axis=1)
-        table = np.array([pass_at_k(eval_n, m, k).value for m in range(eval_n + 1)])
-        pass_values[k] = float(table[m_per_group].mean())
-    # Expected group diversity over freshly sampled training-size groups.
-    jdraws = rng.choice(world.n_templates, size=(eval_cfg.groups, group_size), p=probs)
-    sims = world.similarity[jdraws[:, :, None], jdraws[:, None, :]]
-    iu = np.triu_indices(group_size, k=1)
-    jdiv_value = float((1.0 - sims[:, iu[0], iu[1]].mean(axis=1)).mean())
+    q = float(probs[world.correct].sum())
+    # Expected pairwise similarity of two i.i.d. draws is pᵀSp, whatever
+    # the group size, so it is also the expected mean over a group's pairs.
     return {
-        "pass_at": pass_values,
-        "jdiv": jdiv_value,
+        "pass_at": {k: q if k == 1 else 1.0 - (1.0 - q) ** k for k in sorted(k_list)},
+        "jdiv": float(1.0 - probs @ world.similarity @ probs),
         "entropy": policy.entropy(),
     }
 
@@ -257,30 +234,25 @@ def run(
     params: StepParams | None = None,
     init_correct_bonus: float = 1.0,
     temperature: float = 1.0,
-    eval_settings: EvalSettings | None = None,
+    k_list: tuple = DEFAULT_K_LIST,
 ) -> TrainingTrace:
     """Train one policy and trace metrics at step 0 and after every update.
 
-    Deterministic for a fixed seed. The training and evaluation streams are
-    split so every objective sees identical draws under the same seed.
+    Deterministic for a fixed seed: every objective sees identical training
+    draws under the same seed.
     """
     if objective not in SIM_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     params = params or StepParams()
     if params.group_size < 2:
         raise ValueError("run needs group_size >= 2 to trace group diversity")
-    eval_cfg = eval_settings or EvalSettings()
-    train_ss, eval_ss = np.random.SeedSequence(seed).spawn(2)
-    train_rng = np.random.default_rng(train_ss)
+    train_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     policy = initial_policy(world, correct_bonus=init_correct_bonus, temperature=temperature)
     trace = TrainingTrace(objective=objective, seed=seed)
 
     def record(step_idx, pol):
-        # Every evaluation replays the same draw stream, so estimates are a
-        # pure function of the policy: an lr=0 run traces constant records
-        # and paired objectives share evaluation noise.
-        metrics = _evaluate(pol, world, params.group_size, eval_cfg, np.random.default_rng(eval_ss))
+        metrics = _evaluate(pol, world, k_list)
         trace.records.append(
             TraceStep(
                 step=step_idx,
@@ -308,7 +280,7 @@ class SimulationConfig:
     steps: int
     init_correct_bonus: float
     temperature: float
-    eval_settings: EvalSettings
+    k_list: tuple
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulationConfig":
@@ -371,14 +343,14 @@ class SimulationConfig:
         eval_raw = raw.get("eval", {})
         if not isinstance(eval_raw, dict):
             fail("eval", "expected an object")
-        try:
-            eval_settings = EvalSettings(
-                groups=eval_raw.get("groups", 1000),
-                n=eval_raw.get("n", 50),
-                k_list=tuple(eval_raw.get("k_list", (1, 10))),
-            )
-        except (TypeError, ValueError) as err:
-            fail("eval", err)
+        unknown = sorted(set(eval_raw) - {"k_list"})
+        if unknown:
+            fail("eval", f"unknown keys {unknown}; only 'k_list' is accepted")
+        k_list = eval_raw.get("k_list", DEFAULT_K_LIST)
+        if not isinstance(k_list, (list, tuple)) or not all(
+            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_list
+        ):
+            fail("eval", "'k_list' must be a list of integers >= 1")
 
         return cls(
             world=world,
@@ -387,11 +359,5 @@ class SimulationConfig:
             steps=steps,
             init_correct_bonus=raw.get("init_correct_bonus", 1.0),
             temperature=raw.get("temperature", 1.0),
-            eval_settings=eval_settings,
+            k_list=tuple(k_list),
         )
-
-    def runs(self):
-        """All (objective_name, params, seed) cells in deterministic order."""
-        for name, params in self.objectives:
-            for seed in self.seeds:
-                yield name, params, seed

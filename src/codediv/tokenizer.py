@@ -115,10 +115,6 @@ class TokenStream:
             self._ids = arr
         return self._ids
 
-    @property
-    def source_len_tokens(self):
-        return len(self.tokens)
-
     def __len__(self):
         return len(self.tokens)
 
@@ -143,15 +139,19 @@ def format_debug(stream: TokenStream) -> str:
 def tokenize(source: str) -> TokenStream:
     """Tokenize Python source into a structural TokenStream.
 
-    Never raises on bad input: unparseable source degrades to the lexer
-    fallback and the stream is flagged.
+    Never raises on bad input: source that does not parse, or nests too
+    deeply for the emitter's recursion, degrades to the lexer fallback and
+    the stream is flagged.
     """
     try:
         tree = ast.parse(source)
     except (SyntaxError, ValueError, MemoryError, RecursionError):
         return TokenStream(_lex_fallback(source), fallback=True)
     emitter = _StructuralEmitter()
-    emitter.emit_module(tree, source)
+    try:
+        emitter.emit_module(tree, source)
+    except RecursionError:
+        return TokenStream(_lex_fallback(source), fallback=True)
     return TokenStream(emitter.out, fallback=False)
 
 
@@ -433,9 +433,18 @@ class _StructuralEmitter:
                 self.expr(part)
 
     def expr_BinOp(self, node):
-        self.tok("BINOP", node)
-        self.expr(node.left)
-        self.expr(node.right)
+        # Walk the left spine iteratively: `a+b+c+...` nests leftwards and
+        # would otherwise recurse once per operator. Token order is the
+        # recursive pre-order: every spine BINOP, the leftmost operand, then
+        # the right operands innermost first.
+        spine = []
+        while isinstance(node, ast.BinOp):
+            self.tok("BINOP", node)
+            spine.append(node)
+            node = node.left
+        self.expr(node)
+        for binop in reversed(spine):
+            self.expr(binop.right)
 
     def expr_BoolOp(self, node):
         self.tok("BINOP", node)

@@ -39,6 +39,16 @@ VARIANT_PAIR = (
 """,
 )
 
+# Valid programs nested 600 deep, past the default recursion limit of a
+# recursive AST walk. The BinOp chain is emitted iteratively; the other
+# shapes degrade to the flagged lexer fallback.
+DEEP_EXPRESSIONS = {
+    "binop_chain": "x = " + "+".join(["1"] * 600) + "\n",
+    "attribute_chain": "x = a" + ".b" * 600 + "\n",
+    "call_chain": "x = a" + ".b()" * 600 + "\n",
+    "subscript_chain": "x = a" + "[0]" * 600 + "\n",
+}
+
 
 def brute_force_tiles(a, b, min_match):
     """Independent greedy-tiling oracle: direct extension scan, no DP.

@@ -358,7 +358,7 @@ def test_11_cli_determinism(tmp_path):
                     "objectives": ["base", {"name": "combined", "lambda_div": 2.0}],
                     "seeds": [0],
                     "steps": 5,
-                    "eval": {"groups": 1000, "n": 12, "k_list": [1, 4]},
+                    "eval": {"k_list": [1, 4]},
                 }
             )
         )

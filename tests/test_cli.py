@@ -6,7 +6,7 @@ import pytest
 from codediv.cli import main
 from codediv.similarity import SimMatrix
 
-from conftest import RENAMED_PAIR
+from conftest import DEEP_EXPRESSIONS, RENAMED_PAIR
 
 
 def write_corpus(path, rows):
@@ -72,6 +72,16 @@ class TestTokens:
     def test_missing_file(self, capsys):
         assert main(["tokens", "/nonexistent/prog.py"]) == 1
         assert capsys.readouterr().err.startswith("error: input:")
+
+    def test_unexpected_exception_is_reported(self, tmp_path, capsys, monkeypatch):
+        def broken(source):
+            raise RuntimeError("emitter\nfailed")
+
+        monkeypatch.setattr("codediv.cli.tokenize", broken)
+        file = tmp_path / "prog.py"
+        file.write_text("x = 1\n")
+        assert main(["tokens", str(file)]) == 1
+        assert capsys.readouterr().err == "error: internal: RuntimeError: emitter failed\n"
 
 
 class TestSimilarityCommand:
@@ -177,6 +187,22 @@ class TestReportCommand:
         # p1 has two correct samples -> jdiv_correct defined; p2 also two.
         assert report["prompts"]["p1"]["jdiv_correct"] is not None
         assert report["prompts"]["p2"]["jdiv_correct"] == 0.0  # duplicate correct pair
+
+    def test_deep_expressions(self, tmp_path):
+        corpus = write_corpus(
+            tmp_path / "deep.jsonl",
+            [(name, i, source, True) for name, source in DEEP_EXPRESSIONS.items() for i in range(2)],
+        )
+        out = tmp_path / "out"
+        assert main(["report", "--corpus", str(corpus), "--k", "1", "--out", str(out)]) == 0
+        prompts = read_json(out / "report.json")["prompts"]
+        assert {name: p["fallback_streams"] for name, p in prompts.items()} == {
+            "attribute_chain": 2,
+            "binop_chain": 0,
+            "call_chain": 2,
+            "subscript_chain": 2,
+        }
+        assert all(p["jdiv"] == 0.0 for p in prompts.values())
 
     def test_oversized_k_names_prompt(self, duplicate_corpus, tmp_path, capsys):
         out = tmp_path / "out"
@@ -421,7 +447,7 @@ class TestSimulateCommand:
             "objectives": ["base", {"name": "combined", "lambda_div": 2.0}],
             "seeds": [0, 1],
             "steps": 3,
-            "eval": {"groups": 1000, "n": 12, "k_list": [1, 4]},
+            "eval": {"k_list": [1, 4]},
         }
         raw.update(overrides)
         path = tmp_path / "config.json"
@@ -473,17 +499,11 @@ class TestSimulateCommand:
         assert err.startswith("error: config:")
         assert "steps" in err
 
-
-class TestDeterminismAndWorkers:
-    def test_worker_pool_matches_sequential(self, mixed_corpus, tmp_path, monkeypatch):
-        out1 = tmp_path / "seq"
-        monkeypatch.setenv("CODEDIV_WORKERS", "1")
-        main(["report", "--corpus", str(mixed_corpus), "--k", "1,2", "--out", str(out1)])
-        out2 = tmp_path / "par"
-        monkeypatch.setenv("CODEDIV_WORKERS", "4")
-        main(["report", "--corpus", str(mixed_corpus), "--k", "1,2", "--out", str(out2)])
-        blobs1 = read_all_outputs(out1)
-        blobs2 = read_all_outputs(out2)
-        assert blobs1.keys() == blobs2.keys()
-        for name in blobs1:
-            assert blobs1[name] == blobs2[name], name
+    @pytest.mark.parametrize("removed", ["groups", "n"])
+    def test_removed_eval_keys_rejected(self, tmp_path, capsys, removed):
+        config = self._config(tmp_path, eval={removed: 1000, "k_list": [1, 4]})
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert "'eval'" in err and removed in err

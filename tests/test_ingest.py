@@ -155,23 +155,23 @@ class TestLengthStats:
     def test_single_sample(self):
         corpus = parse_corpus([record("p", 0, "0123456789", True)])
         report = length_stats(corpus)
-        summary = report.corpus.raw_chars
+        summary = report.raw_chars
         assert summary.mean == summary.median == summary.max == 10
 
     def test_three_lengths(self):
         lines = [record("p", i, "x" * n, True) for i, n in enumerate((10, 20, 30))]
         report = length_stats(parse_corpus(lines))
-        assert report.corpus.raw_chars.mean == 20
-        assert report.corpus.raw_chars.median == 20
+        assert report.raw_chars.mean == 20
+        assert report.raw_chars.median == 20
 
     def test_code_lengths_use_extracted_source(self):
         # 12 chars of prose around a fence holding exactly "y = 1\n".
         text = "words\n```python\ny = 1\n```\nmore"
         corpus = parse_corpus([record("p", 0, text, True)])
         report = length_stats(corpus)
-        assert report.corpus.code_chars.max == len("y = 1\n")
-        assert report.corpus.raw_chars.max == len(text)
-        assert report.corpus.code_chars.max <= report.corpus.raw_chars.max
+        assert report.code_chars.max == len("y = 1\n")
+        assert report.raw_chars.max == len(text)
+        assert report.code_chars.max <= report.raw_chars.max
 
     def test_extracted_never_longer_than_raw(self):
         lines = [
@@ -180,6 +180,6 @@ class TestLengthStats:
         ]
         report = length_stats(parse_corpus(lines))
         for field in ("max", "mean"):
-            assert getattr(report.corpus.code_chars, field) <= getattr(
-                report.corpus.raw_chars, field
+            assert getattr(report.code_chars, field) <= getattr(
+                report.raw_chars, field
             )

@@ -1,14 +1,19 @@
+import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from codediv.metrics import pass_at_k
 from codediv.simulator import (
     CategoricalPolicy,
     SimulationConfig,
     StepParams,
     TemplateWorld,
     _entropy_gradient,
+    _evaluate,
     _policy_gradient,
     default_world,
     family_world,
@@ -233,8 +238,6 @@ class TestSimulationConfig:
         )
         assert len(config.objectives) == 2
         assert config.objectives[1][1].lambda_div == 4.0
-        cells = list(config.runs())
-        assert len(cells) == 4
 
     def test_explicit_matrix_world(self):
         config = SimulationConfig.from_dict(
@@ -267,3 +270,110 @@ class TestSimulationConfig:
             SimulationConfig.from_dict({"objectives": ["base"], "world": {"families": 1, "correct_families": 1}})
         with pytest.raises(ValueError, match="'eval'"):
             SimulationConfig.from_dict({"objectives": ["base"], "eval": {"groups": 10}})
+        for removed in ({"groups": 1000}, {"n": 50}, {"groups": 1000, "n": 12, "k_list": [1, 4]}):
+            with pytest.raises(ValueError, match="'eval'"):
+                SimulationConfig.from_dict({"objectives": ["base"], "eval": removed})
+        for k_list in ([0], [1, -2], [1.5], ["2"], [True], 10, "1,10"):
+            with pytest.raises(ValueError, match="'eval'"):
+                SimulationConfig.from_dict({"objectives": ["base"], "eval": {"k_list": k_list}})
+
+    def test_k_list(self):
+        assert SimulationConfig.from_dict({"objectives": ["base"]}).k_list == (1, 10)
+        config = SimulationConfig.from_dict({"objectives": ["base"], "eval": {"k_list": [4, 1]}})
+        assert config.k_list == (4, 1)
+        trace = run(config.world, "base", steps=1, k_list=config.k_list)
+        assert sorted(trace.final().pass_at) == [1, 4]
+
+
+def _exact_pass_at_k(n, m, k):
+    """The unbiased pass@k estimator, 1 - C(n-m, k)/C(n, k), as a fraction."""
+    return 1 - Fraction(math.comb(n - m, k), math.comb(n, k))
+
+
+def _monte_carlo_evaluate(policy, world, group_size, k_list, rng, groups=20_000, n=50):
+    """Sampling estimate of what _evaluate computes in closed form.
+
+    Returns {name: (mean, standard error)} for each pass@k (k >= 2), from
+    the unbiased estimator on i.i.d. groups of n draws, and for jdiv, the
+    mean pairwise dissimilarity of i.i.d. groups of group_size draws.
+    """
+    probs = policy.probs()
+    out = {}
+    draws = rng.choice(world.n_templates, size=(groups, n), p=probs)
+    m_per_group = world.correct[draws].sum(axis=1)
+    for k in k_list:
+        if k == 1:
+            continue
+        table = np.array([pass_at_k(n, m, k).value for m in range(n + 1)])
+        values = table[m_per_group]
+        out[f"pass@{k}"] = (values.mean(), values.std(ddof=1) / math.sqrt(groups))
+    jdraws = rng.choice(world.n_templates, size=(groups, group_size), p=probs)
+    sims = world.similarity[jdraws[:, :, None], jdraws[:, None, :]]
+    iu = np.triu_indices(group_size, k=1)
+    values = 1.0 - sims[:, iu[0], iu[1]].mean(axis=1)
+    out["jdiv"] = (values.mean(), values.std(ddof=1) / math.sqrt(groups))
+    return out
+
+
+class TestClosedFormEvaluation:
+    def test_pass_at_k_expectation_exact(self):
+        # E[estimator] over m ~ Binomial(n, q) is 1-(1-q)^k for every n >= k.
+        for q in (Fraction(0), Fraction(1, 7), Fraction(1, 2), Fraction(5, 6), Fraction(1)):
+            for n in range(1, 13):
+                for k in range(1, n + 1):
+                    expected = sum(
+                        math.comb(n, m) * q**m * (1 - q) ** (n - m) * _exact_pass_at_k(n, m, k)
+                        for m in range(n + 1)
+                    )
+                    assert expected == 1 - (1 - q) ** k, (q, n, k)
+                    for m in range(n + 1):
+                        assert pass_at_k(n, m, k).value == pytest.approx(
+                            float(_exact_pass_at_k(n, m, k)), abs=1e-12
+                        )
+
+    def test_jdiv_expectation_exact(self):
+        # Enumerate all T^n groups: E[1 - mean pairwise S] equals 1 - p^T S p.
+        p = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+        s = [
+            [Fraction(1), Fraction(3, 4), Fraction(1, 5)],
+            [Fraction(3, 4), Fraction(1), Fraction(0)],
+            [Fraction(1, 5), Fraction(0), Fraction(1)],
+        ]
+        t, n = 3, 3
+        pairs = list(itertools.combinations(range(n), 2))
+        expected = Fraction(0)
+        for group in itertools.product(range(t), repeat=n):
+            weight = math.prod(p[g] for g in group)
+            mean_sim = sum(s[group[i]][group[j]] for i, j in pairs) / len(pairs)
+            expected += weight * (1 - mean_sim)
+        closed = 1 - sum(p[a] * s[a][b] * p[b] for a in range(t) for b in range(t))
+        assert expected == closed
+
+        world = TemplateWorld(correct=[True, False, True], similarity=np.array(s, dtype=float))
+        policy = CategoricalPolicy(logits=np.log(np.array(p, dtype=float)))
+        metrics = _evaluate(policy, world, (1, 2))
+        assert metrics["jdiv"] == pytest.approx(float(closed), abs=1e-12)
+        q = p[0] + p[2]
+        assert metrics["pass_at"][1] == pytest.approx(float(q), abs=1e-12)
+        assert metrics["pass_at"][2] == pytest.approx(float(1 - (1 - q) ** 2), abs=1e-12)
+
+    def test_pass_at_1_is_correct_mass(self):
+        world = default_world()
+        policy = CategoricalPolicy(logits=np.linspace(-1.0, 2.0, world.n_templates))
+        probs = policy.probs()
+        assert _evaluate(policy, world, (1,))["pass_at"][1] == float(probs[world.correct].sum())
+
+    def test_monte_carlo_agrees_within_four_standard_errors(self):
+        world = default_world()
+        rng = np.random.default_rng(2024)
+        k_list = (1, 4, 10)
+        group_size = 8
+        for _ in range(3):
+            policy = CategoricalPolicy(logits=rng.normal(0.0, 1.5, size=world.n_templates))
+            exact = _evaluate(policy, world, k_list)
+            sampled = _monte_carlo_evaluate(policy, world, group_size, k_list, rng)
+            for k in k_list[1:]:
+                mean, se = sampled[f"pass@{k}"]
+                assert abs(mean - exact["pass_at"][k]) <= 4 * se, (k, mean, se)
+            mean, se = sampled["jdiv"]
+            assert abs(mean - exact["jdiv"]) <= 4 * se, (mean, se)

@@ -11,7 +11,7 @@ from codediv.tokenizer import (
     tokenize,
 )
 
-from conftest import RENAMED_PAIR, VARIANT_PAIR
+from conftest import DEEP_EXPRESSIONS, RENAMED_PAIR, VARIANT_PAIR
 
 
 class TestVocabulary:
@@ -164,6 +164,38 @@ class TestFallback:
 
     def test_wellformed_not_flagged(self):
         assert not tokenize("x = 1\n").fallback
+
+
+class TestDeepExpressions:
+    def test_binop_chain_is_structural(self):
+        stream = tokenize(DEEP_EXPRESSIONS["binop_chain"])
+        assert not stream.fallback
+        assert stream.kinds == (
+            ("MODULE_BEGIN", "ASSIGN", "IDENT") + ("BINOP",) * 599 + ("LIT_NUM",) * 600 + ("MODULE_END",)
+        )
+
+    def test_binop_token_order_is_preorder(self):
+        # Spine operators outermost first, then the leftmost operand, then
+        # right operands innermost first; nested right operands recurse.
+        stream = tokenize("x = a * b + (c - d) - e\n")
+        assert [(t.kind, t.col) for t in stream.tokens[2:-1]] == [
+            ("IDENT", 0),
+            ("BINOP", 4),
+            ("BINOP", 4),
+            ("BINOP", 4),
+            ("IDENT", 4),
+            ("IDENT", 8),
+            ("BINOP", 13),
+            ("IDENT", 13),
+            ("IDENT", 17),
+            ("IDENT", 22),
+        ]
+
+    def test_other_deep_chains_fall_back(self):
+        for name in ("attribute_chain", "call_chain", "subscript_chain"):
+            stream = tokenize(DEEP_EXPRESSIONS[name])
+            assert stream.fallback, name
+            assert "IDENT" in stream.kinds
 
 
 class TestDebugFormat:
