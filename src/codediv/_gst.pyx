@@ -1,9 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled exact greedy-string-tiling kernel.
 
-Mirrors codediv._gst_py.exact_tiles tile for tile; only the inner dynamic
-program is lowered to C. Kept allocation-free inside the scan so threads can
-run it with the GIL released.
+Each round runs a dynamic program over all position pairs for the longest
+common unmarked run, with the same tie break as codediv._gst_py.hashed_tiles
+(smallest start in a, then in b); the tests check its tiles against a
+brute-force tiling oracle. The scan allocates nothing and releases the GIL.
 """
 
 from libc.stdlib cimport free, malloc

@@ -2,60 +2,16 @@
 
 Each round marks the longest common unmarked substring of at least
 ``min_match`` tokens; ties go to the smallest start in the first stream,
-then the smallest start in the second. Two interchangeable matchers are
-provided:
-
-* ``exact_tiles`` — per-round dynamic program over all position pairs,
-  mirrored by the compiled kernel in ``codediv._gst``;
-* ``hashed_tiles`` — rolling-hash + binary-search on the match length.
-  Hash hits are verified against the actual tokens, so its output is
-  identical to ``exact_tiles`` (property-tested), just cheaper on long
-  streams.
+then the smallest start in the second. ``hashed_tiles`` finds that run by
+binary search on its length, comparing window hashes mod 2^61-1; every hash
+hit is verified against the tokens, so collisions cannot change a tile. The
+tests check its tiles against a brute-force extension-scan oracle.
 """
 
 import numpy as np
 
 _MOD = (1 << 61) - 1
 _BASE = 1_000_003
-
-
-def exact_tiles(a, b, min_match):
-    """All tiles of the greedy string tiling of int arrays ``a`` and ``b``."""
-    la, lb = len(a), len(b)
-    tiles = []
-    if la == 0 or lb == 0:
-        return tiles
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    free_a = np.ones(la, dtype=bool)
-    free_b = np.ones(lb, dtype=bool)
-    prev = np.zeros(lb + 1, dtype=np.int64)
-    cur = np.zeros(lb + 1, dtype=np.int64)
-    while True:
-        best_len = 0
-        best_i = -1
-        best_j = -1
-        prev[:] = 0
-        # Row i of the run-length table needs row i+1, so walk i downward.
-        # A later (smaller-i) row with an equal run length overrides, which
-        # realizes the smallest-start_a tie break.
-        for i in range(la - 1, -1, -1):
-            if free_a[i]:
-                np.multiply(prev[1:] + 1, (b == a[i]) & free_b, out=cur[:lb])
-                m = int(cur[:lb].max())
-                if m > 0 and m >= best_len:
-                    best_len = m
-                    best_i = i
-                    best_j = int(np.argmax(cur[:lb] == m))  # first maximal j
-            else:
-                cur[:lb] = 0
-            prev, cur = cur, prev
-        if best_len < min_match:
-            break
-        tiles.append((best_i, best_j, best_len))
-        free_a[best_i : best_i + best_len] = False
-        free_b[best_j : best_j + best_len] = False
-    return tiles
 
 
 class _PrefixHash:
@@ -111,7 +67,7 @@ def _first_window_match(a, b, ha, hb, runs_a, runs_b, length):
 
 
 def hashed_tiles(a, b, min_match):
-    """Identical output to exact_tiles via rolling-hash length search."""
+    """All tiles of the greedy string tiling of int arrays ``a`` and ``b``."""
     la, lb = len(a), len(b)
     tiles = []
     if la == 0 or lb == 0:
@@ -131,7 +87,7 @@ def hashed_tiles(a, b, min_match):
             break
         # The longest common unmarked run has a unique length L*; any common
         # window of length L* starts exactly where a maximal run starts, so
-        # the first hit at L* reproduces the exact matcher's tie break.
+        # the first hit at L* is the tie break's run.
         lo, hi = min_match, cap
         best = None
         while lo <= hi:

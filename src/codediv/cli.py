@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import secrets
 import sys
 
 import numpy as np
@@ -67,11 +68,18 @@ class RunManifest:
 
 
 def _atomic_write(path, data):
-    tmp = f"{path}.tmp"
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    # A temp name unique to this call, so concurrent runs into one directory
+    # never share one. O_EXCL with mode 0666 keeps the umask-derived
+    # permission bits of a plain open(); mkstemp would create 0600 files.
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_manifest(out_dir, command, inputs, params):

@@ -19,7 +19,6 @@ positive for samples that make the group less redundant, negative for
 near-duplicates of other generations.
 """
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 
@@ -28,8 +27,6 @@ import numpy as np
 from .similarity import SimMatrix
 
 OBJECTIVES = ("base", "passk_loo", "pkpo", "diversity", "combined", "entropy")
-
-_ENUMERATION_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -113,33 +110,6 @@ def pkpo_advantages(outcome: GroupOutcome, k: int) -> AdvantageVector:
     correct_value = comb(n - m, k - 1) / comb(n - 1, k - 1)
     a = np.where(outcome.correct, correct_value, 0.0)
     return AdvantageVector("pkpo", a, {"k": k})
-
-
-def pkpo_bruteforce_oracle(outcome: GroupOutcome, k: int) -> AdvantageVector:
-    """Ground truth for pkpo_advantages by literal subset enumeration.
-
-    Averages each sample's leave-one-out advantage over every k-subset
-    containing it, on the {0,1} scale. Exponential in n; refuses n above
-    the enumeration bound.
-    """
-    n = outcome.n
-    if n > _ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration oracle limited to n <= {_ENUMERATION_LIMIT}")
-    if k < 1 or k > n:
-        raise ValueError("k must satisfy 1 <= k <= n")
-    c = outcome.correct.astype(np.int64)
-    totals = np.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    for subset in itertools.combinations(range(n), k):
-        members = np.array(subset)
-        full = c[members].max()
-        for i in subset:
-            rest = [j for j in subset if j != i]
-            without = c[rest].max() if rest else 0
-            totals[i] += full - without
-            counts[i] += 1
-    a = totals / counts
-    return AdvantageVector("pkpo", a, {"k": k, "oracle": True})
 
 
 def diversity_advantages(matrix: SimMatrix) -> AdvantageVector:

@@ -9,11 +9,11 @@ and the effective cluster count (exponential of the cluster-size entropy).
 A lexical 1-gram variant over surface tokens is provided as a cheaper,
 rename-sensitive control metric.
 
-The GST inner loop dominates runtime on real corpora. At import time the
-compiled kernel (codediv._gst) is selected when the extension was built,
-with codediv._gst_py as the pure-Python fallback; both produce identical
-tiles. Streams longer than EXACT_MATCH_LIMIT use the hash-accelerated
-matcher, which is output-identical as well.
+The GST inner loop dominates runtime on real corpora. A pair goes to the
+compiled dynamic-programming kernel (codediv._gst) when the extension was
+built and both streams are at most EXACT_MATCH_LIMIT tokens; every other
+pair goes to the hash-accelerated pure-Python matcher in codediv._gst_py.
+The tests check both against a brute-force tiling oracle, tile for tile.
 """
 
 import math
@@ -60,15 +60,6 @@ def _as_ids(stream):
     return np.ascontiguousarray(stream, dtype=np.intc)
 
 
-def _exact_tiles(a_ids, b_ids, min_match, backend=None):
-    backend = backend or GST_BACKEND
-    if backend == "compiled":
-        if _gst_ext is None:
-            raise RuntimeError("compiled GST kernel is not available")
-        return _gst_ext.exact_tiles(a_ids, b_ids, min_match)
-    return _gst_py.exact_tiles(a_ids, b_ids, min_match)
-
-
 def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     """Greedy string tiling between two token streams (or id arrays).
 
@@ -80,10 +71,10 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
         raise ValueError("min_match must be >= 1")
     a_ids = _as_ids(a)
     b_ids = _as_ids(b)
-    if max(len(a_ids), len(b_ids)) > EXACT_MATCH_LIMIT:
-        tiles = _gst_py.hashed_tiles(a_ids, b_ids, min_match)
+    if _gst_ext is not None and max(len(a_ids), len(b_ids)) <= EXACT_MATCH_LIMIT:
+        tiles = _gst_ext.exact_tiles(a_ids, b_ids, min_match)
     else:
-        tiles = _exact_tiles(a_ids, b_ids, min_match)
+        tiles = _gst_py.hashed_tiles(a_ids, b_ids, min_match)
     return MatchSet.from_tiles(tiles)
 
 
@@ -267,26 +258,35 @@ def lex_tokens(text: str):
     return _LEX_RE.findall(text)
 
 
+def _lex_counts(text):
+    tokens = lex_tokens(text)
+    return Counter(tokens), len(tokens)
+
+
+def _dice(a, b):
+    (ca, la), (cb, lb) = a, b
+    if la == 0 and lb == 0:
+        return 1.0
+    if la == 0 or lb == 0:
+        return 0.0
+    common = sum((ca & cb).values())
+    return 2.0 * common / (la + lb)
+
+
 def one_gram_similarity(a: str, b: str) -> float:
     """Sorensen-Dice overlap of lexical token multisets."""
-    ta, tb = lex_tokens(a), lex_tokens(b)
-    if not ta and not tb:
-        return 1.0
-    if not ta or not tb:
-        return 0.0
-    ca, cb = Counter(ta), Counter(tb)
-    common = sum((ca & cb).values())
-    return 2.0 * common / (len(ta) + len(tb))
+    return _dice(_lex_counts(a), _lex_counts(b))
 
 
 def one_gram_matrix(sources) -> SimMatrix:
     n = len(sources)
     if n < 1:
         raise ValueError("one_gram_matrix needs at least one source")
+    counts = [_lex_counts(src) for src in sources]
     scores = np.eye(n, dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            s = one_gram_similarity(sources[i], sources[j])
+            s = _dice(counts[i], counts[j])
             scores[i, j] = s
             scores[j, i] = s
     return SimMatrix(scores)

@@ -410,22 +410,35 @@ class _StructuralEmitter:
         # positions are unreliable and would break position monotonicity.
         self.tok("LIT_STR", node)
 
-    def expr_Call(self, node):
-        self.tok("APPLY", node)
-        self.expr(node.func)
-        # `f(x=1, *y)` is legal: merge positional and keyword arguments by
-        # source position to keep the stream monotone.
-        for arg in self._in_source_order(node.args, [kw.value for kw in node.keywords]):
-            self.expr(arg)
+    def _postfix_spine(self, node):
+        # Walk `a.b()[0]...` down its func/value spine iteratively, like
+        # expr_BinOp. Token order is the recursive pre-order: every spine
+        # APPLY/ATTR/SUBSCRIPT, the base, then the call arguments and
+        # slices innermost first.
+        deferred = []
+        while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
+            if isinstance(node, ast.Attribute):
+                self.tok("ATTR", node)
+                node = node.value
+            elif isinstance(node, ast.Subscript):
+                self.tok("SUBSCRIPT", node)
+                deferred.append(node)
+                node = node.value
+            else:
+                self.tok("APPLY", node)
+                deferred.append(node)
+                node = node.func
+        self.expr(node)
+        for outer in reversed(deferred):
+            if isinstance(outer, ast.Subscript):
+                self.expr(outer.slice)
+            else:
+                # `f(x=1, *y)` is legal: merge positional and keyword
+                # arguments by source position to keep the stream monotone.
+                for arg in self._in_source_order(outer.args, [kw.value for kw in outer.keywords]):
+                    self.expr(arg)
 
-    def expr_Attribute(self, node):
-        self.tok("ATTR", node)
-        self.expr(node.value)
-
-    def expr_Subscript(self, node):
-        self.tok("SUBSCRIPT", node)
-        self.expr(node.value)
-        self.expr(node.slice)
+    expr_Attribute = expr_Call = expr_Subscript = _postfix_spine
 
     def expr_Slice(self, node):
         for part in (node.lower, node.upper, node.step):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,8 @@ VARIANT_PAIR = (
 )
 
 # Valid programs nested 600 deep, past the default recursion limit of a
-# recursive AST walk. The BinOp chain is emitted iteratively; the other
-# shapes degrade to the flagged lexer fallback.
+# recursive AST walk. The emitter walks BinOp spines and
+# Attribute/Call/Subscript spines iteratively, so all four stay structural.
 DEEP_EXPRESSIONS = {
     "binop_chain": "x = " + "+".join(["1"] * 600) + "\n",
     "attribute_chain": "x = a" + ".b" * 600 + "\n",
@@ -83,6 +85,35 @@ def brute_force_tiles(a, b, min_match):
             used_a[best_i + k] = True
             used_b[best_j + k] = True
     return tiles
+
+
+_ENUMERATION_LIMIT = 20
+
+
+def pkpo_bruteforce_oracle(outcome, k):
+    """Ground truth for pkpo_advantages by literal subset enumeration.
+
+    Averages each sample's leave-one-out advantage over every k-subset
+    containing it, on the {0,1} scale. Exponential in n; refuses n above
+    the enumeration bound.
+    """
+    n = outcome.n
+    if n > _ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration oracle limited to n <= {_ENUMERATION_LIMIT}")
+    if k < 1 or k > n:
+        raise ValueError("k must satisfy 1 <= k <= n")
+    c = outcome.correct.astype(np.int64)
+    totals = np.zeros(n)
+    counts = np.zeros(n, dtype=np.int64)
+    for subset in itertools.combinations(range(n), k):
+        members = np.array(subset)
+        full = c[members].max()
+        for i in subset:
+            rest = [j for j in subset if j != i]
+            without = c[rest].max() if rest else 0
+            totals[i] += full - without
+            counts[i] += 1
+    return totals / counts
 
 
 def random_id_stream(rng, max_len=40, alphabet=8):

@@ -2,7 +2,7 @@
 
 Each criterion prints a single ``ACCEPTANCE <nn> <name>: PASS/FAIL`` line
 (run with ``pytest tests/test_acceptance.py -s`` to watch them stream).
-Expected values come from independent oracles computed here: subset
+Expected values come from independent oracles in the test suite: subset
 enumeration for pass@k and the subset-averaged leave-one-out advantages,
 a direct extension-scan matcher for greedy string tiling, and hand
 entropy/diversity arithmetic for the fixtures.
@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 
-from codediv import _gst_py
 from codediv.cli import main
 from codediv.metrics import pass_at_k, vendi_score
 from codediv.rewards import (
@@ -25,11 +24,9 @@ from codediv.rewards import (
     diversity_advantages,
     passk_loo_advantages,
     pkpo_advantages,
-    pkpo_bruteforce_oracle,
 )
 from codediv.similarity import (
     SimMatrix,
-    _exact_tiles,
     avg_similarity,
     clusters,
     effective_clusters,
@@ -40,7 +37,7 @@ from codediv.similarity import (
 from codediv.simulator import StepParams, default_world, run
 from codediv.tokenizer import tokenize
 
-from conftest import RENAMED_PAIR, VARIANT_PAIR
+from conftest import RENAMED_PAIR, VARIANT_PAIR, brute_force_tiles, pkpo_bruteforce_oracle
 
 
 @contextlib.contextmanager
@@ -86,7 +83,7 @@ def test_02_pkpo_oracle_equivalence():
                     outcome = GroupOutcome.from_flags(flags)
                     for k in range(1, n + 1):
                         closed = pkpo_advantages(outcome, k).a
-                        brute = pkpo_bruteforce_oracle(outcome, k).a
+                        brute = pkpo_bruteforce_oracle(outcome, k)
                         assert np.array_equal(closed, brute), (flags, k)
         assert time.perf_counter() - start < 30.0
 
@@ -283,9 +280,9 @@ def test_10_gst_performance_and_backend_identity():
             a = rng.integers(0, alphabet, size=la).astype(np.intc)
             b = rng.integers(0, alphabet, size=lb).astype(np.intc)
             min_match = int(rng.integers(1, 6))
-            exact = _exact_tiles(a, b, min_match)
-            hashed = _gst_py.hashed_tiles(a, b, min_match)
-            assert exact == hashed, (trial, a.tolist(), b.tolist(), min_match)
+            tiles = list(gst_match(a, b, min_match).tiles)
+            expected = brute_force_tiles(a, b, min_match)
+            assert tiles == expected, (trial, a.tolist(), b.tolist(), min_match)
 
 
 def _run_twice(tmp_path, name, argv_builder):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from codediv import cli
 from codediv.cli import main
 from codediv.similarity import SimMatrix
 
@@ -197,10 +198,10 @@ class TestReportCommand:
         assert main(["report", "--corpus", str(corpus), "--k", "1", "--out", str(out)]) == 0
         prompts = read_json(out / "report.json")["prompts"]
         assert {name: p["fallback_streams"] for name, p in prompts.items()} == {
-            "attribute_chain": 2,
+            "attribute_chain": 0,
             "binop_chain": 0,
-            "call_chain": 2,
-            "subscript_chain": 2,
+            "call_chain": 0,
+            "subscript_chain": 0,
         }
         assert all(p["jdiv"] == 0.0 for p in prompts.values())
 
@@ -507,3 +508,34 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert "'eval'" in err and removed in err
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_directory_does_not_block_report(self, mixed_corpus, tmp_path):
+        clean = tmp_path / "clean"
+        assert main(["report", "--corpus", str(mixed_corpus), "--k", "1", "--out", str(clean)]) == 0
+        out = tmp_path / "out"
+        (out / "report.json.tmp").mkdir(parents=True)
+        assert main(["report", "--corpus", str(mixed_corpus), "--k", "1", "--out", str(out)]) == 0
+        os.rmdir(out / "report.json.tmp")
+        assert read_all_outputs(out) == read_all_outputs(clean)
+        assert not [n for n in os.listdir(clean) if n.endswith(".tmp")]
+
+    def test_failed_write_leaves_no_tmp(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(tmp_path / "text.txt"), "ok \udc80")
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            cli._atomic_write(str(tmp_path / "taken"), b"bytes")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
+    def test_permission_bits_follow_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            for mask in (0o022, 0o077):
+                os.umask(mask)
+                path = tmp_path / f"out{mask:o}.txt"
+                cli._atomic_write(str(path), "x\n")
+                assert os.stat(path).st_mode & 0o777 == 0o666 & ~mask
+        finally:
+            os.umask(umask)

@@ -13,9 +13,10 @@ from codediv.rewards import (
     diversity_advantages,
     passk_loo_advantages,
     pkpo_advantages,
-    pkpo_bruteforce_oracle,
 )
 from codediv.similarity import SimMatrix
+
+from conftest import pkpo_bruteforce_oracle
 
 
 def outcome(*flags):
@@ -131,7 +132,7 @@ class TestPkpo:
                 out = outcome(*flags)
                 for k in range(1, n + 1):
                     closed = pkpo_advantages(out, k).a
-                    brute = pkpo_bruteforce_oracle(out, k).a
+                    brute = pkpo_bruteforce_oracle(out, k)
                     assert np.array_equal(closed, brute), (flags, k)
 
     def test_monotone_in_m(self):

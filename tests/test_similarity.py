@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codediv import _gst_py
+from codediv import _gst_py, similarity
 from codediv.similarity import (
     GST_BACKEND,
     Clustering,
     MatchSet,
     SimMatrix,
-    _exact_tiles,
     avg_similarity,
     clusters,
     effective_clusters,
     gst_match,
     jdiv,
+    lex_tokens,
     one_gram_div,
     one_gram_matrix,
     one_gram_similarity,
@@ -100,43 +100,46 @@ class TestGstMatch:
 
 
 class TestBackends:
-    def test_hashed_equals_exact(self, rng):
+    # gst_match runs the compiled kernel when it is built and the streams
+    # are short, and hashed_tiles otherwise; both must equal the oracle.
+
+    def test_hashed_equals_bruteforce(self, rng):
         for _ in range(500):
             a = random_id_stream(rng, max_len=50, alphabet=5)
             b = random_id_stream(rng, max_len=50, alphabet=5)
             min_match = int(rng.integers(1, 6))
-            exact = _gst_py.exact_tiles(a, b, min_match)
-            hashed = _gst_py.hashed_tiles(a, b, min_match)
-            assert exact == hashed
+            expected = brute_force_tiles(a, b, min_match)
+            assert list(gst_match(a, b, min_match).tiles) == expected
+            assert _gst_py.hashed_tiles(a, b, min_match) == expected
 
     @pytest.mark.skipif(GST_BACKEND != "compiled", reason="extension not built")
-    def test_compiled_equals_python(self, rng):
+    def test_compiled_equals_bruteforce(self, rng):
+        from codediv import _gst
+
         for _ in range(500):
             a = random_id_stream(rng, max_len=50, alphabet=5)
             b = random_id_stream(rng, max_len=50, alphabet=5)
             min_match = int(rng.integers(1, 6))
-            assert _exact_tiles(a, b, min_match, backend="compiled") == _gst_py.exact_tiles(
-                a, b, min_match
-            )
+            assert _gst.exact_tiles(a, b, min_match) == brute_force_tiles(a, b, min_match)
 
     @given(a=IDS, b=IDS, min_match=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_backend_agreement_property(self, a, b, min_match):
-        exact = _exact_tiles(a, b, min_match)
-        assert exact == _gst_py.exact_tiles(a, b, min_match)
-        assert exact == _gst_py.hashed_tiles(a, b, min_match)
+        expected = brute_force_tiles(a, b, min_match)
+        assert list(gst_match(a, b, min_match).tiles) == expected
+        assert _gst_py.hashed_tiles(a, b, min_match) == expected
 
     def test_long_streams_dispatch_to_hashed_path(self, rng):
         # Streams beyond the exact-match limit route through the
-        # hash-accelerated matcher; output must still match the exact one.
+        # hash-accelerated matcher. The expected tiles are pinned from the
+        # per-round dynamic program (brute force is too slow at this size).
         # Wide alphabet keeps chance runs (and so tiling rounds) rare.
         n = 10_500
         a = rng.integers(0, 40, size=n).astype(np.intc)
         b = rng.integers(0, 40, size=n).astype(np.intc)
         b[2000:2400] = a[1000:1400]  # one long shared block
         match = gst_match(a, b, min_match=5)
-        assert match.tiles == tuple(_exact_tiles(a, b, 5))
-        assert any(length >= 400 for _, _, length in match.tiles)
+        assert match.tiles == ((1000, 2000, 400), (10443, 7447, 5))
 
 
 class TestAvgSimilarity:
@@ -336,6 +339,18 @@ class TestOneGram:
         assert one_gram_div(["alpha", "beta"]) == 1.0
         with pytest.raises(ValueError):
             one_gram_div(["only"])
+
+    def test_matrix_lexes_each_source_once(self, monkeypatch):
+        calls = []
+
+        def counting_lex(text):
+            calls.append(text)
+            return lex_tokens(text)
+
+        monkeypatch.setattr(similarity, "lex_tokens", counting_lex)
+        sources = [f"x{i} = f(y, {i})" for i in range(6)]
+        one_gram_div(sources)
+        assert sorted(calls) == sorted(sources)
 
     def test_rename_sensitivity_vs_structural(self):
         # The lexical metric sees renamed programs as different while the

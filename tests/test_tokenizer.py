@@ -191,11 +191,34 @@ class TestDeepExpressions:
             ("IDENT", 22),
         ]
 
-    def test_other_deep_chains_fall_back(self):
-        for name in ("attribute_chain", "call_chain", "subscript_chain"):
+    def test_postfix_chains_are_structural(self):
+        head = ("MODULE_BEGIN", "ASSIGN", "IDENT")
+        expected = {
+            "attribute_chain": head + ("ATTR",) * 600 + ("IDENT",),
+            "call_chain": head + ("APPLY", "ATTR") * 600 + ("IDENT",),
+            "subscript_chain": head + ("SUBSCRIPT",) * 600 + ("IDENT",) + ("LIT_NUM",) * 600,
+        }
+        for name, kinds in expected.items():
             stream = tokenize(DEEP_EXPRESSIONS[name])
-            assert stream.fallback, name
-            assert "IDENT" in stream.kinds
+            assert not stream.fallback, name
+            assert stream.kinds == kinds + ("MODULE_END",), name
+
+    def test_postfix_token_order_is_preorder(self):
+        # Spine nodes outermost first, then the base, then call arguments
+        # and slices innermost first; nested arguments recurse.
+        stream = tokenize("y = f(a)[i].g(b, k=c)\n")
+        assert [(t.kind, t.col) for t in stream.tokens[2:-1]] == [
+            ("IDENT", 0),
+            ("APPLY", 4),
+            ("ATTR", 4),
+            ("SUBSCRIPT", 4),
+            ("APPLY", 4),
+            ("IDENT", 4),
+            ("IDENT", 6),
+            ("IDENT", 9),
+            ("IDENT", 14),
+            ("IDENT", 19),
+        ]
 
 
 class TestDebugFormat:
