@@ -4,7 +4,9 @@ Each round marks the longest common unmarked substring of at least
 ``min_match`` tokens; ties go to the smallest start in the first stream,
 then the smallest start in the second. ``hashed_tiles`` finds that run by
 binary search on its length, comparing window hashes mod 2^61-1; every hash
-hit is verified against the tokens, so collisions cannot change a tile. The
+hit is verified against the tokens, so collisions cannot change a tile.
+Marking only removes runs, so tile lengths never grow from one round to
+the next and each search is capped at the previous tile's length. The
 tests check its tiles against a brute-force extension-scan oracle.
 """
 
@@ -88,7 +90,7 @@ def hashed_tiles(a, b, min_match):
         # The longest common unmarked run has a unique length L*; any common
         # window of length L* starts exactly where a maximal run starts, so
         # the first hit at L* is the tie break's run.
-        lo, hi = min_match, cap
+        lo, hi = min_match, min(cap, tiles[-1][2]) if tiles else cap
         best = None
         while lo <= hi:
             mid = (lo + hi) // 2

@@ -37,7 +37,7 @@ from .similarity import (
     one_gram_div,
     pairwise_matrix,
 )
-from .tokenizer import TokenStream, format_debug, tokenize
+from .tokenizer import TokenStream, format_debug, parse, tokenize
 
 
 class CliError(Exception):
@@ -111,14 +111,7 @@ def _load_corpus(path):
 def _group_streams(group):
     """Token streams for a group; absent or empty extractions become empty
     streams, so two failed extractions compare as duplicates (score 1)."""
-    streams = []
-    for sample in group.samples:
-        source = sample.source
-        if source is None or not source.strip():
-            streams.append(TokenStream([], fallback=False))
-        else:
-            streams.append(tokenize(source))
-    return streams
+    return [tokenize(s) if s.strip() else TokenStream([]) for s in group.sources()]
 
 
 # -- tokens ------------------------------------------------------------
@@ -142,17 +135,24 @@ def cmd_tokens(args):
 def cmd_similarity(args):
     corpus = _load_corpus(args.corpus)
     os.makedirs(args.out, exist_ok=True)
+    written = set()
     for group in corpus:
+        name = f"{_slug(group.prompt_id)}.simmatrix.txt"
         matrix = pairwise_matrix(_group_streams(group), min_match=args.min_match)
-        _atomic_write(
-            os.path.join(args.out, f"{_slug(group.prompt_id)}.simmatrix.txt"), matrix.to_text()
-        )
+        _atomic_write(os.path.join(args.out, name), matrix.to_text())
+        written.add(name)
     _write_manifest(
         args.out,
         "similarity",
         {"corpus": args.corpus},
         {"min_match": args.min_match, "gst_backend": GST_BACKEND},
     )
+    # Matrices of an earlier run into the same directory would otherwise sit
+    # beside a manifest that does not describe them.
+    for name in os.listdir(args.out):
+        path = os.path.join(args.out, name)
+        if name.endswith(".simmatrix.txt") and name not in written and os.path.isfile(path):
+            os.remove(path)
     return 0
 
 
@@ -169,15 +169,30 @@ def _summary_dict(summary):
     }
 
 
+def _streams_and_stripped(group):
+    """Like _group_streams, plus each source without comments and docstrings.
+
+    Each sample is parsed once and its tree shared by both views; it is
+    dropped before the next sample is parsed, because a long module's tree
+    takes megabytes.
+    """
+    streams, stripped = [], []
+    for source in group.sources():
+        tree = parse(source)
+        streams.append(tokenize(source, tree) if source.strip() else TokenStream([]))
+        stripped.append(strip_comments_docstrings(source, tree))
+        tree = None
+    return streams, stripped
+
+
 def _prompt_report(group, k_list, tau, min_match, embedding_table):
-    streams = _group_streams(group)
+    streams, stripped = _streams_and_stripped(group)
     matrix = pairwise_matrix(streams, min_match=min_match)
     outcome = {"n": group.n, "m": group.m}
     outcome["pass_at"] = {
         str(k): metrics.pass_at_k(group.n, group.m, k).value for k in k_list
     }
     outcome["jdiv"] = jdiv(matrix) if group.n >= 2 else None
-    stripped = [strip_comments_docstrings(s) for s in group.sources()]
     outcome["one_gram_div"] = one_gram_div(stripped) if group.n >= 2 else None
     clustering = clusters(matrix, tau=tau)
     outcome["clusters"] = clustering.n_clusters

@@ -10,10 +10,12 @@ downstream metric operates on.
 
 import ast
 import json
+import re
 import statistics
 from dataclasses import dataclass, field
 
 from .similarity import lex_tokens
+from .tokenizer import NOT_PARSED, parse
 
 
 class CorpusError(ValueError):
@@ -179,11 +181,19 @@ def extract_code(text: str):
     return None
 
 
+# Characters that can change the comment scanner's state: outside a string,
+# a quote opens one and '#' starts a comment; inside, a backslash escapes the
+# next character and the delimiter's character may close it.
+_OUTSIDE_STRING = re.compile(r"['\"#]")
+_INSIDE_STRING = {"'": re.compile(r"[\\']"), '"': re.compile(r'[\\"]')}
+
+
 def _strip_comments(source: str):
     """Remove '#' comments outside string literals.
 
     Returns (lines_without_newlines, removed_any). Lines reduced to nothing
-    by comment removal are dropped; untouched lines stay byte-identical.
+    by comment removal are dropped; untouched lines stay byte-identical, so
+    when nothing is removed the lines join back to ``source`` exactly.
     """
     out = []
     removed = False
@@ -191,31 +201,31 @@ def _strip_comments(source: str):
     for line in source.split("\n"):
         i = 0
         cut = None
-        while i < len(line):
+        while True:
+            # Jump to the next character that can change the state.
+            found = (_OUTSIDE_STRING if quote is None else _INSIDE_STRING[quote[0]]).search(line, i)
+            if found is None:
+                i = max(i, len(line))
+                break
+            i = found.start()
             ch = line[i]
             if quote is not None:
                 if ch == "\\":
                     i += 2  # escaped char never terminates the string
-                    continue
-                if line.startswith(quote, i):
+                elif line.startswith(quote, i):
                     i += len(quote)
                     quote = None
-                    continue
-                i += 1
-                continue
-            if ch in "'\"":
-                triple = ch * 3
-                if line.startswith(triple, i):
-                    quote = triple
-                    i += 3
                 else:
-                    quote = ch
                     i += 1
-                continue
-            if ch == "#":
+            elif ch == "#":
                 cut = i
                 break
-            i += 1
+            elif line.startswith(ch * 3, i):
+                quote = ch * 3
+                i += 3
+            else:
+                quote = ch
+                i += 1
         if quote is not None and len(quote) == 1 and i <= len(line):
             # Unterminated single-quote string without a trailing backslash
             # continuation (i overshoots by one when a backslash ate the
@@ -232,44 +242,57 @@ def _strip_comments(source: str):
     return out, removed
 
 
-def _docstring_spans(source: str):
+# Fields that hold statement lists, on statements and on the except
+# handlers and match cases that carry bodies of their own.
+_STATEMENT_LISTS = ("body", "orelse", "finalbody", "handlers", "cases")
+_DOCSTRING_OWNERS = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _docstring_spans(tree):
     """(lineno, col, end_lineno, end_col) of leading string statements.
 
     Covers the maximal leading run of bare string-literal statements in
     every module, function, and class body; taking the whole run (not just
-    the first statement) is what makes stripping idempotent.
+    the first statement) is what makes stripping idempotent. Definitions
+    are statements, so only statement lists are walked, never expressions;
+    the walk uses an explicit stack because long elif chains nest deeply.
     """
-    tree = ast.parse(source)
     spans = []
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                spans.append((stmt.lineno, stmt.col_offset, stmt.end_lineno, stmt.end_col_offset))
-            else:
-                break
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _DOCSTRING_OWNERS):
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.Expr)
+                    and isinstance(stmt.value, ast.Constant)
+                    and isinstance(stmt.value.value, str)
+                ):
+                    spans.append((stmt.lineno, stmt.col_offset, stmt.end_lineno, stmt.end_col_offset))
+                else:
+                    break
+        for name in _STATEMENT_LISTS:
+            stack.extend(getattr(node, name, ()))
     return spans
 
 
-def strip_comments_docstrings(source: str) -> str:
+def strip_comments_docstrings(source: str, tree=NOT_PARSED) -> str:
     """Remove comments and docstring-position string statements.
 
+    ``tree`` is ``tokenizer.parse(source)`` when the caller already has it.
+    It is reused only when no comment was removed, since the text is then
+    ``source`` byte for byte; otherwise the comment-free text is parsed.
     Comment stripping never fails; docstring removal needs a parse and is
     skipped for unparseable source. All surviving code is byte-identical;
     lines emptied by a removal are dropped.
     """
-    lines, _ = _strip_comments(source)
+    lines, removed = _strip_comments(source)
     stripped = "\n".join(lines)
-    try:
-        spans = _docstring_spans(stripped)
-    except (SyntaxError, ValueError, MemoryError, RecursionError):
+    if removed or tree is NOT_PARSED:
+        tree = parse(stripped)
+    if tree is None:
         return stripped
-    for lineno, col, end_lineno, end_col in sorted(spans, reverse=True):
+    for lineno, col, end_lineno, end_col in sorted(_docstring_spans(tree), reverse=True):
         first, last = lineno - 1, end_lineno - 1
         merged = lines[first][:col] + lines[last][end_col:]
         if merged.strip():

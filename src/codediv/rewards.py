@@ -62,11 +62,6 @@ class AdvantageVector:
             raise ValueError("advantages must be finite")
 
 
-def correctness_reward(outcome: GroupOutcome) -> float:
-    """Group reward: sum of verifier outcomes (the {0,1} scale)."""
-    return float(outcome.m)
-
-
 def base_advantages(outcome: GroupOutcome, centered=True) -> AdvantageVector:
     """Per-sample signed reward with the group mean as baseline."""
     a = outcome.r.astype(np.float64)

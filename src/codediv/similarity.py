@@ -18,7 +18,6 @@ The tests check both against a brute-force tiling oracle, tile for tile.
 
 import math
 import re
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -118,8 +117,8 @@ class SimMatrix:
             np.array_equal(self.scores, other.scores)
         )
 
-    # Stable serializations for golden tests: a text form (repr round-trips
-    # float64 exactly) and a binary form (little-endian u64 header + f8 grid).
+    # Stable text serialization for outputs and golden tests: repr
+    # round-trips float64 exactly.
 
     def to_text(self) -> str:
         lines = [str(self.n)]
@@ -133,15 +132,6 @@ class SimMatrix:
         n = int(lines[0])
         rows = [[float(v) for v in ln.split()] for ln in lines[1 : n + 1]]
         return cls(np.array(rows, dtype=np.float64).reshape(n, n))
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<Q", self.n) + self.scores.astype("<f8").tobytes(order="C")
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "SimMatrix":
-        (n,) = struct.unpack_from("<Q", blob)
-        grid = np.frombuffer(blob, dtype="<f8", offset=8, count=n * n)
-        return cls(grid.reshape(n, n).copy())
 
 
 def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:

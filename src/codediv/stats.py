@@ -40,10 +40,6 @@ class ChangeReport:
     mean_delta: float
     n: int
 
-    @property
-    def tie_pct(self) -> float:
-        return 100.0 - self.up_pct - self.down_pct
-
 
 def paired_bootstrap(a, b, resamples=DEFAULT_RESAMPLES, seed=0) -> float:
     """One-sided bootstrap p-value for mean(b - a) > 0.

@@ -7,17 +7,24 @@ stream. Two programs that differ only in naming, literal values, comments,
 or whitespace therefore produce equal streams, which is the property the
 similarity layer builds on.
 
-Well-formed source is parsed with the standard ``ast`` module and walked in
-source order. Generated code is frequently malformed; in that case a plain
-lexer pass still normalizes identifiers and literals but emits none of the
-block begin/end kinds, and the resulting stream is flagged ``fallback`` so
-reports can count degraded inputs.
+Well-formed source is parsed with the standard ``ast`` module (``parse``)
+and walked in source order. A caller that also needs the tree, such as the
+comment and docstring stripper in ``ingest``, parses once and hands the
+same tree to ``tokenize``. Generated code is frequently malformed; in that
+case a plain lexer pass still normalizes identifiers and literals but emits
+none of the block begin/end kinds, and the resulting stream is flagged
+``fallback`` so reports can count degraded inputs.
+
+Streams are stored as three ``array('i')`` buffers (kind ids, lines,
+columns); no per-token object exists unless ``TokenStream.tokens`` is asked
+for.
 """
 
 import ast
 import io
 import keyword
 import tokenize as _stdtok
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,77 +96,121 @@ class StructuralToken:
 class TokenStream:
     """Ordered structural tokens for one program.
 
+    Kind ids, lines and columns live in three parallel ``array('i')``
+    buffers. ``tokens`` builds StructuralToken objects on demand for
+    debugging; the matcher reads ``ids``, a zero-copy view of the kind ids.
+
     Equality is defined over the kind sequence only: positions are debug
     metadata and change under renaming or reformatting, while the kind
     sequence is the representation the matcher compares.
     """
 
-    __slots__ = ("tokens", "fallback", "_ids")
+    __slots__ = ("fallback", "_kind_ids", "_lines", "_cols")
 
     def __init__(self, tokens, fallback=False):
-        self.tokens = tuple(tokens)
+        tokens = tuple(tokens)
+        self._kind_ids = array("i", [KIND_IDS[t.kind] for t in tokens])
+        self._lines = array("i", [t.line for t in tokens])
+        self._cols = array("i", [t.col for t in tokens])
         self.fallback = bool(fallback)
-        self._ids = None
+
+    @classmethod
+    def _from_arrays(cls, kind_ids, lines, cols, fallback):
+        """Wrap the emitter's or the fallback lexer's buffers without copying."""
+        stream = cls.__new__(cls)
+        stream._kind_ids, stream._lines, stream._cols = kind_ids, lines, cols
+        stream.fallback = fallback
+        return stream
+
+    @property
+    def tokens(self):
+        return tuple(
+            StructuralToken(VOCABULARY[k], line, col)
+            for k, line, col in zip(self._kind_ids, self._lines, self._cols)
+        )
 
     @property
     def kinds(self):
-        return tuple(t.kind for t in self.tokens)
+        return tuple(VOCABULARY[k] for k in self._kind_ids)
 
     @property
     def ids(self):
-        """Vocabulary ids as a contiguous int array (cached)."""
-        if self._ids is None:
-            arr = np.fromiter(
-                (KIND_IDS[t.kind] for t in self.tokens), dtype=np.intc, count=len(self.tokens)
-            )
-            self._ids = arr
-        return self._ids
+        """Vocabulary ids as a C-contiguous intc array sharing the stream's buffer."""
+        return np.frombuffer(self._kind_ids, dtype=np.intc)
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self._kind_ids)
 
     def __eq__(self, other):
         if not isinstance(other, TokenStream):
             return NotImplemented
-        return self.kinds == other.kinds
+        return self._kind_ids == other._kind_ids
 
     def __hash__(self):
-        return hash(self.kinds)
+        return hash(self._kind_ids.tobytes())
 
     def __repr__(self):
         flag = ", fallback" if self.fallback else ""
-        return f"TokenStream({len(self.tokens)} tokens{flag})"
+        return f"TokenStream({len(self)} tokens{flag})"
 
 
 def format_debug(stream: TokenStream) -> str:
     """Debug form consumed by the CLI: one ``kind line:col`` row per token."""
-    return "\n".join(f"{t.kind} {t.line}:{t.col}" for t in stream.tokens)
+    return "\n".join(
+        f"{VOCABULARY[k]} {line}:{col}"
+        for k, line, col in zip(stream._kind_ids, stream._lines, stream._cols)
+    )
 
 
-def tokenize(source: str) -> TokenStream:
-    """Tokenize Python source into a structural TokenStream.
+def parse(source: str):
+    """The ``ast`` tree of ``source``, or None when it does not parse.
 
-    Never raises on bad input: source that does not parse, or nests too
-    deeply for the emitter's recursion, degrades to the lexer fallback and
-    the stream is flagged.
+    This is the one place that decides which parse failures are expected
+    from generated code; ``tokenize`` and ``ingest.strip_comments_docstrings``
+    accept its result so that a caller needing both parses only once.
     """
     try:
-        tree = ast.parse(source)
+        return ast.parse(source)
     except (SyntaxError, ValueError, MemoryError, RecursionError):
-        return TokenStream(_lex_fallback(source), fallback=True)
-    emitter = _StructuralEmitter()
-    try:
-        emitter.emit_module(tree, source)
-    except RecursionError:
-        return TokenStream(_lex_fallback(source), fallback=True)
-    return TokenStream(emitter.out, fallback=False)
+        return None
+
+
+# Default for ``tree`` arguments: the callee parses the source itself. None
+# is a real value there (the source does not parse), so it cannot be the default.
+NOT_PARSED = object()
+
+
+def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
+    """Tokenize Python source into a structural TokenStream.
+
+    ``tree`` is ``parse(source)`` when the caller already has it; by default
+    the source is parsed here. Never raises on bad input: source that does
+    not parse (``tree`` is None), or nests too deeply for the emitter's
+    recursion, degrades to the lexer fallback and the stream is flagged.
+    """
+    if tree is NOT_PARSED:
+        tree = parse(source)
+    if tree is not None:
+        emitter = _StructuralEmitter()
+        try:
+            emitter.emit_module(tree, source)
+        except RecursionError:
+            pass
+        else:
+            return TokenStream._from_arrays(emitter.kind_ids, emitter.lines, emitter.cols, False)
+    return TokenStream._from_arrays(*_lex_fallback(source), True)
 
 
 class _StructuralEmitter:
-    """Walk an ast in source order, appending structural tokens."""
+    """Walk an ast in source order, appending kind ids and positions."""
 
     def __init__(self):
-        self.out = []
+        self.kind_ids, self.lines, self.cols = array("i"), array("i"), array("i")
+
+    def add(self, kind, line, col):
+        self.kind_ids.append(KIND_IDS[kind])
+        self.lines.append(line)
+        self.cols.append(col)
 
     def tok(self, kind, node, end=False):
         if end:
@@ -167,14 +218,14 @@ class _StructuralEmitter:
             col = getattr(node, "end_col_offset", None) or node.col_offset
         else:
             line, col = node.lineno, node.col_offset
-        self.out.append(StructuralToken(kind, line, col))
+        self.add(kind, line, col)
 
     def emit_module(self, tree, source):
-        self.out.append(StructuralToken("MODULE_BEGIN", 1, 0))
+        self.add("MODULE_BEGIN", 1, 0)
         for stmt in tree.body:
             self.stmt(stmt)
         n_lines = source.count("\n") + 1
-        self.out.append(StructuralToken("MODULE_END", n_lines, len(source.rsplit("\n", 1)[-1])))
+        self.add("MODULE_END", n_lines, len(source.rsplit("\n", 1)[-1]))
 
     # -- statements ---------------------------------------------------
 
@@ -338,10 +389,8 @@ class _StructuralEmitter:
     def stmt_Import(self, node):
         self.tok("IMPORT", node)
         for alias in node.names:
-            self.out.append(
-                StructuralToken(
-                    "IDENT", getattr(alias, "lineno", node.lineno), getattr(alias, "col_offset", node.col_offset)
-                )
+            self.add(
+                "IDENT", getattr(alias, "lineno", node.lineno), getattr(alias, "col_offset", node.col_offset)
             )
 
     def stmt_ImportFrom(self, node):
@@ -612,10 +661,11 @@ for _op in ("+", "-", "*", "/", "//", "%", "**", "@", "&", "|", "^", "<<", ">>")
 def _lex_fallback(source: str):
     """Best-effort lexical pass for source that does not parse.
 
-    Token errors truncate the stream instead of aborting; whatever lexed
-    cleanly before the error is kept.
+    Returns ``(kind_ids, lines, cols)`` arrays. Token errors truncate the
+    stream instead of aborting; whatever lexed cleanly before the error is
+    kept.
     """
-    out = []
+    kind_ids, lines, cols = array("i"), array("i"), array("i")
     gen = _stdtok.generate_tokens(io.StringIO(source).readline)
     try:
         for tok in gen:
@@ -634,7 +684,9 @@ def _lex_fallback(source: str):
             elif tok.type == _stdtok.OP:
                 kind = _OP_KINDS.get(tok.string)
             if kind is not None:
-                out.append(StructuralToken(kind, tok.start[0], tok.start[1]))
+                kind_ids.append(KIND_IDS[kind])
+                lines.append(tok.start[0])
+                cols.append(tok.start[1])
     except (_stdtok.TokenError, IndentationError, SyntaxError, ValueError):
         pass
-    return out
+    return kind_ids, lines, cols

@@ -1,3 +1,4 @@
+import ast
 import itertools
 
 import numpy as np
@@ -85,6 +86,91 @@ def brute_force_tiles(a, b, min_match):
             used_a[best_i + k] = True
             used_b[best_j + k] = True
     return tiles
+
+
+def strip_comments_oracle(source):
+    """Reference comment scanner: the state machine one character at a time.
+
+    Returns (lines_without_newlines, removed_any), like
+    ``ingest._strip_comments``.
+    """
+    out = []
+    removed = False
+    quote = None  # active string delimiter, e.g. "'" or '"""'
+    for line in source.split("\n"):
+        i = 0
+        cut = None
+        while i < len(line):
+            ch = line[i]
+            if quote is not None:
+                if ch == "\\":
+                    i += 2  # escaped char never terminates the string
+                    continue
+                if line.startswith(quote, i):
+                    i += len(quote)
+                    quote = None
+                    continue
+                i += 1
+                continue
+            if ch in "'\"":
+                triple = ch * 3
+                if line.startswith(triple, i):
+                    quote = triple
+                    i += 3
+                else:
+                    quote = ch
+                    i += 1
+                continue
+            if ch == "#":
+                cut = i
+                break
+            i += 1
+        if quote is not None and len(quote) == 1 and i <= len(line):
+            quote = None
+        if cut is None:
+            out.append(line)
+        else:
+            removed = True
+            kept = line[:cut].rstrip(" \t")
+            if kept:
+                out.append(kept)
+    return out, removed
+
+
+def docstring_spans_oracle(source):
+    """Reference docstring finder: parses and visits every node with ast.walk."""
+    spans = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for stmt in node.body:
+            if (
+                isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Constant)
+                and isinstance(stmt.value.value, str)
+            ):
+                spans.append((stmt.lineno, stmt.col_offset, stmt.end_lineno, stmt.end_col_offset))
+            else:
+                break
+    return spans
+
+
+def strip_comments_docstrings_oracle(source):
+    """Reference ``strip_comments_docstrings`` built on the two oracles above."""
+    lines, _ = strip_comments_oracle(source)
+    stripped = "\n".join(lines)
+    try:
+        spans = docstring_spans_oracle(stripped)
+    except (SyntaxError, ValueError, MemoryError, RecursionError):
+        return stripped
+    for lineno, col, end_lineno, end_col in sorted(spans, reverse=True):
+        first, last = lineno - 1, end_lineno - 1
+        merged = lines[first][:col] + lines[last][end_col:]
+        if merged.strip():
+            lines[first:last + 1] = [merged]
+        else:
+            lines[first:last + 1] = []
+    return "\n".join(lines)
 
 
 _ENUMERATION_LIMIT = 20

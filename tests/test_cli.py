@@ -70,6 +70,41 @@ class TestTokens:
         out = capsys.readouterr().out
         assert out.startswith("MODULE_BEGIN 1:0\nASSIGN 1:0\n")
 
+    def test_pinned_output(self, tmp_path, capsys):
+        file = tmp_path / "prog.py"
+        file.write_text(
+            "def f(xs, k=2):\n"
+            '    """Doc."""\n'
+            "    out = [x * k for x in xs if x]\n"
+            "    try:\n"
+            "        return out[0]\n"
+            "    except IndexError:\n"
+            "        return None  # empty\n"
+        )
+        assert main(["tokens", str(file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "MODULE_BEGIN 1:0\nDEF_BEGIN 1:0\nIDENT 1:6\nIDENT 1:10\nLIT_NUM 1:12\n"
+            "LIT_STR 2:4\nASSIGN 3:4\nIDENT 3:4\nCOMP_BEGIN 3:10\nBINOP 3:11\n"
+            "IDENT 3:11\nIDENT 3:15\nIDENT 3:21\nIDENT 3:26\nIDENT 3:32\nCOMP_END 3:34\n"
+            "TRY_BEGIN 4:4\nRETURN 5:8\nSUBSCRIPT 5:15\nIDENT 5:15\nLIT_NUM 5:19\n"
+            "EXCEPT 6:4\nIDENT 6:11\nRETURN 7:8\nLIT_BOOLNONE 7:15\nTRY_END 7:19\n"
+            "DEF_END 7:19\nMODULE_END 8:0\n"
+        )
+
+    def test_pinned_fallback_output(self, tmp_path, capsys):
+        file = tmp_path / "broken.py"
+        file.write_text('def f(:\n    x = [1, 2\n    return x.y + "s" ** 3\n')
+        assert main(["tokens", str(file)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "# fallback lexer used\n"
+        assert captured.out == (
+            "IDENT 1:4\nIDENT 2:4\nASSIGN 2:6\nSUBSCRIPT 2:8\nLIT_NUM 2:9\nLIT_NUM 2:12\n"
+            "RETURN 3:4\nIDENT 3:11\nATTR 3:12\nIDENT 3:13\nBINOP 3:15\nLIT_STR 3:17\n"
+            "BINOP 3:21\nLIT_NUM 3:24\n"
+        )
+
     def test_missing_file(self, capsys):
         assert main(["tokens", "/nonexistent/prog.py"]) == 1
         assert capsys.readouterr().err.startswith("error: input:")
@@ -136,6 +171,17 @@ class TestSimilarityCommand:
         matrix = SimMatrix.from_text((out / "p.simmatrix.txt").read_text())
         assert matrix.scores[0, 1] == 1.0
         assert matrix.scores[0, 2] == 0.0
+
+    def test_rerun_removes_stale_matrices(self, tmp_path):
+        src = "def f(x):\n    return x + 1\n"
+        both = write_corpus(tmp_path / "both.jsonl", [("p1", 0, src, True), ("p2", 0, src, True)])
+        only_p1 = write_corpus(tmp_path / "p1.jsonl", [("p1", 0, src, True)])
+        out = tmp_path / "out"
+        assert main(["similarity", "--corpus", str(both), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "p1.simmatrix.txt", "p2.simmatrix.txt"]
+        assert main(["similarity", "--corpus", str(only_p1), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "p1.simmatrix.txt"]
+        assert read_json(out / "manifest.json")["inputs"]["corpus"]["path"] == str(only_p1)
 
     def test_unsafe_prompt_id_slug(self, tmp_path):
         corpus = write_corpus(tmp_path / "c.jsonl", [("a/b c", 0, "x = 1\n", True)])

@@ -1,14 +1,26 @@
+import ast
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codediv.ingest import (
     CorpusError,
+    _docstring_spans,
+    _strip_comments,
     extract_code,
     length_stats,
     load_corpus,
     parse_corpus,
     strip_comments_docstrings,
+)
+from codediv.tokenizer import parse
+
+from conftest import (
+    docstring_spans_oracle,
+    strip_comments_docstrings_oracle,
+    strip_comments_oracle,
 )
 
 
@@ -149,6 +161,144 @@ class TestStripCommentsDocstrings:
     def test_hash_inside_triple_quote(self):
         src = 'x = """\n# inside\n"""\ny = 1  # outside\n'
         assert strip_comments_docstrings(src) == 'x = """\n# inside\n"""\ny = 1\n'
+
+
+# Pieces that steer the comment scanner and the docstring finder: quotes,
+# triple quotes, '#' inside and outside strings, a backslash before a line
+# end, CRLF, tabs, null bytes, surrogates and docstring-shaped statements.
+_FRAGMENTS = (
+    "x = 1", "'a'", '"b"', "'''", '"""', "#", "# c", "\\", "\\\n", "\n", "\r\n", "\t",
+    "    ", "\x00", "\ud800", "'#'", '"#"', "'''#'''", "def f():", "class C:", "\n    ",
+    '"""doc"""', "'doc'", "if x:", "else:", "pass", "return x", "f'{x}'", "\u00e9",
+)
+_STATEMENTS = (
+    "def f():", "async def g():", "class C:", '"""doc"""', "'s'", "x = '#'", 'y = "a\\"#"',
+    "pass", "if x:", "else:", "return 1", '"""a', '#b"""', "x = 1  # c", "# only", "z = '''",
+)
+# Well-formed top-level blocks, so that most generated modules parse.
+_BLOCKS = (
+    'def f():\n    """d"""  # c\n    return 1',
+    "class C:\n    'doc' # c\n    'two'\n    x = '#'",
+    "if x:  # c\n    def g():\n        'd'\n\n        pass",
+    "s = '''a\n# in\n'''  # out",
+    't = "\\\\"  # c',
+    "u = 'a\\\n#b'",
+    '"""module"""',
+    "x = 1\t# c",
+    "# only",
+)
+_LINE = st.tuples(
+    st.sampled_from(("", "    ", "        ", "\t")),
+    st.sampled_from(_STATEMENTS),
+    st.sampled_from(("", "  # c", " #", "\t# 'q")),
+).map("".join)
+SOURCES = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=30).map("".join),
+    st.text(alphabet="'\"#\\ \t\r\nx:=(\x00\ud800", max_size=60),
+    *(
+        st.tuples(st.lists(parts, max_size=12), st.sampled_from(("\n", "\r\n"))).map(
+            lambda args: args[1].join(args[0]) + args[1]
+        )
+        for parts in (_LINE, st.sampled_from(_BLOCKS))
+    ),
+)
+
+# A def or class docstring inside every statement list of every compound
+# statement, plus the module docstring.
+NESTED_DOCSTRINGS = '''\
+"""module"""
+if a:
+    def f1():
+        """in if"""
+elif b:
+    class C2:
+        """in elif"""
+else:
+    def f3():
+        """in else"""
+for x in y:
+    def f4():
+        """in for"""
+else:
+    def f5():
+        """in for-else"""
+while a:
+    def f6():
+        """in while"""
+else:
+    def f7():
+        """in while-else"""
+try:
+    def f8():
+        """in try"""
+except E:
+    def f9():
+        """in except"""
+else:
+    def f10():
+        """in try-else"""
+finally:
+    def f11():
+        """in finally"""
+try:
+    pass
+except* E:
+    def f12():
+        """in except*"""
+with m:
+    def f13():
+        """in with"""
+async def g():
+    """async def"""
+    async for x in y:
+        def f14():
+            """in async for"""
+    else:
+        def f15():
+            """in async for-else"""
+    async with m:
+        class C16:
+            """in async with"""
+match v:
+    case 1:
+        def f17():
+            """in case"""
+    case _:
+        async def f18():
+            """in async def in case"""
+'''
+
+
+class TestStripAgainstOracles:
+    @given(src=SOURCES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_and_shared_tree(self, src):
+        assert _strip_comments(src) == strip_comments_oracle(src)
+        once = strip_comments_docstrings(src)
+        assert strip_comments_docstrings(src, parse(src)) == once
+        assert once == strip_comments_docstrings_oracle(src)
+        assert strip_comments_docstrings(once) == once
+
+    @given(src=SOURCES)
+    @settings(max_examples=200, deadline=None)
+    def test_docstring_spans_match_reference(self, src):
+        tree = parse(src)
+        if tree is not None:
+            assert sorted(_docstring_spans(tree)) == sorted(docstring_spans_oracle(src))
+
+    def test_docstrings_nested_in_every_compound_statement(self):
+        spans = _docstring_spans(ast.parse(NESTED_DOCSTRINGS))
+        assert sorted(spans) == sorted(docstring_spans_oracle(NESTED_DOCSTRINGS))
+        assert len(spans) == NESTED_DOCSTRINGS.count('"""') // 2 == 20
+        stripped = strip_comments_docstrings(NESTED_DOCSTRINGS)
+        assert '"""' not in stripped
+        assert stripped == strip_comments_docstrings_oracle(NESTED_DOCSTRINGS)
+
+    def test_long_elif_chain(self):
+        # elif chains nest in orelse lists, deeper than the recursion limit.
+        head = "if a:\n    pass\n"
+        src = head + "elif a:\n    def f():\n        'doc'\n" * 1500
+        assert strip_comments_docstrings(src) == head + "elif a:\n    def f():\n" * 1500
 
 
 class TestLengthStats:

@@ -9,7 +9,6 @@ from codediv.rewards import (
     advantages,
     base_advantages,
     combined_advantages,
-    correctness_reward,
     diversity_advantages,
     passk_loo_advantages,
     pkpo_advantages,
@@ -33,17 +32,6 @@ class TestGroupOutcome:
         assert out.r.tolist() == [1.0, -1.0, 1.0]
         assert out.m == 2
         assert out.n == 3
-
-
-class TestCorrectnessReward:
-    def test_all_correct(self):
-        assert correctness_reward(outcome(True, True, True, True)) == 4
-
-    def test_none_correct(self):
-        assert correctness_reward(outcome(False, False)) == 0
-
-    def test_mixed(self):
-        assert correctness_reward(outcome(True, False, True)) == 2
 
 
 class TestBaseAdvantages:

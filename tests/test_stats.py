@@ -88,14 +88,14 @@ class TestAggregateChanges:
         assert report.up_pct == 50.0
         assert report.down_pct == 25.0
         assert report.mean_delta == 0.5
-        assert report.tie_pct == 25.0
 
     def test_percentages_partition(self):
         rng = np.random.default_rng(2)
         a = rng.integers(0, 3, size=60).astype(float)
         b = rng.integers(0, 3, size=60).astype(float)
         report = aggregate_changes(a, b)
-        assert report.up_pct + report.down_pct + report.tie_pct == pytest.approx(100.0)
+        tie_pct = 100.0 * np.mean(a == b)
+        assert report.up_pct + report.down_pct + tie_pct == pytest.approx(100.0)
 
 
 class TestPearson:

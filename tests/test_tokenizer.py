@@ -1,12 +1,15 @@
 import keyword
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codediv.tokenizer import (
     VOCABULARY,
+    StructuralToken,
     TokenStream,
     format_debug,
+    parse,
     token_vocabulary,
     tokenize,
 )
@@ -233,3 +236,61 @@ class TestDebugFormat:
             "LIT_NUM 1:6\n"
             "MODULE_END 2:0"
         )
+
+
+class TestArrayStorage:
+    PROGRAMS = (RENAMED_PAIR[0], VARIANT_PAIR[0], VARIANT_PAIR[1], "def f(:\n    return x +\n")
+
+    def test_built_from_tokens_equals_emitted(self):
+        for src in self.PROGRAMS:
+            emitted = tokenize(src)
+            rebuilt = TokenStream(list(emitted.tokens), fallback=emitted.fallback)
+            assert rebuilt == emitted
+            assert rebuilt.tokens == emitted.tokens
+            assert rebuilt.ids.tolist() == emitted.ids.tolist()
+            assert format_debug(rebuilt) == format_debug(emitted)
+
+    def test_ids_are_contiguous_intc(self):
+        streams = [TokenStream([]), TokenStream(()), tokenize(""), tokenize("x = 1\n"), tokenize("def f(:")]
+        for stream in streams:
+            ids = stream.ids
+            assert ids.dtype == np.intc
+            assert ids.flags["C_CONTIGUOUS"]
+            assert len(ids) == len(stream)
+            assert ids.tolist() == [VOCABULARY.index(k) for k in stream.kinds]
+        assert TokenStream([]).ids.shape == (0,)
+
+    def test_tokens_round_trip_kinds_and_positions(self):
+        tokens = [
+            StructuralToken("MODULE_BEGIN", 1, 0),
+            StructuralToken("ASSIGN", 3, 4),
+            StructuralToken("IDENT", 3, 4),
+            StructuralToken("LIT_STR", 7, 120),
+            StructuralToken("MODULE_END", 70000, 2),
+        ]
+        stream = TokenStream(tokens)
+        assert stream.tokens == tuple(tokens)
+        assert stream.kinds == tuple(t.kind for t in tokens)
+        assert [(t.line, t.col) for t in stream.tokens] == [(t.line, t.col) for t in tokens]
+        assert len(stream) == 5
+        assert not stream.fallback
+
+    def test_fallback_keeps_flag(self):
+        stream = tokenize("def f(:\n    x = 1\n")
+        assert stream.fallback
+        assert repr(stream) == f"TokenStream({len(stream)} tokens, fallback)"
+        assert TokenStream(stream.tokens, fallback=True).fallback
+        assert not TokenStream(stream.tokens).fallback
+
+    def test_shared_tree_gives_same_stream(self):
+        for src in self.PROGRAMS:
+            tree = parse(src)
+            assert (tree is None) == tokenize(src).fallback
+            assert format_debug(tokenize(src, tree)) == format_debug(tokenize(src))
+            assert tokenize(src, tree).fallback == tokenize(src).fallback
+
+    def test_equality_and_hash_follow_kinds(self):
+        a, b = tokenize("x = 1\n"), tokenize("\n\ny   =   2\n")
+        assert a == b and hash(a) == hash(b)
+        assert [t.line for t in a.tokens] != [t.line for t in b.tokens]
+        assert a != tokenize("x = f(1)\n")
