@@ -276,6 +276,33 @@ def _docstring_spans(tree):
     return spans
 
 
+# ast also ends a line at a lone "\r"; these lines end only at "\n" (a
+# "\r" that ends one belongs to a "\r\n").
+_LONE_CR = re.compile(r"\r(?!$)")
+
+
+def _ast_line_starts(lines):
+    """(index in ``lines``, character offset) where each of ast's lines starts."""
+    starts = []
+    for i, line in enumerate(lines):
+        starts.append((i, 0))
+        starts.extend((i, cr.end()) for cr in _LONE_CR.finditer(line))
+    return starts
+
+
+def _position(lines, starts, lineno, col):
+    """(index in ``lines``, character index) of an ast position.
+
+    ``starts`` is ``_ast_line_starts(lines)``, or None when no line holds a
+    lone "\r". ast columns count UTF-8 bytes, not characters.
+    """
+    i, offset = starts[lineno - 1] if starts else (lineno - 1, 0)
+    rest = lines[i][offset:]
+    if not rest.isascii():
+        col = len(rest.encode("utf-8")[:col].decode("utf-8"))
+    return i, offset + col
+
+
 def strip_comments_docstrings(source: str, tree=NOT_PARSED) -> str:
     """Remove comments and docstring-position string statements.
 
@@ -292,9 +319,11 @@ def strip_comments_docstrings(source: str, tree=NOT_PARSED) -> str:
         tree = parse(stripped)
     if tree is None:
         return stripped
+    starts = _ast_line_starts(lines) if "\r" in stripped else None
     for lineno, col, end_lineno, end_col in sorted(_docstring_spans(tree), reverse=True):
-        first, last = lineno - 1, end_lineno - 1
-        merged = lines[first][:col] + lines[last][end_col:]
+        first, start = _position(lines, starts, lineno, col)
+        last, end = _position(lines, starts, end_lineno, end_col)
+        merged = lines[first][:start] + lines[last][end:]
         if merged.strip():
             lines[first:last + 1] = [merged]
         else:

@@ -9,11 +9,14 @@ and the effective cluster count (exponential of the cluster-size entropy).
 A lexical 1-gram variant over surface tokens is provided as a cheaper,
 rename-sensitive control metric.
 
-The GST inner loop dominates runtime on real corpora. A pair goes to the
-compiled dynamic-programming kernel (codediv._gst) when the extension was
-built and both streams are at most EXACT_MATCH_LIMIT tokens; every other
-pair goes to the hash-accelerated pure-Python matcher in codediv._gst_py.
-The tests check both against a brute-force tiling oracle, tile for tile.
+Each tiling round marks the longest common unmarked run of at least
+``min_match`` tokens; ties go to the smallest start in the first stream,
+then the smallest start in the second. The run is found by binary search on
+its length, comparing window hashes mod 2^61-1; every hash hit is verified
+against the tokens, so collisions cannot change a tile. Marking only
+removes runs, so tile lengths never grow from one round to the next and
+each search is capped at the previous tile's length. The tests check the
+tiles against a brute-force extension-scan oracle, tile for tile.
 """
 
 import math
@@ -23,19 +26,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _gst_py
 from .tokenizer import TokenStream
 
-try:
-    from . import _gst as _gst_ext
-except ImportError:  # extension not built
-    _gst_ext = None
-
-#: Name of the exact-GST backend picked at import.
-GST_BACKEND = "compiled" if _gst_ext is not None else "python"
-
-#: Streams above this length go through the hash-accelerated matcher.
-EXACT_MATCH_LIMIT = 10_000
+#: There is one matcher, written in Python. The name stays because
+#: report.json and the manifests record it as ``gst_backend`` and the
+#: benchmark harness reads it.
+GST_BACKEND = "python"
 
 DEFAULT_MIN_MATCH = 5
 DEFAULT_TAU = 0.7
@@ -59,6 +55,103 @@ def _as_ids(stream):
     return np.ascontiguousarray(stream, dtype=np.intc)
 
 
+_MOD = (1 << 61) - 1
+_BASE = 1_000_003
+
+
+class _PrefixHash:
+    """Polynomial prefix hashes mod 2^61-1 for O(1) window hashes."""
+
+    def __init__(self, ids):
+        n = len(ids)
+        h = [0] * (n + 1)
+        p = [1] * (n + 1)
+        for i in range(n):
+            h[i + 1] = (h[i] * _BASE + int(ids[i]) + 1) % _MOD
+            p[i + 1] = (p[i] * _BASE) % _MOD
+        self._h = h
+        self._p = p
+
+    def window(self, start, length):
+        return (self._h[start + length] - self._h[start] * self._p[length]) % _MOD
+
+
+def _free_runs(marked):
+    """Maximal [start, stop) spans of unmarked positions."""
+    runs = []
+    start = None
+    for i, m in enumerate(marked):
+        if not m and start is None:
+            start = i
+        elif m and start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(marked)))
+    return runs
+
+
+def _first_window_match(a, b, ha, hb, runs_a, runs_b, length):
+    """Smallest (i, j) where an unmarked common window of ``length`` starts."""
+    table = {}
+    for s, e in runs_b:
+        for j in range(s, e - length + 1):
+            table.setdefault(hb.window(j, length), []).append(j)
+    if not table:
+        return None
+    for s, e in runs_a:
+        for i in range(s, e - length + 1):
+            candidates = table.get(ha.window(i, length))
+            if candidates is None:
+                continue
+            window = a[i : i + length]
+            for j in candidates:
+                if np.array_equal(window, b[j : j + length]):
+                    return i, j
+    return None
+
+
+def _hashed_tiles(a, b, min_match):
+    """All tiles of the greedy string tiling of int arrays ``a`` and ``b``."""
+    la, lb = len(a), len(b)
+    tiles = []
+    if la == 0 or lb == 0:
+        return tiles
+    ha, hb = _PrefixHash(a), _PrefixHash(b)
+    marked_a = bytearray(la)
+    marked_b = bytearray(lb)
+    while True:
+        runs_a = _free_runs(marked_a)
+        runs_b = _free_runs(marked_b)
+        if not runs_a or not runs_b:
+            break
+        cap = min(max(e - s for s, e in runs_a), max(e - s for s, e in runs_b))
+        if cap < min_match:
+            break
+        # The longest common unmarked run has a unique length L*; any common
+        # window of length L* starts exactly where a maximal run starts, so
+        # the first hit at L* is the tie break's run.
+        lo, hi = min_match, min(cap, tiles[-1][2]) if tiles else cap
+        best = None
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            hit = _first_window_match(a, b, ha, hb, runs_a, runs_b, mid)
+            if hit is None:
+                hi = mid - 1
+            else:
+                best = (mid, hit)
+                lo = mid + 1
+        if best is None:
+            break
+        length, (i, j) = best
+        tiles.append((i, j, length))
+        for idx in range(i, i + length):
+            marked_a[idx] = 1
+        for idx in range(j, j + length):
+            marked_b[idx] = 1
+    return tiles
+
+
 def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     """Greedy string tiling between two token streams (or id arrays).
 
@@ -68,13 +161,7 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     """
     if min_match < 1:
         raise ValueError("min_match must be >= 1")
-    a_ids = _as_ids(a)
-    b_ids = _as_ids(b)
-    if _gst_ext is not None and max(len(a_ids), len(b_ids)) <= EXACT_MATCH_LIMIT:
-        tiles = _gst_ext.exact_tiles(a_ids, b_ids, min_match)
-    else:
-        tiles = _gst_py.hashed_tiles(a_ids, b_ids, min_match)
-    return MatchSet.from_tiles(tiles)
+    return MatchSet.from_tiles(_hashed_tiles(_as_ids(a), _as_ids(b), min_match))
 
 
 def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:

@@ -24,6 +24,7 @@ import ast
 import io
 import keyword
 import tokenize as _stdtok
+import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -170,7 +171,12 @@ def parse(source: str):
     accept its result so that a caller needing both parses only once.
     """
     try:
-        return ast.parse(source)
+        with warnings.catch_warnings():
+            # Generated code trips warnings such as "invalid decimal
+            # literal" (``1if x else 2``); they are not the caller's to see.
+            warnings.simplefilter("ignore", SyntaxWarning)
+            warnings.simplefilter("ignore", DeprecationWarning)
+            return ast.parse(source)
     except (SyntaxError, ValueError, MemoryError, RecursionError):
         return None
 
@@ -272,28 +278,26 @@ class _StructuralEmitter:
         self.tok("IF_BEGIN", node)
         self.expr(node.test)
         self.suite(node.body)
-        self._if_tail(node)
+        # `elif` parses as a nested If aligned with its parent keyword; an
+        # indented `if` under a real `else:` sits at a deeper column. The
+        # chain is walked with a loop: it can be thousands of branches long.
+        branch = node
+        while branch.orelse:
+            orelse = branch.orelse
+            if (
+                len(orelse) == 1
+                and isinstance(orelse[0], ast.If)
+                and orelse[0].col_offset == branch.col_offset
+            ):
+                branch = orelse[0]
+                self.tok("ELIF", branch)
+                self.expr(branch.test)
+                self.suite(branch.body)
+            else:
+                self.tok("ELSE", orelse[0])
+                self.suite(orelse)
+                break
         self.tok("IF_END", node, end=True)
-
-    def _if_tail(self, node):
-        orelse = node.orelse
-        if not orelse:
-            return
-        # `elif` parses as a nested If aligned with its parent keyword;
-        # an indented `if` under a real `else:` sits at a deeper column.
-        if (
-            len(orelse) == 1
-            and isinstance(orelse[0], ast.If)
-            and orelse[0].col_offset == node.col_offset
-        ):
-            child = orelse[0]
-            self.tok("ELIF", child)
-            self.expr(child.test)
-            self.suite(child.body)
-            self._if_tail(child)
-        else:
-            self.tok("ELSE", orelse[0])
-            self.suite(orelse)
 
     def stmt_For(self, node):
         self._loop(node, "FOR_BEGIN", "FOR_END", target=node.target)

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,10 @@ DEEP_EXPRESSIONS = {
     "call_chain": "x = a" + ".b()" * 600 + "\n",
     "subscript_chain": "x = a" + "[0]" * 600 + "\n",
 }
+
+# A 1,501-branch if/elif chain: elif branches nest in ``orelse`` lists,
+# deeper than the default recursion limit of a recursive walk.
+LONG_ELIF_CHAIN = "if a:\n    pass\n" + "elif a:\n    def f():\n        'doc'\n" * 1500
 
 
 def brute_force_tiles(a, b, min_match):
@@ -163,9 +168,21 @@ def strip_comments_docstrings_oracle(source):
         spans = docstring_spans_oracle(stripped)
     except (SyntaxError, ValueError, MemoryError, RecursionError):
         return stripped
+    # ast ends its lines at "\r\n", "\r" or "\n" and counts columns in UTF-8
+    # bytes: find each position's offset in ``stripped`` from ast's own lines.
+    ast_lines = re.split(r"(?<=\r\n)|(?<=\r)(?!\n)|(?<=\n)", stripped)
+
+    def offset(lineno, col):
+        line = ast_lines[lineno - 1]
+        return sum(map(len, ast_lines[: lineno - 1])) + len(line.encode()[:col].decode())
+
+    def line_and_char(pos):
+        return stripped.count("\n", 0, pos), pos - (stripped.rfind("\n", 0, pos) + 1)
+
     for lineno, col, end_lineno, end_col in sorted(spans, reverse=True):
-        first, last = lineno - 1, end_lineno - 1
-        merged = lines[first][:col] + lines[last][end_col:]
+        first, start = line_and_char(offset(lineno, col))
+        last, end = line_and_char(offset(end_lineno, end_col))
+        merged = lines[first][:start] + lines[last][end:]
         if merged.strip():
             lines[first:last + 1] = [merged]
         else:

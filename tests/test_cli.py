@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import codediv
 from codediv import cli
 from codediv.cli import main
 from codediv.similarity import SimMatrix
@@ -250,6 +253,27 @@ class TestReportCommand:
             "subscript_chain": 0,
         }
         assert all(p["jdiv"] == 0.0 for p in prompts.values())
+
+    def test_parser_warnings_stay_off_stderr(self, tmp_path):
+        # "1if" makes ast.parse warn "invalid decimal literal", but it parses.
+        # The sample with a comment is parsed twice: once as is, once stripped.
+        src = "x = 1if y else 2\n"
+        corpus = write_corpus(
+            tmp_path / "warn.jsonl", [("p1", 0, src + "# c\n", True), ("p1", 1, src, True)]
+        )
+        argv = ["report", "--corpus", str(corpus), "--k", "1", "--out"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(codediv.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-m", "codediv.cli", *argv, str(tmp_path / "sub")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+        assert main(argv + [str(tmp_path / "lib")]) == 0
+        assert read_all_outputs(tmp_path / "sub") == read_all_outputs(tmp_path / "lib")
+        prompt = read_json(tmp_path / "sub" / "report.json")["prompts"]["p1"]
+        assert (prompt["fallback_streams"], prompt["jdiv"]) == (0, 0.0)
 
     def test_oversized_k_names_prompt(self, duplicate_corpus, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,6 +18,7 @@ from codediv.ingest import (
 from codediv.tokenizer import parse
 
 from conftest import (
+    LONG_ELIF_CHAIN,
     docstring_spans_oracle,
     strip_comments_docstrings_oracle,
     strip_comments_oracle,
@@ -122,6 +123,20 @@ class TestStripCommentsDocstrings:
         src = 'def f():\n    """doc."""\n    return 0\n'
         assert strip_comments_docstrings(src) == "def f():\n    return 0\n"
 
+    def test_non_ascii_before_docstring(self):
+        # ast column offsets count UTF-8 bytes, not characters.
+        assert strip_comments_docstrings('def f(ééé): "doc"') == "def f(ééé): "
+
+    def test_non_ascii_docstring_before_code(self):
+        src = 'def f():\n    "é"; x = 1'
+        assert strip_comments_docstrings(src) == "def f():\n    ; x = 1"
+
+    def test_lone_carriage_return_ends_a_line(self):
+        # ast counts a lone "\r" as a line end; the docstring is on line 2.
+        assert strip_comments_docstrings("\r''") == ""
+        src = "def f():\r    'd'\r    return 1\n"
+        assert strip_comments_docstrings(src) == "def f():\r    \r    return 1\n"
+
     def test_string_literal_preserved(self):
         src = 's = "# not a comment"'
         assert strip_comments_docstrings(src) == src
@@ -165,7 +180,8 @@ class TestStripCommentsDocstrings:
 
 # Pieces that steer the comment scanner and the docstring finder: quotes,
 # triple quotes, '#' inside and outside strings, a backslash before a line
-# end, CRLF, tabs, null bytes, surrogates and docstring-shaped statements.
+# end, CRLF, tabs, null bytes, surrogates, docstring-shaped statements, and
+# non-ASCII text before and after a docstring on its line.
 _FRAGMENTS = (
     "x = 1", "'a'", '"b"', "'''", '"""', "#", "# c", "\\", "\\\n", "\n", "\r\n", "\t",
     "    ", "\x00", "\ud800", "'#'", '"#"', "'''#'''", "def f():", "class C:", "\n    ",
@@ -186,6 +202,8 @@ _BLOCKS = (
     '"""module"""',
     "x = 1\t# c",
     "# only",
+    'def f(é): "dé"; ü = 1',
+    'def g(ä):\n    """é\n    ü"""; x = "ö"',
 )
 _LINE = st.tuples(
     st.sampled_from(("", "    ", "        ", "\t")),
@@ -295,10 +313,8 @@ class TestStripAgainstOracles:
         assert stripped == strip_comments_docstrings_oracle(NESTED_DOCSTRINGS)
 
     def test_long_elif_chain(self):
-        # elif chains nest in orelse lists, deeper than the recursion limit.
-        head = "if a:\n    pass\n"
-        src = head + "elif a:\n    def f():\n        'doc'\n" * 1500
-        assert strip_comments_docstrings(src) == head + "elif a:\n    def f():\n" * 1500
+        expected = "if a:\n    pass\n" + "elif a:\n    def f():\n" * 1500
+        assert strip_comments_docstrings(LONG_ELIF_CHAIN) == expected
 
 
 class TestLengthStats:

@@ -1,13 +1,14 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codediv import _gst_py, similarity
+from codediv import similarity
 from codediv.similarity import (
-    GST_BACKEND,
     Clustering,
     MatchSet,
     SimMatrix,
@@ -100,8 +101,8 @@ class TestGstMatch:
 
 
 class TestBackends:
-    # gst_match runs the compiled kernel when it is built and the streams
-    # are short, and hashed_tiles otherwise; both must equal the oracle.
+    # gst_match against the brute-force oracle on random pairs and on
+    # hypothesis examples.
 
     def test_hashed_equals_bruteforce(self, rng):
         for _ in range(500):
@@ -110,35 +111,66 @@ class TestBackends:
             min_match = int(rng.integers(1, 6))
             expected = brute_force_tiles(a, b, min_match)
             assert list(gst_match(a, b, min_match).tiles) == expected
-            assert _gst_py.hashed_tiles(a, b, min_match) == expected
-
-    @pytest.mark.skipif(GST_BACKEND != "compiled", reason="extension not built")
-    def test_compiled_equals_bruteforce(self, rng):
-        from codediv import _gst
-
-        for _ in range(500):
-            a = random_id_stream(rng, max_len=50, alphabet=5)
-            b = random_id_stream(rng, max_len=50, alphabet=5)
-            min_match = int(rng.integers(1, 6))
-            assert _gst.exact_tiles(a, b, min_match) == brute_force_tiles(a, b, min_match)
 
     @given(a=IDS, b=IDS, min_match=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_backend_agreement_property(self, a, b, min_match):
-        expected = brute_force_tiles(a, b, min_match)
-        assert list(gst_match(a, b, min_match).tiles) == expected
-        assert _gst_py.hashed_tiles(a, b, min_match) == expected
+        assert list(gst_match(a, b, min_match).tiles) == brute_force_tiles(a, b, min_match)
 
-    def test_long_streams_dispatch_to_hashed_path(self, rng):
-        # Streams beyond the exact-match limit route through the
-        # hash-accelerated matcher. The expected tiles are pinned from the
+
+def period3_stream(lines):
+    # ``a = b`` is ASSIGN IDENT IDENT: a stream that repeats with period 3.
+    return tokenize("".join(f"v{i % 7} = w{i % 5}\n" for i in range(lines)))
+
+
+# Each bound is a fixed multiple of a measurement on a quiet 2-core x86
+# host (Python 3.11): the best of three untraced runs for the time, and the
+# tracemalloc peak of one traced run for the memory.
+TIME_FACTOR = 10
+MEMORY_FACTOR = 4
+
+
+def bounded_match(a, b, measured_s, measured_mb, runs=3):
+    """gst_match(a, b), asserting its time and memory stay within the bounds."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        match = gst_match(a, b)
+        times.append(time.perf_counter() - start)
+    assert min(times) < TIME_FACTOR * measured_s, f"{min(times):.3f}s"
+    tracemalloc.start()
+    try:
+        assert gst_match(a, b) == match
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < MEMORY_FACTOR * measured_mb, f"{peak_mb:.2f} MB"
+    return match
+
+
+class TestHostileShapes:
+    @pytest.mark.parametrize(
+        "lines_a, lines_b, measured_s, measured_mb, expected",
+        [
+            (1000, 1000, 0.011, 0.59, ((0, 0, 3002),)),
+            (1000, 800, 0.010, 0.53, ((0, 0, 2401),)),
+        ],
+        ids=["1000x1000", "1000x800"],
+    )
+    def test_period3_pairs(self, lines_a, lines_b, measured_s, measured_mb, expected):
+        a, b = period3_stream(lines_a), period3_stream(lines_b)
+        assert (len(a), len(b)) == (3 * lines_a + 2, 3 * lines_b + 2)
+        assert bounded_match(a, b, measured_s, measured_mb).tiles == expected
+
+    def test_long_pinned_pair(self, rng):
+        # 10,500 tokens a side. The expected tiles were pinned from a
         # per-round dynamic program (brute force is too slow at this size).
         # Wide alphabet keeps chance runs (and so tiling rounds) rare.
         n = 10_500
         a = rng.integers(0, 40, size=n).astype(np.intc)
         b = rng.integers(0, 40, size=n).astype(np.intc)
         b[2000:2400] = a[1000:1400]  # one long shared block
-        match = gst_match(a, b, min_match=5)
+        match = bounded_match(a, b, measured_s=0.40, measured_mb=3.72, runs=1)
         assert match.tiles == ((1000, 2000, 400), (10443, 7447, 5))
 
 
@@ -193,6 +225,20 @@ class TestPairwiseMatrix:
         renamed = pairwise_matrix([tokenize(s) for s in RENAMED_PAIR]).scores[0, 1]
         variant = pairwise_matrix([tokenize(s) for s in VARIANT_PAIR]).scores[0, 1]
         assert variant < renamed
+
+    def test_group_matches_bruteforce_cells(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            alphabet = int(rng.integers(2, 9))
+            min_match = int(rng.integers(1, 6))
+            group = [random_id_stream(rng, max_len=40, alphabet=alphabet) for _ in range(n)]
+            expected = np.eye(n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    match = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], min_match))
+                    score = avg_similarity(match, len(group[i]), len(group[j]))
+                    expected[i, j] = expected[j, i] = score
+            assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
 
     def test_symmetric_unit_diagonal(self, rng):
         streams = [random_id_stream(rng, max_len=30) for _ in range(6)]

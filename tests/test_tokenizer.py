@@ -14,7 +14,7 @@ from codediv.tokenizer import (
     tokenize,
 )
 
-from conftest import DEEP_EXPRESSIONS, RENAMED_PAIR, VARIANT_PAIR
+from conftest import DEEP_EXPRESSIONS, LONG_ELIF_CHAIN, RENAMED_PAIR, VARIANT_PAIR
 
 
 class TestVocabulary:
@@ -222,6 +222,84 @@ class TestDeepExpressions:
             ("IDENT", 14),
             ("IDENT", 19),
         ]
+
+
+# Pinned format_debug of a 50-branch if/elif/else chain: the token order
+# and positions of an elif walk.
+ELIF_CHAIN_DEBUG = (
+    "MODULE_BEGIN 1:0\nIF_BEGIN 1:0\nIDENT 1:3\nPASS 1:7\n"
+    "ELIF 2:0\nIDENT 2:5\nPASS 2:9\n"
+    "ELIF 3:0\nIDENT 3:5\nPASS 3:9\n"
+    "ELIF 4:0\nIDENT 4:5\nPASS 4:9\n"
+    "ELIF 5:0\nIDENT 5:5\nPASS 5:9\n"
+    "ELIF 6:0\nIDENT 6:5\nPASS 6:9\n"
+    "ELIF 7:0\nIDENT 7:5\nPASS 7:9\n"
+    "ELIF 8:0\nIDENT 8:5\nPASS 8:9\n"
+    "ELIF 9:0\nIDENT 9:5\nPASS 9:9\n"
+    "ELIF 10:0\nIDENT 10:5\nPASS 10:9\n"
+    "ELIF 11:0\nIDENT 11:5\nPASS 11:10\n"
+    "ELIF 12:0\nIDENT 12:5\nPASS 12:10\n"
+    "ELIF 13:0\nIDENT 13:5\nPASS 13:10\n"
+    "ELIF 14:0\nIDENT 14:5\nPASS 14:10\n"
+    "ELIF 15:0\nIDENT 15:5\nPASS 15:10\n"
+    "ELIF 16:0\nIDENT 16:5\nPASS 16:10\n"
+    "ELIF 17:0\nIDENT 17:5\nPASS 17:10\n"
+    "ELIF 18:0\nIDENT 18:5\nPASS 18:10\n"
+    "ELIF 19:0\nIDENT 19:5\nPASS 19:10\n"
+    "ELIF 20:0\nIDENT 20:5\nPASS 20:10\n"
+    "ELIF 21:0\nIDENT 21:5\nPASS 21:10\n"
+    "ELIF 22:0\nIDENT 22:5\nPASS 22:10\n"
+    "ELIF 23:0\nIDENT 23:5\nPASS 23:10\n"
+    "ELIF 24:0\nIDENT 24:5\nPASS 24:10\n"
+    "ELIF 25:0\nIDENT 25:5\nPASS 25:10\n"
+    "ELIF 26:0\nIDENT 26:5\nPASS 26:10\n"
+    "ELIF 27:0\nIDENT 27:5\nPASS 27:10\n"
+    "ELIF 28:0\nIDENT 28:5\nPASS 28:10\n"
+    "ELIF 29:0\nIDENT 29:5\nPASS 29:10\n"
+    "ELIF 30:0\nIDENT 30:5\nPASS 30:10\n"
+    "ELIF 31:0\nIDENT 31:5\nPASS 31:10\n"
+    "ELIF 32:0\nIDENT 32:5\nPASS 32:10\n"
+    "ELIF 33:0\nIDENT 33:5\nPASS 33:10\n"
+    "ELIF 34:0\nIDENT 34:5\nPASS 34:10\n"
+    "ELIF 35:0\nIDENT 35:5\nPASS 35:10\n"
+    "ELIF 36:0\nIDENT 36:5\nPASS 36:10\n"
+    "ELIF 37:0\nIDENT 37:5\nPASS 37:10\n"
+    "ELIF 38:0\nIDENT 38:5\nPASS 38:10\n"
+    "ELIF 39:0\nIDENT 39:5\nPASS 39:10\n"
+    "ELIF 40:0\nIDENT 40:5\nPASS 40:10\n"
+    "ELIF 41:0\nIDENT 41:5\nPASS 41:10\n"
+    "ELIF 42:0\nIDENT 42:5\nPASS 42:10\n"
+    "ELIF 43:0\nIDENT 43:5\nPASS 43:10\n"
+    "ELIF 44:0\nIDENT 44:5\nPASS 44:10\n"
+    "ELIF 45:0\nIDENT 45:5\nPASS 45:10\n"
+    "ELIF 46:0\nIDENT 46:5\nPASS 46:10\n"
+    "ELIF 47:0\nIDENT 47:5\nPASS 47:10\n"
+    "ELIF 48:0\nIDENT 48:5\nPASS 48:10\n"
+    "ELIF 49:0\nIDENT 49:5\nPASS 49:10\n"
+    "ELSE 51:4\nIF_BEGIN 51:4\nIDENT 51:7\nPASS 51:10\n"
+    "ELSE 52:10\nPASS 52:10\nIF_END 52:14\nIF_END 52:14\n"
+    "MODULE_END 53:0"
+)
+
+
+class TestElifChains:
+    def test_long_chain_is_structural(self):
+        stream = tokenize(LONG_ELIF_CHAIN)
+        assert not stream.fallback
+        assert stream.kinds == (
+            ("MODULE_BEGIN", "IF_BEGIN", "IDENT", "PASS")
+            + ("ELIF", "IDENT", "DEF_BEGIN", "LIT_STR", "DEF_END") * 1500
+            + ("IF_END", "MODULE_END")
+        )
+
+    def test_chain_debug_output_pinned(self):
+        # 50 branches; the `if` under the final `else:` is not an elif.
+        src = (
+            "if c0: pass\n"
+            + "".join(f"elif c{k}: pass\n" for k in range(1, 49))
+            + "else:\n    if d: pass\n    else: pass\n"
+        )
+        assert format_debug(tokenize(src)) == ELIF_CHAIN_DEBUG
 
 
 class TestDebugFormat:
