@@ -188,57 +188,76 @@ _OUTSIDE_STRING = re.compile(r"['\"#]")
 _INSIDE_STRING = {"'": re.compile(r"[\\']"), '"': re.compile(r'[\\"]')}
 
 
+# ast also ends a line at a lone "\r"; these lines end only at "\n" (a
+# "\r" that ends one belongs to a "\r\n").
+_LONE_CR = re.compile(r"\r(?!$)")
+
+
+def _scan_line(line, quote):
+    """Scan one line entered inside string ``quote`` (None: outside any).
+
+    Returns (index of the comment's '#' or None, delimiter open at its end).
+    """
+    i = 0
+    while True:
+        # Jump to the next character that can change the state.
+        found = (_OUTSIDE_STRING if quote is None else _INSIDE_STRING[quote[0]]).search(line, i)
+        if found is None:
+            i = max(i, len(line))
+            break
+        i = found.start()
+        ch = line[i]
+        if quote is not None:
+            if ch == "\\":
+                i += 2  # escaped char never terminates the string
+            elif line.startswith(quote, i):
+                i += len(quote)
+                quote = None
+            else:
+                i += 1
+        elif ch == "#":
+            return i, None
+        elif line.startswith(ch * 3, i):
+            quote = ch * 3
+            i += 3
+        else:
+            quote = ch
+            i += 1
+    if quote is not None and len(quote) == 1 and i <= len(line):
+        # Unterminated single-quote string without a trailing backslash
+        # continuation (i overshoots by one when a backslash ate the
+        # line end): close it so later lines scan sanely.
+        quote = None
+    return None, quote
+
+
 def _strip_comments(source: str):
     """Remove '#' comments outside string literals.
 
-    Returns (lines_without_newlines, removed_any). Lines reduced to nothing
-    by comment removal are dropped; untouched lines stay byte-identical, so
-    when nothing is removed the lines join back to ``source`` exactly.
+    Returns (lines_without_newlines, removed_any). A lone "\r" ends a line
+    for ast, so a line holding one is scanned in pieces split there and its
+    kept pieces are joined by "\r" again. Pieces reduced to nothing by
+    comment removal are dropped, and so are lines left with no piece;
+    untouched pieces stay byte-identical, so when nothing is removed the
+    lines join back to ``source`` exactly.
     """
     out = []
     removed = False
     quote = None  # active string delimiter, e.g. "'" or '"""'
     for line in source.split("\n"):
-        i = 0
-        cut = None
-        while True:
-            # Jump to the next character that can change the state.
-            found = (_OUTSIDE_STRING if quote is None else _INSIDE_STRING[quote[0]]).search(line, i)
-            if found is None:
-                i = max(i, len(line))
-                break
-            i = found.start()
-            ch = line[i]
-            if quote is not None:
-                if ch == "\\":
-                    i += 2  # escaped char never terminates the string
-                elif line.startswith(quote, i):
-                    i += len(quote)
-                    quote = None
-                else:
-                    i += 1
-            elif ch == "#":
-                cut = i
-                break
-            elif line.startswith(ch * 3, i):
-                quote = ch * 3
-                i += 3
+        kept = []
+        for piece in _LONE_CR.split(line) if "\r" in line else (line,):
+            cut, quote = _scan_line(piece, quote)
+            if cut is None:
+                kept.append(piece)
             else:
-                quote = ch
-                i += 1
-        if quote is not None and len(quote) == 1 and i <= len(line):
-            # Unterminated single-quote string without a trailing backslash
-            # continuation (i overshoots by one when a backslash ate the
-            # newline): close it so later lines scan sanely.
-            quote = None
-        if cut is None:
-            out.append(line)
-        else:
-            removed = True
-            kept = line[:cut].rstrip(" \t")
-            if kept:
-                out.append(kept)
-            # comment-only lines collapse away entirely
+                removed = True
+                piece = piece[:cut].rstrip(" \t")
+                if piece:
+                    kept.append(piece)
+                # comment-only pieces collapse away entirely
+        if kept:
+            out.append("\r".join(kept))
     return out, removed
 
 
@@ -274,11 +293,6 @@ def _docstring_spans(tree):
         for name in _STATEMENT_LISTS:
             stack.extend(getattr(node, name, ()))
     return spans
-
-
-# ast also ends a line at a lone "\r"; these lines end only at "\n" (a
-# "\r" that ends one belongs to a "\r\n").
-_LONE_CR = re.compile(r"\r(?!$)")
 
 
 def _ast_line_starts(lines):

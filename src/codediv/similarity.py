@@ -17,6 +17,12 @@ against the tokens, so collisions cannot change a tile. Marking only
 removes runs, so tile lengths never grow from one round to the next and
 each search is capped at the previous tile's length. The tests check the
 tiles against a brute-force extension-scan oracle, tile for tile.
+
+A group's matrix tiles each distinct ordered pair of streams once. Renamed
+copies, the redundancy this package measures, share one structural stream,
+so their cells reuse a score instead of tiling again. The pair is keyed in
+order (lower sample index first), not as a set, because the tie break makes
+tiling asymmetric; the matrix is then the same as tiling every pair.
 """
 
 import math
@@ -28,9 +34,9 @@ import numpy as np
 
 from .tokenizer import TokenStream
 
-#: There is one matcher, written in Python. The name stays because
-#: report.json and the manifests record it as ``gst_backend`` and the
-#: benchmark harness reads it.
+#: There is one matcher, written in Python. The name must stay:
+#: report.json and the manifests record it as ``gst_backend``, and
+#: ``perfbench/run.py`` reads ``codediv.GST_BACKEND`` directly.
 GST_BACKEND = "python"
 
 DEFAULT_MIN_MATCH = 5
@@ -76,19 +82,12 @@ class _PrefixHash:
         return (self._h[start + length] - self._h[start] * self._p[length]) % _MOD
 
 
+_UNMARKED = re.compile(rb"\x00+")
+
+
 def _free_runs(marked):
     """Maximal [start, stop) spans of unmarked positions."""
-    runs = []
-    start = None
-    for i, m in enumerate(marked):
-        if not m and start is None:
-            start = i
-        elif m and start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, len(marked)))
-    return runs
+    return [m.span() for m in _UNMARKED.finditer(marked)]
 
 
 def _first_window_match(a, b, ha, hb, runs_a, runs_b, length):
@@ -145,10 +144,8 @@ def _hashed_tiles(a, b, min_match):
             break
         length, (i, j) = best
         tiles.append((i, j, length))
-        for idx in range(i, i + length):
-            marked_a[idx] = 1
-        for idx in range(j, j + length):
-            marked_b[idx] = 1
+        marked_a[i : i + length] = b"\x01" * length
+        marked_b[j : j + length] = b"\x01" * length
     return tiles
 
 
@@ -222,17 +219,32 @@ class SimMatrix:
 
 
 def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
-    """Score every unordered pair in a group of token streams."""
+    """Score every unordered pair in a group of token streams.
+
+    Streams with the same ids are represented by the first of them, and each
+    distinct ordered pair of representatives is tiled once; every cell that
+    repeats the pair gets the same score. The pair keeps its order (lower
+    index first) because the tie break makes tiling asymmetric:
+    ``gst_match([0,0,1,0], [1,0,0,0], 2)`` matches 2 tokens, the reversed
+    call 4. So the matrix equals tiling every pair (i, j), i < j, directly.
+    """
     ids = [_as_ids(s) for s in group]
     n = len(ids)
     if n < 1:
         raise ValueError("pairwise_matrix needs at least one stream")
+    # _as_ids returns C-contiguous intc arrays, so equal bytes mean equal ids.
+    first = {}
+    rep = [first.setdefault(a.tobytes(), i) for i, a in enumerate(ids)]
+    scored = {}  # (rep[i], rep[j]) -> score
     scores = np.eye(n, dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            s = avg_similarity(
-                gst_match(ids[i], ids[j], min_match), len(ids[i]), len(ids[j])
-            )
+            key = (rep[i], rep[j])
+            s = scored.get(key)
+            if s is None:
+                a, b = ids[key[0]], ids[key[1]]
+                s = avg_similarity(gst_match(a, b, min_match), len(a), len(b))
+                scored[key] = s
             scores[i, j] = s
             scores[j, i] = s
     return SimMatrix(scores)

@@ -93,52 +93,65 @@ def brute_force_tiles(a, b, min_match):
     return tiles
 
 
+def _scan_line_oracle(line, quote):
+    """One line of the reference scanner: (comment start or None, open quote)."""
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if quote is not None:
+            if ch == "\\":
+                i += 2  # escaped char never terminates the string
+                continue
+            if line.startswith(quote, i):
+                i += len(quote)
+                quote = None
+                continue
+            i += 1
+            continue
+        if ch in "'\"":
+            triple = ch * 3
+            if line.startswith(triple, i):
+                quote = triple
+                i += 3
+            else:
+                quote = ch
+                i += 1
+            continue
+        if ch == "#":
+            return i, None
+        i += 1
+    if quote is not None and len(quote) == 1 and i <= len(line):
+        quote = None
+    return None, quote
+
+
 def strip_comments_oracle(source):
     """Reference comment scanner: the state machine one character at a time.
 
     Returns (lines_without_newlines, removed_any), like
-    ``ingest._strip_comments``.
+    ``ingest._strip_comments``. Lines are split at "\n"; every "\r" in a
+    line but a final one (which belongs to a "\r\n") also ends a line for
+    ast, so the line is scanned in pieces split there.
     """
     out = []
     removed = False
     quote = None  # active string delimiter, e.g. "'" or '"""'
     for line in source.split("\n"):
-        i = 0
-        cut = None
-        while i < len(line):
-            ch = line[i]
-            if quote is not None:
-                if ch == "\\":
-                    i += 2  # escaped char never terminates the string
-                    continue
-                if line.startswith(quote, i):
-                    i += len(quote)
-                    quote = None
-                    continue
-                i += 1
-                continue
-            if ch in "'\"":
-                triple = ch * 3
-                if line.startswith(triple, i):
-                    quote = triple
-                    i += 3
-                else:
-                    quote = ch
-                    i += 1
-                continue
-            if ch == "#":
-                cut = i
-                break
-            i += 1
-        if quote is not None and len(quote) == 1 and i <= len(line):
-            quote = None
-        if cut is None:
-            out.append(line)
-        else:
-            removed = True
-            kept = line[:cut].rstrip(" \t")
-            if kept:
-                out.append(kept)
+        pieces = line.split("\r")
+        if len(pieces) > 1 and pieces[-1] == "":
+            pieces[-2:] = [pieces[-2] + "\r"]
+        kept = []
+        for piece in pieces:
+            cut, quote = _scan_line_oracle(piece, quote)
+            if cut is None:
+                kept.append(piece)
+            else:
+                removed = True
+                piece = piece[:cut].rstrip(" \t")
+                if piece:
+                    kept.append(piece)
+        if kept:
+            out.append("\r".join(kept))
     return out, removed
 
 

@@ -15,7 +15,7 @@ from codediv.ingest import (
     parse_corpus,
     strip_comments_docstrings,
 )
-from codediv.tokenizer import parse
+from codediv.tokenizer import format_debug, parse, tokenize
 
 from conftest import (
     LONG_ELIF_CHAIN,
@@ -137,6 +137,25 @@ class TestStripCommentsDocstrings:
         src = "def f():\r    'd'\r    return 1\n"
         assert strip_comments_docstrings(src) == "def f():\r    \r    return 1\n"
 
+    def test_comment_ends_at_lone_carriage_return(self):
+        # The code after the "\r" is on the next ast line and stays.
+        assert strip_comments_docstrings("x = 1 # c\ry = 2\n") == "x = 1\ry = 2\n"
+        assert strip_comments_docstrings("# c\ry = 2\n") == "y = 2\n"
+        assert strip_comments_docstrings("x = 1\r# c\ry = 2 # d\n") == "x = 1\ry = 2\n"
+
+    def test_string_across_lone_carriage_return(self):
+        src = "s = '''a\r# in\r''' # out\rt = 1\n"
+        assert strip_comments_docstrings(src) == "s = '''a\r# in\r'''\rt = 1\n"
+        # A backslash before the "\r" continues a one-quote string.
+        src = "u = 'a\\\r# in' # out\n"
+        assert strip_comments_docstrings(src) == "u = 'a\\\r# in'\n"
+
+    def test_crlf_unchanged(self):
+        assert strip_comments_docstrings("x = 1 # c\r\ny = 2\r\n") == "x = 1\ny = 2\r\n"
+        assert strip_comments_docstrings("# c\r\ny = 2\r\n") == "y = 2\r\n"
+        src = "x = 1\r\ny = '#'\r\n"
+        assert strip_comments_docstrings(src) == src
+
     def test_string_literal_preserved(self):
         src = 's = "# not a comment"'
         assert strip_comments_docstrings(src) == src
@@ -180,11 +199,11 @@ class TestStripCommentsDocstrings:
 
 # Pieces that steer the comment scanner and the docstring finder: quotes,
 # triple quotes, '#' inside and outside strings, a backslash before a line
-# end, CRLF, tabs, null bytes, surrogates, docstring-shaped statements, and
-# non-ASCII text before and after a docstring on its line.
+# end, CRLF, a lone "\r", tabs, null bytes, surrogates, docstring-shaped
+# statements, and non-ASCII text before and after a docstring on its line.
 _FRAGMENTS = (
-    "x = 1", "'a'", '"b"', "'''", '"""', "#", "# c", "\\", "\\\n", "\n", "\r\n", "\t",
-    "    ", "\x00", "\ud800", "'#'", '"#"', "'''#'''", "def f():", "class C:", "\n    ",
+    "x = 1", "'a'", '"b"', "'''", '"""', "#", "# c", "\\", "\\\n", "\n", "\r\n", "\r", "# c\r",
+    "\t", "    ", "\x00", "\ud800", "'#'", '"#"', "'''#'''", "def f():", "class C:", "\n    ",
     '"""doc"""', "'doc'", "if x:", "else:", "pass", "return x", "f'{x}'", "\u00e9",
 )
 _STATEMENTS = (
@@ -315,6 +334,35 @@ class TestStripAgainstOracles:
     def test_long_elif_chain(self):
         expected = "if a:\n    pass\n" + "elif a:\n    def f():\n" * 1500
         assert strip_comments_docstrings(LONG_ELIF_CHAIN) == expected
+
+
+# Completions around those sources: fences with and without a tag, left
+# open, indented, or one backtick short, and prose between them.
+_FENCES = (
+    "\n```\n", "\n```python\n", "```py\n", "\n``` Python \r\n", "\n  ```", "\n``\n",
+    "```", "prose ", "\n", "\r\n", "\r", "\t",
+)
+COMPLETIONS = st.lists(st.one_of(st.sampled_from(_FENCES), SOURCES), max_size=8).map("".join)
+
+
+class TestHostileFuzz:
+    @given(src=SOURCES)
+    @settings(max_examples=300, deadline=None)
+    def test_tokenize_never_raises_and_reuses_the_tree(self, src):
+        stream = tokenize(src)
+        shared = tokenize(src, parse(src))
+        assert shared == stream
+        assert shared.fallback == stream.fallback
+        assert format_debug(shared) == format_debug(stream)
+
+    @given(text=COMPLETIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_extract_code_never_raises(self, text):
+        source = extract_code(text)
+        if source is not None:
+            assert isinstance(source, str)
+            assert source.count("\n") <= text.count("\n")
+            tokenize(source)
 
 
 class TestLengthStats:

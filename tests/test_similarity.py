@@ -240,6 +240,59 @@ class TestPairwiseMatrix:
                     expected[i, j] = expected[j, i] = score
             assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
 
+    def test_asymmetric_pair_keeps_its_order(self):
+        # The tie break makes tiling asymmetric: (a, b) matches 2 tokens and
+        # (b, a) all 4. Stream 2 repeats stream 0, so cell (1, 2) is the
+        # reversed pair and must not reuse cell (0, 1).
+        group = [as_ids([0, 0, 1, 0]), as_ids([1, 0, 0, 0]), as_ids([0, 0, 1, 0])]
+        scores = pairwise_matrix(group, min_match=2).scores
+        assert scores[0, 1] == scores[1, 0] == 0.5
+        assert scores[1, 2] == scores[2, 1] == 1.0
+        assert scores[0, 2] == 1.0
+
+    def test_duplicate_heavy_groups_match_bruteforce_cells(self, rng):
+        for _ in range(200):
+            min_match = int(rng.integers(1, 5))
+            alphabet = int(rng.integers(1, 4))
+            # A small pool, so most groups repeat streams. It holds an empty
+            # stream, one shorter than min_match, and the asymmetric pair
+            # above with each token widened to k: for min_match >= 2 one
+            # order matches 2k tokens and the other 4k. Random pairs are
+            # rarely asymmetric.
+            k = (min_match + 1) // 2
+            pool = [as_ids([]), random_id_stream(rng, max_len=min_match - 1, alphabet=alphabet)]
+            pool += [random_id_stream(rng, max_len=12, alphabet=alphabet) for _ in range(2)]
+            pool += [as_ids([0] * 2 * k + [1] * k + [0] * k), as_ids([1] * k + [0] * 3 * k)]
+            n = int(rng.integers(2, 9))
+            group = [pool[int(k)] for k in rng.integers(0, len(pool), size=n)]
+            expected = np.eye(n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    match = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], min_match))
+                    score = avg_similarity(match, len(group[i]), len(group[j]))
+                    expected[i, j] = expected[j, i] = score
+            assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
+
+    def test_tiles_each_distinct_ordered_pair_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(a, b, min_match):
+            calls.append((a.tobytes(), b.tobytes()))
+            return gst_match(a, b, min_match)
+
+        monkeypatch.setattr(similarity, "gst_match", counting)
+        for _ in range(100):
+            pool = [random_id_stream(rng, max_len=10, alphabet=3) for _ in range(3)]
+            n = int(rng.integers(1, 9))
+            group = [pool[int(k)] for k in rng.integers(0, len(pool), size=n)]
+            calls.clear()
+            pairwise_matrix(group, min_match=2)
+            keys = {
+                (group[i].tobytes(), group[j].tobytes()) for i in range(n) for j in range(i + 1, n)
+            }
+            assert len(calls) == len(keys)
+            assert set(calls) == keys
+
     def test_symmetric_unit_diagonal(self, rng):
         streams = [random_id_stream(rng, max_len=30) for _ in range(6)]
         matrix = pairwise_matrix(streams, min_match=3)
