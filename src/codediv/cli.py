@@ -507,13 +507,20 @@ def cmd_simulate(args):
 # -- parser ------------------------------------------------------------
 
 
-def _k_list(text):
+def _positive_int(text):
     try:
-        values = [int(part) for part in text.split(",") if part]
+        value = int(text)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad k list {text!r}") from err
-    if not values or any(k < 1 for k in values):
-        raise argparse.ArgumentTypeError("every k must be a positive integer")
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from err
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _k_list(text):
+    values = [_positive_int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"bad k list {text!r}")
     return values
 
 
@@ -531,7 +538,7 @@ def build_parser():
 
     p_sim = sub.add_parser("similarity", help="write per-prompt similarity matrices")
     p_sim.add_argument("--corpus", required=True)
-    p_sim.add_argument("--min-match", type=int, default=DEFAULT_MIN_MATCH, dest="min_match")
+    p_sim.add_argument("--min-match", type=_positive_int, default=DEFAULT_MIN_MATCH, dest="min_match")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_similarity)
 
@@ -540,7 +547,7 @@ def build_parser():
     p_rep.add_argument("--embeddings", default=None)
     p_rep.add_argument("--k", type=_k_list, default=[1, 10])
     p_rep.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p_rep.add_argument("--min-match", type=int, default=DEFAULT_MIN_MATCH, dest="min_match")
+    p_rep.add_argument("--min-match", type=_positive_int, default=DEFAULT_MIN_MATCH, dest="min_match")
     p_rep.add_argument("--out", required=True)
     p_rep.set_defaults(func=cmd_report)
 
@@ -553,7 +560,7 @@ def build_parser():
     )
     p_adv.add_argument("--k", type=int, default=None)
     p_adv.add_argument("--lambda-div", type=float, default=1.0, dest="lambda_div")
-    p_adv.add_argument("--min-match", type=int, default=DEFAULT_MIN_MATCH, dest="min_match")
+    p_adv.add_argument("--min-match", type=_positive_int, default=DEFAULT_MIN_MATCH, dest="min_match")
     p_adv.add_argument("--out", required=True)
     p_adv.set_defaults(func=cmd_advantages)
 

@@ -12,11 +12,14 @@ rename-sensitive control metric.
 Each tiling round marks the longest common unmarked run of at least
 ``min_match`` tokens; ties go to the smallest start in the first stream,
 then the smallest start in the second. The run is found by binary search on
-its length, comparing window hashes mod 2^61-1; every hash hit is verified
-against the tokens, so collisions cannot change a tile. Marking only
-removes runs, so tile lengths never grow from one round to the next and
-each search is capped at the previous tile's length. The tests check the
-tiles against a brute-force extension-scan oracle, tile for tile.
+its length. Windows are compared by exact rank keys: prefix doubling ranks
+every 2^q-gram of the two streams once per pair, and a window of length L,
+2^q <= L < 2^(q+1), is keyed by the ranks of its first and last 2^q-grams.
+Equal keys mean equal windows, so there is nothing to verify and any
+integer ids work. Marking only removes runs, so tile lengths never grow
+from one round to the next and each search is capped at the previous
+tile's length. The tests check the tiles against a brute-force
+extension-scan oracle, tile for tile.
 
 A group's matrix tiles each distinct ordered pair of streams once. Renamed
 copies, the redundancy this package measures, share one structural stream,
@@ -27,6 +30,7 @@ tiling asymmetric; the matrix is then the same as tiling every pair.
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -56,85 +60,82 @@ class MatchSet:
 
 
 def _as_ids(stream):
+    """C-contiguous int64 ids of a token stream or a 1-D integer sequence."""
     if isinstance(stream, TokenStream):
-        return stream.ids
-    return np.ascontiguousarray(stream, dtype=np.intc)
+        stream = stream.ids
+    ids = np.asarray(stream)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError(f"token ids must be a 1-D integer sequence, got {ids.dtype} {ids.shape}")
+    if ids.dtype == np.uint64 and ids.size and ids.max() > np.iinfo(np.int64).max:
+        raise ValueError("token ids must fit in int64")
+    return np.ascontiguousarray(ids, dtype=np.int64)
 
 
-_MOD = (1 << 61) - 1
-_BASE = 1_000_003
+def _rank_tables(ids, levels):
+    """``r[q][p]``: the rank of the 2^q-gram at ``p`` among those of ``ids``.
+
+    Prefix doubling: level q+1 ranks the pairs (r_q[p], r_q[p+2^q]+1), with
+    0 past the end, so equal ranks mean equal grams.
+    """
+    n = len(ids)
+    r = np.unique(ids, return_inverse=True)[1].ravel()  # shape differs in numpy 2.0.x
+    tables = [r]
+    for q in range(levels):
+        span = 1 << q
+        nxt = np.zeros(n, dtype=np.int64)
+        nxt[: n - span] = r[span:] + 1
+        r = np.unique(r * (n + 1) + nxt, return_inverse=True)[1].ravel()
+        tables.append(r)
+    return tables
 
 
-class _PrefixHash:
-    """Polynomial prefix hashes mod 2^61-1 for O(1) window hashes."""
-
-    def __init__(self, ids):
-        n = len(ids)
-        h = [0] * (n + 1)
-        p = [1] * (n + 1)
-        for i in range(n):
-            h[i + 1] = (h[i] * _BASE + int(ids[i]) + 1) % _MOD
-            p[i + 1] = (p[i] * _BASE) % _MOD
-        self._h = h
-        self._p = p
-
-    def window(self, start, length):
-        return (self._h[start + length] - self._h[start] * self._p[length]) % _MOD
+def _free_run_lengths(marked):
+    """Distance from each position to the next marked one (or the end)."""
+    pos = np.arange(len(marked))
+    stop = np.where(marked, pos, len(marked))
+    return np.minimum.accumulate(stop[::-1])[::-1] - pos
 
 
-_UNMARKED = re.compile(rb"\x00+")
-
-
-def _free_runs(marked):
-    """Maximal [start, stop) spans of unmarked positions."""
-    return [m.span() for m in _UNMARKED.finditer(marked)]
-
-
-def _first_window_match(a, b, ha, hb, runs_a, runs_b, length):
-    """Smallest (i, j) where an unmarked common window of ``length`` starts."""
-    table = {}
-    for s, e in runs_b:
-        for j in range(s, e - length + 1):
-            table.setdefault(hb.window(j, length), []).append(j)
-    if not table:
-        return None
-    for s, e in runs_a:
-        for i in range(s, e - length + 1):
-            candidates = table.get(ha.window(i, length))
-            if candidates is None:
-                continue
-            window = a[i : i + length]
-            for j in candidates:
-                if np.array_equal(window, b[j : j + length]):
-                    return i, j
-    return None
-
-
-def _hashed_tiles(a, b, min_match):
-    """All tiles of the greedy string tiling of int arrays ``a`` and ``b``."""
+def _tiles(a, b, min_match):
+    """All tiles of the greedy string tiling of int64 arrays ``a`` and ``b``."""
     la, lb = len(a), len(b)
     tiles = []
-    if la == 0 or lb == 0:
+    if min(la, lb) < min_match:
         return tiles
-    ha, hb = _PrefixHash(a), _PrefixHash(b)
-    marked_a = bytearray(la)
-    marked_b = bytearray(lb)
+    n = la + lb
+    ranks = _rank_tables(np.concatenate((a, b)), min(la, lb).bit_length() - 1)
+    marked = np.zeros(n, dtype=bool)  # a's positions, then b's
+
+    def first_hit(run, length):
+        # A window (p, length) is keyed exactly by its first and last
+        # 2^q-grams, 2^q <= length < 2^(q+1); ``run`` holds each position's
+        # free-run length, so windows over marked tokens are left out.
+        q = length.bit_length() - 1
+        r = ranks[q]
+        ps = np.flatnonzero(run >= length)
+        keys = (r[ps] * (n + 1) + r[ps + (length - (1 << q))]).tolist()
+        ps = ps.tolist()
+        split = bisect_left(ps, la)
+        first = dict(zip(reversed(keys[split:]), reversed(ps[split:])))
+        for key, i in zip(keys[:split], ps[:split]):
+            j = first.get(key)
+            if j is not None:
+                return i, j - la
+        return None
+
     while True:
-        runs_a = _free_runs(marked_a)
-        runs_b = _free_runs(marked_b)
-        if not runs_a or not runs_b:
-            break
-        cap = min(max(e - s for s, e in runs_a), max(e - s for s, e in runs_b))
-        if cap < min_match:
-            break
+        run = np.concatenate((_free_run_lengths(marked[:la]), _free_run_lengths(marked[la:])))
+        cap = min(int(run[:la].max()), int(run[la:].max()))
+        if tiles:
+            cap = min(cap, tiles[-1][2])
         # The longest common unmarked run has a unique length L*; any common
         # window of length L* starts exactly where a maximal run starts, so
         # the first hit at L* is the tie break's run.
-        lo, hi = min_match, min(cap, tiles[-1][2]) if tiles else cap
+        lo, hi = min_match, cap
         best = None
         while lo <= hi:
             mid = (lo + hi) // 2
-            hit = _first_window_match(a, b, ha, hb, runs_a, runs_b, mid)
+            hit = first_hit(run, mid)
             if hit is None:
                 hi = mid - 1
             else:
@@ -144,9 +145,14 @@ def _hashed_tiles(a, b, min_match):
             break
         length, (i, j) = best
         tiles.append((i, j, length))
-        marked_a[i : i + length] = b"\x01" * length
-        marked_b[j : j + length] = b"\x01" * length
+        marked[i : i + length] = True
+        marked[la + j : la + j + length] = True
     return tiles
+
+
+def _check_min_match(min_match):
+    if not isinstance(min_match, (int, np.integer)) or min_match < 1:
+        raise ValueError(f"min_match must be an integer >= 1, got {min_match!r}")
 
 
 def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
@@ -156,9 +162,8 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     ``min_match`` tokens; ties break to the smallest start in ``a``, then
     in ``b``. Deterministic for fixed inputs.
     """
-    if min_match < 1:
-        raise ValueError("min_match must be >= 1")
-    return MatchSet.from_tiles(_hashed_tiles(_as_ids(a), _as_ids(b), min_match))
+    _check_min_match(min_match)
+    return MatchSet.from_tiles(_tiles(_as_ids(a), _as_ids(b), min_match))
 
 
 def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:
@@ -228,11 +233,12 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     ``gst_match([0,0,1,0], [1,0,0,0], 2)`` matches 2 tokens, the reversed
     call 4. So the matrix equals tiling every pair (i, j), i < j, directly.
     """
+    _check_min_match(min_match)
     ids = [_as_ids(s) for s in group]
     n = len(ids)
     if n < 1:
         raise ValueError("pairwise_matrix needs at least one stream")
-    # _as_ids returns C-contiguous intc arrays, so equal bytes mean equal ids.
+    # _as_ids returns C-contiguous int64 arrays, so equal bytes mean equal ids.
     first = {}
     rep = [first.setdefault(a.tobytes(), i) for i, a in enumerate(ids)]
     scored = {}  # (rep[i], rep[j]) -> score

@@ -143,6 +143,22 @@ class TestSimilarityCommand:
         matrix = SimMatrix.from_text((out / "t1.simmatrix.txt").read_text())
         assert matrix.scores[0, 1] == 1.0
 
+    @pytest.mark.parametrize(
+        "command", [["similarity"], ["report"], ["advantages", "--objective", "base"]]
+    )
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_min_match_must_be_positive(self, tmp_path, capsys, command, value):
+        # One sample per prompt: no pair is tiled, so only the option check
+        # can refuse the value.
+        corpus = write_corpus(tmp_path / "one.jsonl", [("t1", 0, "x = 1\n", True)])
+        out = tmp_path / "out"
+        argv = command + ["--corpus", str(corpus), "--min-match", value, "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--min-match" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_corpus_manifest_only(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("")

@@ -33,6 +33,13 @@ IDS = st.lists(st.integers(0, 6), min_size=0, max_size=30).map(
 )
 
 
+# Ids that collide if truncated to 32 bits (1 and 1 + 2**32) or that need
+# more than 32 bits.
+WIDE_IDS = st.lists(
+    st.sampled_from([-1, 1, 1 + 2**32, 2**31, -(2**40)]), min_size=0, max_size=30
+).map(lambda xs: np.asarray(xs, dtype=np.int64))
+
+
 def as_ids(values):
     return np.asarray(values, dtype=np.intc)
 
@@ -64,6 +71,19 @@ class TestGstMatch:
     def test_min_match_validation(self):
         with pytest.raises(ValueError):
             gst_match(as_ids([1, 2]), as_ids([1, 2]), min_match=0)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([1.7] * 6),
+            np.array([1.0] * 6),
+            np.array([[1, 2], [3, 4]]),
+            np.array([2**64 - 1] * 6, dtype=np.uint64),  # would read as -1 in int64
+        ],
+    )
+    def test_ids_not_exact_in_int64_rejected(self, ids):
+        with pytest.raises(ValueError):
+            gst_match(ids, np.array([-1] * 6), min_match=5)
 
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(300):
@@ -117,6 +137,11 @@ class TestBackends:
     def test_backend_agreement_property(self, a, b, min_match):
         assert list(gst_match(a, b, min_match).tiles) == brute_force_tiles(a, b, min_match)
 
+    @given(a=WIDE_IDS, b=WIDE_IDS, min_match=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_wide_ids_property(self, a, b, min_match):
+        assert list(gst_match(a, b, min_match).tiles) == brute_force_tiles(a, b, min_match)
+
 
 def period3_stream(lines):
     # ``a = b`` is ASSIGN IDENT IDENT: a stream that repeats with period 3.
@@ -125,7 +150,10 @@ def period3_stream(lines):
 
 # Each bound is a fixed multiple of a measurement on a quiet 2-core x86
 # host (Python 3.11): the best of three untraced runs for the time, and the
-# tracemalloc peak of one traced run for the memory.
+# tracemalloc peak of one traced run for the memory. The period-3 and
+# 10,500-token figures were measured on the earlier window-hash matcher;
+# the rank-key matcher stays under them (period-3 1000x1000: 0.004 s and
+# 1.0 MB; 10,500 tokens: 0.07 s and 4.9 MB).
 TIME_FACTOR = 10
 MEMORY_FACTOR = 4
 
@@ -172,6 +200,36 @@ class TestHostileShapes:
         b[2000:2400] = a[1000:1400]  # one long shared block
         match = bounded_match(a, b, measured_s=0.40, measured_mb=3.72, runs=1)
         assert match.tiles == ((1000, 2000, 400), (10443, 7447, 5))
+
+    @pytest.mark.parametrize(
+        "shape, measured_s, measured_mb, expected",
+        [
+            ("near_dup", 0.034, 4.49, ((5000, 5400, 7000), (0, 0, 5000))),
+            (
+                "reordered",
+                0.062,
+                5.19,
+                (
+                    (6500, 0, 3000),
+                    (1500, 9500, 2500),
+                    (4000, 7000, 2500),
+                    (9500, 4500, 2500),
+                    (0, 3000, 1500),
+                ),
+            ),
+        ],
+    )
+    def test_long_edited_pairs(self, rng, shape, measured_s, measured_mb, expected):
+        # 12,000 tokens against an edited copy. The expected tiles were pinned
+        # from the window-hash matcher this one replaced; the 200-kind
+        # alphabet leaves no chance tile of min_match tokens.
+        a = rng.integers(0, 200, size=12_000)
+        if shape == "near_dup":  # one 400-token block inserted
+            b = np.concatenate((a[:5000], rng.integers(0, 200, size=400), a[5000:]))
+        else:  # five blocks of unequal length, reordered
+            blocks = np.split(a, [1500, 4000, 6500, 9500])
+            b = np.concatenate([blocks[i] for i in (3, 0, 4, 2, 1)])
+        assert bounded_match(a, b, measured_s, measured_mb).tiles == expected
 
 
 class TestAvgSimilarity:
@@ -277,7 +335,7 @@ class TestPairwiseMatrix:
         calls = []
 
         def counting(a, b, min_match):
-            calls.append((a.tobytes(), b.tobytes()))
+            calls.append((tuple(a.tolist()), tuple(b.tolist())))
             return gst_match(a, b, min_match)
 
         monkeypatch.setattr(similarity, "gst_match", counting)
@@ -288,10 +346,19 @@ class TestPairwiseMatrix:
             calls.clear()
             pairwise_matrix(group, min_match=2)
             keys = {
-                (group[i].tobytes(), group[j].tobytes()) for i in range(n) for j in range(i + 1, n)
+                (tuple(group[i].tolist()), tuple(group[j].tolist()))
+                for i in range(n)
+                for j in range(i + 1, n)
             }
             assert len(calls) == len(keys)
             assert set(calls) == keys
+
+    @pytest.mark.parametrize("min_match", [0, -1, 2.5])
+    def test_min_match_checked_for_any_group(self, min_match):
+        # A single stream has no pair to tile; min_match is checked anyway.
+        for group in ([[1, 2, 3]], [[1, 2, 3], [1, 2, 3]]):
+            with pytest.raises(ValueError, match="min_match"):
+                pairwise_matrix(group, min_match=min_match)
 
     def test_symmetric_unit_diagonal(self, rng):
         streams = [random_id_stream(rng, max_len=30) for _ in range(6)]
