@@ -56,17 +56,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-@dataclasses.dataclass
-class RunManifest:
-    command: str
-    inputs: dict  # name -> {"path": ..., "sha256": ...}
-    params: dict
-    version: str = __version__
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2) + "\n"
-
-
 def _atomic_write(path, data):
     # A temp name unique to this call, so concurrent runs into one directory
     # never share one. O_EXCL with mode 0666 keeps the umask-derived
@@ -83,12 +72,13 @@ def _atomic_write(path, data):
 
 
 def _write_manifest(out_dir, command, inputs, params):
-    manifest = RunManifest(
-        command=command,
-        inputs={name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
-        params=params,
-    )
-    _atomic_write(os.path.join(out_dir, "manifest.json"), manifest.to_json())
+    manifest = {
+        "command": command,
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "params": params,
+        "version": __version__,
+    }
+    _atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _slug(prompt_id):
@@ -159,16 +149,6 @@ def cmd_similarity(args):
 # -- report ------------------------------------------------------------
 
 
-def _summary_dict(summary):
-    return {
-        "count": summary.count,
-        "mean": summary.mean,
-        "median": summary.median,
-        "p90": summary.p90,
-        "max": summary.max,
-    }
-
-
 def _streams_and_stripped(group):
     """Like _group_streams, plus each source without comments and docstrings.
 
@@ -230,6 +210,13 @@ def _dataset_rollup(prompt_reports, k_list):
     return dataset
 
 
+def _table(headers, rows):
+    """Left-aligned columns two spaces apart; rows are lists of strings."""
+    widths = [max([len(h)] + [len(row[i]) for row in rows]) for i, h in enumerate(headers)]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [headers] + rows]
+    return "\n".join(lines) + "\n"
+
+
 def _format_cell(value):
     if value is None:
         return "-"
@@ -253,11 +240,7 @@ def _report_text(report):
     total += [dataset["pass_at"][str(k)] for k in k_list]
     total += [dataset.get(name) for name in _REPORT_METRICS]
     rows.append([_format_cell(v) for v in total])
-    widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(headers)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-    for row in rows:
-        lines.append("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
-    return "\n".join(lines) + "\n"
+    return _table(headers, rows)
 
 
 def cmd_report(args):
@@ -287,7 +270,6 @@ def cmd_report(args):
     prompt_reports = dict(
         _prompt_report(g, k_list, args.tau, args.min_match, embedding_table) for g in corpus
     )
-    lengths = length_stats(corpus)
     report = {
         "params": {
             "k_list": list(k_list),
@@ -297,12 +279,7 @@ def cmd_report(args):
         },
         "prompts": prompt_reports,
         "dataset": _dataset_rollup(prompt_reports, k_list),
-        "lengths": {
-            "raw_chars": _summary_dict(lengths.raw_chars),
-            "code_chars": _summary_dict(lengths.code_chars),
-            "raw_tokens": _summary_dict(lengths.raw_tokens),
-            "code_tokens": _summary_dict(lengths.code_tokens),
-        },
+        "lengths": dataclasses.asdict(length_stats(corpus)),
     }
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "report.json"), json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -448,13 +425,10 @@ def cmd_compare(args):
         ]
         for label, c in sorted(comparison.items())
     ]
-    widths = [max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i]) for i in range(5)]
-    lines = ["  ".join(headers[i].ljust(widths[i]) for i in range(5))]
-    lines += ["  ".join(r[i].ljust(widths[i]) for i in range(5)) for r in rows]
 
     os.makedirs(args.out, exist_ok=True)
     _atomic_write(os.path.join(args.out, "comparison.json"), json.dumps(result, sort_keys=True, indent=2) + "\n")
-    _atomic_write(os.path.join(args.out, "comparison.txt"), "\n".join(lines) + "\n")
+    _atomic_write(os.path.join(args.out, "comparison.txt"), _table(headers, rows))
     _write_manifest(
         args.out,
         "compare",
@@ -507,13 +481,31 @@ def cmd_simulate(args):
 # -- parser ------------------------------------------------------------
 
 
-def _positive_int(text):
+def _int_at_least(minimum):
+    """argparse type for an integer option with a floor."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from err
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _unit_float(text):
     try:
-        value = int(text)
+        value = float(text)
     except ValueError as err:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from err
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from err
+    if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
     return value
 
 
@@ -546,7 +538,7 @@ def build_parser():
     p_rep.add_argument("--corpus", required=True)
     p_rep.add_argument("--embeddings", default=None)
     p_rep.add_argument("--k", type=_k_list, default=[1, 10])
-    p_rep.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p_rep.add_argument("--tau", type=_unit_float, default=DEFAULT_TAU)
     p_rep.add_argument("--min-match", type=_positive_int, default=DEFAULT_MIN_MATCH, dest="min_match")
     p_rep.add_argument("--out", required=True)
     p_rep.set_defaults(func=cmd_report)
@@ -558,7 +550,7 @@ def build_parser():
         required=True,
         choices=sorted(set(rewards.OBJECTIVES) | {"diversity_only"}),
     )
-    p_adv.add_argument("--k", type=int, default=None)
+    p_adv.add_argument("--k", type=_positive_int, default=None)
     p_adv.add_argument("--lambda-div", type=float, default=1.0, dest="lambda_div")
     p_adv.add_argument("--min-match", type=_positive_int, default=DEFAULT_MIN_MATCH, dest="min_match")
     p_adv.add_argument("--out", required=True)
@@ -567,7 +559,9 @@ def build_parser():
     p_cmp = sub.add_parser("compare", help="paired comparison of two reports")
     p_cmp.add_argument("--report-a", required=True, dest="report_a")
     p_cmp.add_argument("--report-b", required=True, dest="report_b")
-    p_cmp.add_argument("--resamples", type=int, default=stats.DEFAULT_RESAMPLES)
+    p_cmp.add_argument(
+        "--resamples", type=_int_at_least(stats.MIN_RESAMPLES), default=stats.DEFAULT_RESAMPLES
+    )
     p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)

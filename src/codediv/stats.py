@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_RESAMPLES = 10_000
+MIN_RESAMPLES = 1_000
 _RESAMPLE_CHUNK = 1_000
 
 
@@ -50,8 +51,8 @@ def paired_bootstrap(a, b, resamples=DEFAULT_RESAMPLES, seed=0) -> float:
     series = PairedSeries(a, b)
     if series.n < 2:
         raise ValueError("paired bootstrap needs at least 2 paired values")
-    if resamples < 1000:
-        raise ValueError("resamples must be >= 1000")
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"resamples must be >= {MIN_RESAMPLES}")
     diffs = series.b - series.a
     rng = np.random.default_rng(seed)
     at_or_below_zero = 0

@@ -8,7 +8,10 @@ or whitespace therefore produce equal streams, which is the property the
 similarity layer builds on.
 
 Well-formed source is parsed with the standard ``ast`` module (``parse``)
-and walked in source order. A caller that also needs the tree, such as the
+and walked in source order, as JPlag's front ends do: a table maps each node
+type that is "one kind, then its children" to that kind, and handler methods
+cover the node types with their own order or begin/end pairs (see
+``_StructuralEmitter``). A caller that also needs the tree, such as the
 comment and docstring stripper in ``ingest``, parses once and hands the
 same tree to ``tokenize``. Generated code is frequently malformed; in that
 case a plain lexer pass still normalizes identifiers and literals but emits
@@ -208,7 +211,23 @@ def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
 
 
 class _StructuralEmitter:
-    """Walk an ast in source order, appending kind ids and positions."""
+    """Walk an ast in source order, appending kind ids and positions.
+
+    ``walk`` dispatches on the node's type through two module tables:
+
+    * ``_HANDLERS`` maps the types that need their own order or kinds (block
+      begin/end pairs, flattened annotations, the iterative BinOp and postfix
+      spines) to the ``stmt_*``/``expr_*`` methods named after them.
+    * ``_KINDS`` maps the types whose tokens are one kind at the node, then
+      the node's children in field order (``x = y``: ASSIGN, targets, value).
+
+    Any other node (``Expr``, ``Await``, ``Starred``, ``Slice``, ``Tuple``,
+    ...) emits nothing itself and walks its expression and statement
+    children. ``Name``, the most frequent node, keeps a handler rather than
+    a ``_KINDS`` entry: the child walk that an entry implies made tokenizing
+    about 30% slower. A ``_KINDS`` node costs one Python frame per nesting
+    level, so 600 nested ``not`` or ``-`` stay under the recursion limit.
+    """
 
     def __init__(self):
         self.kind_ids, self.lines, self.cols = array("i"), array("i"), array("i")
@@ -228,55 +247,50 @@ class _StructuralEmitter:
 
     def emit_module(self, tree, source):
         self.add("MODULE_BEGIN", 1, 0)
-        for stmt in tree.body:
-            self.stmt(stmt)
+        self.suite(tree.body)
         n_lines = source.count("\n") + 1
         self.add("MODULE_END", n_lines, len(source.rsplit("\n", 1)[-1]))
 
-    # -- statements ---------------------------------------------------
-
-    def stmt(self, node):
-        meth = getattr(self, "stmt_" + type(node).__name__, None)
-        if meth is not None:
-            meth(node)
-        else:
-            # Unknown statement kind: keep walking its expressions.
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self.expr(child)
-                elif isinstance(child, ast.stmt):
-                    self.stmt(child)
+    def walk(self, node):
+        handler = _HANDLERS.get(type(node))
+        if handler is not None:
+            handler(self, node)
+            return
+        kind = _KINDS.get(type(node))
+        if kind is not None:
+            self.tok(kind, node)
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.expr, ast.stmt)):
+                self.walk(child)
 
     def suite(self, body):
         for stmt in body:
-            self.stmt(stmt)
+            self.walk(stmt)
+
+    # -- statements ---------------------------------------------------
 
     def stmt_FunctionDef(self, node):
-        self._funcdef(node)
-
-    def stmt_AsyncFunctionDef(self, node):
-        self._funcdef(node)
-
-    def _funcdef(self, node):
         for dec in node.decorator_list:
-            self.expr(dec)
+            self.walk(dec)
         self.tok("DEF_BEGIN", node)
         self.arguments(node.args)
         self.suite(node.body)
         self.tok("DEF_END", node, end=True)
 
+    stmt_AsyncFunctionDef = stmt_FunctionDef
+
     def stmt_ClassDef(self, node):
         for dec in node.decorator_list:
-            self.expr(dec)
+            self.walk(dec)
         self.tok("CLASS_BEGIN", node)
         for base in self._in_source_order(node.bases, [kw.value for kw in node.keywords]):
-            self.expr(base)
+            self.walk(base)
         self.suite(node.body)
         self.tok("CLASS_END", node, end=True)
 
     def stmt_If(self, node):
         self.tok("IF_BEGIN", node)
-        self.expr(node.test)
+        self.walk(node.test)
         self.suite(node.body)
         # `elif` parses as a nested If aligned with its parent keyword; an
         # indented `if` under a real `else:` sits at a deeper column. The
@@ -291,7 +305,7 @@ class _StructuralEmitter:
             ):
                 branch = orelse[0]
                 self.tok("ELIF", branch)
-                self.expr(branch.test)
+                self.walk(branch.test)
                 self.suite(branch.body)
             else:
                 self.tok("ELSE", orelse[0])
@@ -300,21 +314,17 @@ class _StructuralEmitter:
         self.tok("IF_END", node, end=True)
 
     def stmt_For(self, node):
-        self._loop(node, "FOR_BEGIN", "FOR_END", target=node.target)
+        self._loop(node, "FOR_BEGIN", "FOR_END", node.target, node.iter)
 
-    def stmt_AsyncFor(self, node):
-        self._loop(node, "FOR_BEGIN", "FOR_END", target=node.target)
+    stmt_AsyncFor = stmt_For
 
     def stmt_While(self, node):
-        self._loop(node, "WHILE_BEGIN", "WHILE_END")
+        self._loop(node, "WHILE_BEGIN", "WHILE_END", node.test)
 
-    def _loop(self, node, begin, end, target=None):
+    def _loop(self, node, begin, end, *heads):
         self.tok(begin, node)
-        if target is not None:
-            self.expr(target)
-            self.expr(node.iter)
-        else:
-            self.expr(node.test)
+        for head in heads:
+            self.walk(head)
         self.suite(node.body)
         if node.orelse:
             self.tok("ELSE", node.orelse[0])
@@ -327,7 +337,7 @@ class _StructuralEmitter:
         for handler in node.handlers:
             self.tok("EXCEPT", handler)
             if handler.type is not None:
-                self.expr(handler.type)
+                self.walk(handler.type)
             self.suite(handler.body)
         if node.orelse:
             self.tok("ELSE", node.orelse[0])
@@ -338,113 +348,45 @@ class _StructuralEmitter:
         self.tok("TRY_END", node, end=True)
 
     def stmt_With(self, node):
-        self._with(node)
-
-    def stmt_AsyncWith(self, node):
-        self._with(node)
-
-    def _with(self, node):
         self.tok("WITH_BEGIN", node)
         for item in node.items:
-            self.expr(item.context_expr)
+            self.walk(item.context_expr)
             if item.optional_vars is not None:
-                self.expr(item.optional_vars)
+                self.walk(item.optional_vars)
         self.suite(node.body)
         self.tok("WITH_END", node, end=True)
 
-    def stmt_Assign(self, node):
-        self.tok("ASSIGN", node)
-        for target in node.targets:
-            self.expr(target)
-        self.expr(node.value)
+    stmt_AsyncWith = stmt_With
 
     def stmt_AnnAssign(self, node):
         # Annotations are flattened away; a bare declaration keeps its target.
         if node.value is not None:
             self.tok("ASSIGN", node)
-            self.expr(node.target)
-            self.expr(node.value)
+            self.walk(node.target)
+            self.walk(node.value)
         else:
-            self.expr(node.target)
-
-    def stmt_AugAssign(self, node):
-        self.tok("AUG_ASSIGN", node)
-        self.expr(node.target)
-        self.expr(node.value)
-
-    def stmt_Return(self, node):
-        self.tok("RETURN", node)
-        if node.value is not None:
-            self.expr(node.value)
-
-    def stmt_Raise(self, node):
-        self.tok("RAISE", node)
-        if node.exc is not None:
-            self.expr(node.exc)
-        if node.cause is not None:
-            self.expr(node.cause)
-
-    def stmt_Assert(self, node):
-        self.tok("ASSERT", node)
-        self.expr(node.test)
-        if node.msg is not None:
-            self.expr(node.msg)
+            self.walk(node.target)
 
     def stmt_Import(self, node):
         self.tok("IMPORT", node)
         for alias in node.names:
-            self.add(
-                "IDENT", getattr(alias, "lineno", node.lineno), getattr(alias, "col_offset", node.col_offset)
-            )
+            self.tok("IDENT", alias)
 
-    def stmt_ImportFrom(self, node):
-        self.stmt_Import(node)
-
-    def stmt_Delete(self, node):
-        self.tok("DEL", node)
-        for target in node.targets:
-            self.expr(target)
-
-    def stmt_Global(self, node):
-        self.tok("SCOPE", node)
-
-    def stmt_Nonlocal(self, node):
-        self.tok("SCOPE", node)
-
-    def stmt_Pass(self, node):
-        self.tok("PASS", node)
-
-    def stmt_Break(self, node):
-        self.tok("BREAK_CONT", node)
-
-    def stmt_Continue(self, node):
-        self.tok("BREAK_CONT", node)
-
-    def stmt_Expr(self, node):
-        self.expr(node.value)
+    stmt_ImportFrom = stmt_Import
 
     def stmt_Match(self, node):
         # match/case is folded onto the if/elif kinds: each case arm is a
         # guarded branch. Pattern internals are not tokenized.
         self.tok("IF_BEGIN", node)
-        self.expr(node.subject)
+        self.walk(node.subject)
         for case in node.cases:
             self.tok("ELIF", case.pattern)
             if case.guard is not None:
-                self.expr(case.guard)
+                self.walk(case.guard)
             self.suite(case.body)
         self.tok("IF_END", node, end=True)
 
     # -- expressions --------------------------------------------------
-
-    def expr(self, node):
-        meth = getattr(self, "expr_" + type(node).__name__, None)
-        if meth is not None:
-            meth(node)
-        else:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self.expr(child)
 
     def expr_Name(self, node):
         self.tok("IDENT", node)
@@ -481,22 +423,17 @@ class _StructuralEmitter:
                 self.tok("APPLY", node)
                 deferred.append(node)
                 node = node.func
-        self.expr(node)
+        self.walk(node)
         for outer in reversed(deferred):
             if isinstance(outer, ast.Subscript):
-                self.expr(outer.slice)
+                self.walk(outer.slice)
             else:
                 # `f(x=1, *y)` is legal: merge positional and keyword
                 # arguments by source position to keep the stream monotone.
                 for arg in self._in_source_order(outer.args, [kw.value for kw in outer.keywords]):
-                    self.expr(arg)
+                    self.walk(arg)
 
     expr_Attribute = expr_Call = expr_Subscript = _postfix_spine
-
-    def expr_Slice(self, node):
-        for part in (node.lower, node.upper, node.step):
-            if part is not None:
-                self.expr(part)
 
     def expr_BinOp(self, node):
         # Walk the left spine iteratively: `a+b+c+...` nests leftwards and
@@ -508,84 +445,42 @@ class _StructuralEmitter:
             self.tok("BINOP", node)
             spine.append(node)
             node = node.left
-        self.expr(node)
+        self.walk(node)
         for binop in reversed(spine):
-            self.expr(binop.right)
-
-    def expr_BoolOp(self, node):
-        self.tok("BINOP", node)
-        for value in node.values:
-            self.expr(value)
-
-    def expr_UnaryOp(self, node):
-        self.tok("UNARYOP", node)
-        self.expr(node.operand)
-
-    def expr_Compare(self, node):
-        self.tok("COMPARE", node)
-        self.expr(node.left)
-        for comp in node.comparators:
-            self.expr(comp)
+            self.walk(binop.right)
 
     def expr_Lambda(self, node):
         self.tok("LAMBDA", node)
         self.arguments(node.args)
-        self.expr(node.body)
+        self.walk(node.body)
 
     def expr_IfExp(self, node):
         # Ternaries are flattened; children in source order.
-        self.expr(node.body)
-        self.expr(node.test)
-        self.expr(node.orelse)
+        self.walk(node.body)
+        self.walk(node.test)
+        self.walk(node.orelse)
 
     def expr_Dict(self, node):
         for key, value in zip(node.keys, node.values):
             if key is not None:  # None key is a **mapping splat
-                self.expr(key)
-            self.expr(value)
+                self.walk(key)
+            self.walk(value)
 
-    def expr_ListComp(self, node):
-        self._comp(node, [node.elt])
-
-    def expr_SetComp(self, node):
-        self._comp(node, [node.elt])
-
-    def expr_GeneratorExp(self, node):
-        self._comp(node, [node.elt])
-
-    def expr_DictComp(self, node):
-        self._comp(node, [node.key, node.value])
-
-    def _comp(self, node, heads):
+    def _comprehension(self, node):
         self.tok("COMP_BEGIN", node)
-        for head in heads:
-            self.expr(head)
+        if isinstance(node, ast.DictComp):
+            self.walk(node.key)
+            self.walk(node.value)
+        else:
+            self.walk(node.elt)
         for gen in node.generators:
-            self.expr(gen.target)
-            self.expr(gen.iter)
+            self.walk(gen.target)
+            self.walk(gen.iter)
             for cond in gen.ifs:
-                self.expr(cond)
+                self.walk(cond)
         self.tok("COMP_END", node, end=True)
 
-    def expr_Yield(self, node):
-        self.tok("YIELD", node)
-        if node.value is not None:
-            self.expr(node.value)
-
-    def expr_YieldFrom(self, node):
-        self.tok("YIELD", node)
-        self.expr(node.value)
-
-    def expr_Await(self, node):
-        self.expr(node.value)
-
-    def expr_NamedExpr(self, node):
-        self.tok("ASSIGN", node)
-        self.expr(node.target)
-        self.expr(node.value)
-
-    def expr_Starred(self, node):
-        self.expr(node.value)
+    expr_ListComp = expr_SetComp = expr_GeneratorExp = expr_DictComp = _comprehension
 
     # -- shared -------------------------------------------------------
 
@@ -604,15 +499,46 @@ class _StructuralEmitter:
         for arg, default in zip(positional, pad + defaults):
             self.tok("IDENT", arg)
             if default is not None:
-                self.expr(default)
+                self.walk(default)
         if args.vararg is not None:
             self.tok("IDENT", args.vararg)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             self.tok("IDENT", arg)
             if default is not None:
-                self.expr(default)
+                self.walk(default)
         if args.kwarg is not None:
             self.tok("IDENT", args.kwarg)
+
+
+# Node types whose tokens are one kind at the node, then the children in
+# field order. Expr, Await, Starred and Slice need no entry: the generic
+# walk of their children is all they emit.
+_KINDS = {
+    ast.Assign: "ASSIGN",
+    ast.AugAssign: "AUG_ASSIGN",
+    ast.Return: "RETURN",
+    ast.Raise: "RAISE",
+    ast.Assert: "ASSERT",
+    ast.Delete: "DEL",
+    ast.Global: "SCOPE",
+    ast.Nonlocal: "SCOPE",
+    ast.Pass: "PASS",
+    ast.Break: "BREAK_CONT",
+    ast.Continue: "BREAK_CONT",
+    ast.BoolOp: "BINOP",
+    ast.UnaryOp: "UNARYOP",
+    ast.Compare: "COMPARE",
+    ast.Yield: "YIELD",
+    ast.YieldFrom: "YIELD",
+    ast.NamedExpr: "ASSIGN",
+}
+
+# Node type -> the emitter method named ``stmt_<type>`` or ``expr_<type>``.
+_HANDLERS = {
+    vars(ast)[name[5:]]: method
+    for name, method in vars(_StructuralEmitter).items()
+    if name.startswith(("stmt_", "expr_"))
+}
 
 
 # Lexer fallback tables. Structure keywords are dropped entirely: without a

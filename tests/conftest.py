@@ -51,6 +51,8 @@ DEEP_EXPRESSIONS = {
     "attribute_chain": "x = a" + ".b" * 600 + "\n",
     "call_chain": "x = a" + ".b()" * 600 + "\n",
     "subscript_chain": "x = a" + "[0]" * 600 + "\n",
+    "not_chain": "x = " + "not " * 600 + "y\n",
+    "negation_chain": "x = " + "-" * 600 + "y\n",
 }
 
 # A 1,501-branch if/elif chain: elif branches nest in ``orelse`` lists,

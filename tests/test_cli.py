@@ -266,6 +266,8 @@ class TestReportCommand:
             "attribute_chain": 0,
             "binop_chain": 0,
             "call_chain": 0,
+            "negation_chain": 0,
+            "not_chain": 0,
             "subscript_chain": 0,
         }
         assert all(p["jdiv"] == 0.0 for p in prompts.values())
@@ -295,6 +297,16 @@ class TestReportCommand:
         out = tmp_path / "out"
         assert main(["report", "--corpus", str(duplicate_corpus), "--k", "5", "--out", str(out)]) == 1
         assert "p1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["7", "-0.1", "nan", "inf"])
+    def test_tau_must_be_in_unit_interval(self, duplicate_corpus, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        argv = ["report", "--corpus", str(duplicate_corpus), "--k", "1", "--tau", value, "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--tau" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vendi_with_embeddings(self, duplicate_corpus, tmp_path):
         emb = tmp_path / "emb.jsonl"
@@ -421,6 +433,17 @@ class TestAdvantagesCommand:
         ]
         assert base_records == combined_records
 
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_k_must_be_positive(self, duplicate_corpus, tmp_path, capsys, value):
+        # The base objective ignores k, so only the option check can refuse it.
+        out = tmp_path / "out"
+        argv = ["advantages", "--corpus", str(duplicate_corpus), "--objective", "base", "--k", value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diversity_small_group_errors_with_prompt(self, duplicate_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -502,6 +525,19 @@ class TestCompareCommand:
         p1 = result["metrics"]["pass@1"]
         assert p1["up_pct"] == 100.0
         assert p1["p_value"] == 0.0
+
+    @pytest.mark.parametrize("value", ["10", "999", "-1"])
+    def test_resamples_floor(self, duplicate_corpus, tmp_path, capsys, value):
+        # One prompt pairs up, so no bootstrap runs: only the option check
+        # can refuse the value.
+        report = self._make_report(tmp_path, "a", duplicate_corpus)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--report-a", str(report), "--report-b", str(report), "--resamples", value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--resamples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_disjoint_prompt_sets_error(self, tmp_path, capsys):
         corpus_a = write_corpus(

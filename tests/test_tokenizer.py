@@ -1,3 +1,4 @@
+import ast
 import keyword
 
 import numpy as np
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codediv.tokenizer import (
+    _HANDLERS,
+    _KINDS,
     VOCABULARY,
     StructuralToken,
     TokenStream,
@@ -206,6 +209,16 @@ class TestDeepExpressions:
             assert not stream.fallback, name
             assert stream.kinds == kinds + ("MODULE_END",), name
 
+    def test_unary_chains_are_structural(self):
+        # A table-driven node costs one frame per nesting level, so 600
+        # nested `not` or `-` stay under the recursion limit.
+        for name in ("not_chain", "negation_chain"):
+            stream = tokenize(DEEP_EXPRESSIONS[name])
+            assert not stream.fallback, name
+            assert stream.kinds == (
+                ("MODULE_BEGIN", "ASSIGN", "IDENT") + ("UNARYOP",) * 600 + ("IDENT", "MODULE_END")
+            ), name
+
     def test_postfix_token_order_is_preorder(self):
         # Spine nodes outermost first, then the base, then call arguments
         # and slices innermost first; nested arguments recurse.
@@ -302,6 +315,171 @@ class TestElifChains:
         assert format_debug(tokenize(src)) == ELIF_CHAIN_DEBUG
 
 
+# One program with every node kind the emitter has a table entry or a
+# handler for, plus the nodes it walks generically (Tuple, List, Set,
+# Starred, Await, Slice, bare Expr), and its pinned format_debug.
+ALL_NODES_PROGRAM = '''\
+import os, sys as system
+from . import sibling
+
+declared: int
+counter: int = 0
+print("module", *system.argv)
+
+
+@decorator(arg)
+class Node(Base, metaclass=Meta):
+    async def fetch(self, a, /, b=1, *args, c=2, d, **kw):
+        global counter
+        async with open(a) as fh, lock:
+            data = await fh.read()
+        async for chunk in stream(data):
+            counter += len(chunk)
+        else:
+            pass
+        return data
+
+
+def outer(xs):
+    total = 0
+
+    def inner():
+        nonlocal total
+        total = total + 1
+
+    for x in xs:
+        if x > 0 and not x is None:
+            continue
+        elif -x < 0 or x:
+            break
+        else:
+            del total, xs[0]
+    else:
+        inner()
+    while total:
+        total -= 1
+    else:
+        pass
+    try:
+        assert total == 0, "msg"
+    except (ValueError, TypeError) as err:
+        raise RuntimeError("bad") from err
+    except Exception:
+        raise
+    else:
+        pass
+    finally:
+        total = None
+    with ctx() as (a, b):
+        pass
+    first, *rest = [1, 2.5, 3j, b"x", True, ...]
+    pair = {1, 2}, (first,)
+    merged = {"k": 1, **rest}
+    parts = xs[1:2:3], xs[::2], xs[a.b()]
+    lc = [x for x in xs if x if not x]
+    sc = {x for x in xs}
+    gc = sum(x for y in xs for x in y)
+    dc = {k: v for k, v in merged.items()}
+    fn = lambda p, q=1, *r, s=2, **t: p ** q
+    cond = a if b else c
+    if (n := len(xs)) > 10:
+        pass
+    text = f"{total}"
+    yield total
+    yield
+    yield from xs
+    match total:
+        case 0:
+            pass
+        case [a, *b] if a:
+            pass
+        case _:
+            pass
+    return
+'''
+
+ALL_NODES_DEBUG = (
+    "MODULE_BEGIN 1:0\nIMPORT 1:0\nIDENT 1:7\nIDENT 1:11\n"
+    "IMPORT 2:0\nIDENT 2:14\n"
+    "IDENT 4:0\n"
+    "ASSIGN 5:0\nIDENT 5:0\nLIT_NUM 5:15\n"
+    "APPLY 6:0\nIDENT 6:0\nLIT_STR 6:6\nATTR 6:17\nIDENT 6:17\n"
+    "APPLY 9:1\nIDENT 9:1\nIDENT 9:11\n"
+    "CLASS_BEGIN 10:0\nIDENT 10:11\nIDENT 10:27\n"
+    "DEF_BEGIN 11:4\nIDENT 11:20\nIDENT 11:26\nIDENT 11:32\nLIT_NUM 11:34\nIDENT 11:38\n"
+    "IDENT 11:44\nLIT_NUM 11:46\nIDENT 11:49\nIDENT 11:54\n"
+    "SCOPE 12:8\n"
+    "WITH_BEGIN 13:8\nAPPLY 13:19\nIDENT 13:19\nIDENT 13:24\nIDENT 13:30\nIDENT 13:34\n"
+    "ASSIGN 14:12\nIDENT 14:12\nAPPLY 14:25\nATTR 14:25\nIDENT 14:25\nWITH_END 14:34\n"
+    "FOR_BEGIN 15:8\nIDENT 15:18\nAPPLY 15:27\nIDENT 15:27\nIDENT 15:34\n"
+    "AUG_ASSIGN 16:12\nIDENT 16:12\nAPPLY 16:23\nIDENT 16:23\nIDENT 16:27\n"
+    "ELSE 18:12\nPASS 18:12\nFOR_END 18:16\n"
+    "RETURN 19:8\nIDENT 19:15\nDEF_END 19:19\nCLASS_END 19:19\n"
+    "DEF_BEGIN 22:0\nIDENT 22:10\n"
+    "ASSIGN 23:4\nIDENT 23:4\nLIT_NUM 23:12\n"
+    "DEF_BEGIN 25:4\n"
+    "SCOPE 26:8\n"
+    "ASSIGN 27:8\nIDENT 27:8\nBINOP 27:16\nIDENT 27:16\nLIT_NUM 27:24\nDEF_END 27:25\n"
+    "FOR_BEGIN 29:4\nIDENT 29:8\nIDENT 29:13\n"
+    "IF_BEGIN 30:8\nBINOP 30:11\nCOMPARE 30:11\nIDENT 30:11\nLIT_NUM 30:15\nUNARYOP 30:21\n"
+    "COMPARE 30:25\nIDENT 30:25\nLIT_BOOLNONE 30:30\n"
+    "BREAK_CONT 31:12\n"
+    "ELIF 32:8\nBINOP 32:13\nCOMPARE 32:13\nUNARYOP 32:13\nIDENT 32:14\nLIT_NUM 32:18\n"
+    "IDENT 32:23\n"
+    "BREAK_CONT 33:12\n"
+    "ELSE 35:12\nDEL 35:12\nIDENT 35:16\nSUBSCRIPT 35:23\nIDENT 35:23\nLIT_NUM 35:26\n"
+    "IF_END 35:28\n"
+    "ELSE 37:8\nAPPLY 37:8\nIDENT 37:8\nFOR_END 37:15\n"
+    "WHILE_BEGIN 38:4\nIDENT 38:10\n"
+    "AUG_ASSIGN 39:8\nIDENT 39:8\nLIT_NUM 39:17\n"
+    "ELSE 41:8\nPASS 41:8\nWHILE_END 41:12\n"
+    "TRY_BEGIN 42:4\n"
+    "ASSERT 43:8\nCOMPARE 43:15\nIDENT 43:15\nLIT_NUM 43:24\nLIT_STR 43:27\n"
+    "EXCEPT 44:4\nIDENT 44:12\nIDENT 44:24\n"
+    "RAISE 45:8\nAPPLY 45:14\nIDENT 45:14\nLIT_STR 45:27\nIDENT 45:39\n"
+    "EXCEPT 46:4\nIDENT 46:11\n"
+    "RAISE 47:8\n"
+    "ELSE 49:8\nPASS 49:8\n"
+    "FINALLY 51:8\nASSIGN 51:8\nIDENT 51:8\nLIT_BOOLNONE 51:16\nTRY_END 51:20\n"
+    "WITH_BEGIN 52:4\nAPPLY 52:9\nIDENT 52:9\nIDENT 52:19\nIDENT 52:22\n"
+    "PASS 53:8\nWITH_END 53:12\n"
+    "ASSIGN 54:4\nIDENT 54:4\nIDENT 54:12\nLIT_NUM 54:20\nLIT_NUM 54:23\nLIT_NUM 54:28\n"
+    "LIT_STR 54:32\nLIT_BOOLNONE 54:38\nLIT_BOOLNONE 54:44\n"
+    "ASSIGN 55:4\nIDENT 55:4\nLIT_NUM 55:12\nLIT_NUM 55:15\nIDENT 55:20\n"
+    "ASSIGN 56:4\nIDENT 56:4\nLIT_STR 56:14\nLIT_NUM 56:19\nIDENT 56:24\n"
+    "ASSIGN 57:4\nIDENT 57:4\nSUBSCRIPT 57:12\nIDENT 57:12\nLIT_NUM 57:15\nLIT_NUM 57:17\n"
+    "LIT_NUM 57:19\nSUBSCRIPT 57:23\nIDENT 57:23\nLIT_NUM 57:28\nSUBSCRIPT 57:32\nIDENT 57:32\n"
+    "APPLY 57:35\nATTR 57:35\nIDENT 57:35\n"
+    "ASSIGN 58:4\nIDENT 58:4\nCOMP_BEGIN 58:9\nIDENT 58:10\nIDENT 58:16\nIDENT 58:21\n"
+    "IDENT 58:27\nUNARYOP 58:32\nIDENT 58:36\nCOMP_END 58:38\n"
+    "ASSIGN 59:4\nIDENT 59:4\nCOMP_BEGIN 59:9\nIDENT 59:10\nIDENT 59:16\nIDENT 59:21\n"
+    "COMP_END 59:24\n"
+    "ASSIGN 60:4\nIDENT 60:4\nAPPLY 60:9\nIDENT 60:9\nCOMP_BEGIN 60:12\nIDENT 60:13\nIDENT 60:19\n"
+    "IDENT 60:24\nIDENT 60:31\nIDENT 60:36\nCOMP_END 60:38\n"
+    "ASSIGN 61:4\nIDENT 61:4\nCOMP_BEGIN 61:9\nIDENT 61:10\nIDENT 61:13\nIDENT 61:19\n"
+    "IDENT 61:22\nAPPLY 61:27\nATTR 61:27\nIDENT 61:27\nCOMP_END 61:42\n"
+    "ASSIGN 62:4\nIDENT 62:4\nLAMBDA 62:9\nIDENT 62:16\nIDENT 62:19\nLIT_NUM 62:21\nIDENT 62:25\n"
+    "IDENT 62:28\nLIT_NUM 62:30\nIDENT 62:35\nBINOP 62:38\nIDENT 62:38\nIDENT 62:43\n"
+    "ASSIGN 63:4\nIDENT 63:4\nIDENT 63:11\nIDENT 63:16\nIDENT 63:23\n"
+    "IF_BEGIN 64:4\nCOMPARE 64:7\nASSIGN 64:8\nIDENT 64:8\nAPPLY 64:13\nIDENT 64:13\nIDENT 64:17\n"
+    "LIT_NUM 64:24\n"
+    "PASS 65:8\nIF_END 65:12\n"
+    "ASSIGN 66:4\nIDENT 66:4\nLIT_STR 66:11\n"
+    "YIELD 67:4\nIDENT 67:10\n"
+    "YIELD 68:4\n"
+    "YIELD 69:4\nIDENT 69:15\n"
+    "IF_BEGIN 70:4\nIDENT 70:10\n"
+    "ELIF 71:13\n"
+    "PASS 72:12\n"
+    "ELIF 73:13\nIDENT 73:24\n"
+    "PASS 74:12\n"
+    "ELIF 75:13\n"
+    "PASS 76:12\nIF_END 76:16\n"
+    "RETURN 77:4\nDEF_END 77:10\n"
+    "MODULE_END 78:0"
+)
+
+
 class TestDebugFormat:
     def test_golden_lines(self):
         out = format_debug(tokenize("x = f(1)\n"))
@@ -314,6 +492,15 @@ class TestDebugFormat:
             "LIT_NUM 1:6\n"
             "MODULE_END 2:0"
         )
+
+    def test_every_node_kind_pinned(self):
+        stream = tokenize(ALL_NODES_PROGRAM)
+        assert not stream.fallback
+        assert format_debug(stream) == ALL_NODES_DEBUG
+
+    def test_program_covers_every_table_entry(self):
+        present = {type(node) for node in ast.walk(parse(ALL_NODES_PROGRAM))}
+        assert set(_KINDS) | set(_HANDLERS) <= present
 
 
 class TestArrayStorage:
