@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import secrets
 import sys
@@ -245,6 +246,9 @@ def _report_text(report):
 
 def cmd_report(args):
     corpus = _load_corpus(args.corpus)
+    if not len(corpus):
+        # The dataset means would be NaN, which is not valid JSON.
+        raise CliError("input", f"corpus has no samples: {args.corpus}")
     k_list = args.k
     if not k_list:
         raise CliError("param", "at least one k is required")
@@ -499,13 +503,24 @@ def _int_at_least(minimum):
 _positive_int = _int_at_least(1)
 
 
-def _unit_float(text):
+def _float(text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from err
+
+
+def _unit_float(text):
+    value = _float(text)
     if not 0.0 <= value <= 1.0:  # NaN fails the comparison too
         raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _non_negative_float(text):
+    value = _float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -548,10 +563,10 @@ def build_parser():
     p_adv.add_argument(
         "--objective",
         required=True,
-        choices=sorted(set(rewards.OBJECTIVES) | {"diversity_only"}),
+        choices=sorted(rewards.OBJECTIVES),
     )
     p_adv.add_argument("--k", type=_positive_int, default=None)
-    p_adv.add_argument("--lambda-div", type=float, default=1.0, dest="lambda_div")
+    p_adv.add_argument("--lambda-div", type=_non_negative_float, default=1.0, dest="lambda_div")
     p_adv.add_argument("--min-match", type=_positive_int, default=DEFAULT_MIN_MATCH, dest="min_match")
     p_adv.add_argument("--out", required=True)
     p_adv.set_defaults(func=cmd_advantages)
@@ -562,7 +577,7 @@ def build_parser():
     p_cmp.add_argument(
         "--resamples", type=_int_at_least(stats.MIN_RESAMPLES), default=stats.DEFAULT_RESAMPLES
     )
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seed", type=_int_at_least(0), default=0)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
 

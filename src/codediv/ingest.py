@@ -70,19 +70,6 @@ class Corpus:
     def __getitem__(self, prompt_id):
         return self.groups[prompt_id]
 
-    def to_jsonl_lines(self):
-        for group in self:
-            for s in group.samples:
-                record = {
-                    "prompt_id": group.prompt_id,
-                    "sample_id": s.sample_id,
-                    "text": s.text,
-                    "correct": s.correct,
-                }
-                if s.source is not None:
-                    record["source"] = s.source
-                yield json.dumps(record, sort_keys=True)
-
 
 def parse_corpus(lines) -> Corpus:
     """Parse line-delimited records into a Corpus.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Corpus, SampleGroup
+from .ingest import SampleGroup
 from .similarity import SimMatrix
 
 EIGENVALUE_TOLERANCE = 1e-10
@@ -40,20 +40,6 @@ def pass_at_k(n: int, m: int, k: int) -> PassKEstimate:
     else:
         value = float(1.0 - np.prod(1.0 - k / np.arange(n - m + 1, n + 1)))
     return PassKEstimate(n=n, m=m, k=k, value=value)
-
-
-def dataset_pass_at_k(corpus: Corpus, k: int) -> float:
-    """Unweighted mean of per-prompt pass@k estimates."""
-    values = []
-    for group in corpus:
-        if group.n < k:
-            raise ValueError(
-                f"pass@{k} undefined: prompt {group.prompt_id!r} has only n={group.n} samples"
-            )
-        values.append(pass_at_k(group.n, group.m, k).value)
-    if not values:
-        raise ValueError("empty corpus")
-    return float(np.mean(values))
 
 
 @dataclass

@@ -20,13 +20,15 @@ near-duplicates of other generations.
 """
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
 from .similarity import SimMatrix
 
-OBJECTIVES = ("base", "passk_loo", "pkpo", "diversity", "combined", "entropy")
+# Every objective name the CLI and the simulator accept; "diversity_only" is
+# an alias of "diversity".
+OBJECTIVES = ("base", "passk_loo", "pkpo", "diversity", "diversity_only", "combined", "entropy")
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,8 @@ def diversity_advantages(matrix: SimMatrix) -> AdvantageVector:
 
 def combined_advantages(outcome: GroupOutcome, matrix: SimMatrix, lambda_div: float) -> AdvantageVector:
     """Correctness advantages plus lambda_div times the diversity advantages."""
+    if not isfinite(lambda_div):
+        raise ValueError(f"lambda_div must be finite, got {lambda_div}")
     if lambda_div < 0:
         raise ValueError("lambda_div must be >= 0")
     base = base_advantages(outcome).a
@@ -141,9 +145,9 @@ def advantages(objective, outcome=None, matrix=None, k=None, lambda_div=None) ->
     its entropy bonus is an analytic policy-level term applied by the
     simulator, not a per-sample group credit.
     """
-    name = "diversity" if objective == "diversity_only" else objective
-    if name not in OBJECTIVES:
+    if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
+    name = "diversity" if objective == "diversity_only" else objective
     if name == "base":
         return base_advantages(outcome)
     if name == "passk_loo":

@@ -303,12 +303,12 @@ class Clustering:
         return len(self.sizes)
 
 
-def clusters(matrix, tau=DEFAULT_TAU, strict=True) -> Clustering:
+def clusters(matrix, tau=DEFAULT_TAU) -> Clustering:
     """Cluster samples whose similarity exceeds ``tau``.
 
-    Edges use strict inequality by default ("exceeds"); pass strict=False
-    for >=. Cluster ids are assigned in order of each cluster's smallest
-    member index.
+    Two samples are linked only when their score is strictly above ``tau``;
+    a score equal to ``tau`` does not link them. Cluster ids are assigned in
+    order of each cluster's smallest member index.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
@@ -317,8 +317,7 @@ def clusters(matrix, tau=DEFAULT_TAU, strict=True) -> Clustering:
     uf = _UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
-            linked = scores[i, j] > tau if strict else scores[i, j] >= tau
-            if linked:
+            if scores[i, j] > tau:
                 uf.union(i, j)
     ids = {}
     assignment = []

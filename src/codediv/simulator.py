@@ -19,14 +19,13 @@ policy entropy and logits follow.
 """
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rewards
 from .similarity import SimMatrix
-
-SIM_OBJECTIVES = ("base", "passk_loo", "pkpo", "combined", "diversity_only", "entropy")
 
 # Defaults validated against the directional acceptance run (20 seeds):
 # see tests/test_acceptance.py.
@@ -153,6 +152,16 @@ def _policy_gradient(probs: np.ndarray, draws, advantages, temperature: float) -
     return grad / temperature
 
 
+def _group_advantages(objective: str, params: StepParams, outcome, matrix):
+    return rewards.advantages(
+        objective,
+        outcome=outcome,
+        matrix=matrix,
+        k=params.k if params.k is not None else params.group_size,
+        lambda_div=params.lambda_div,
+    )
+
+
 def step(policy: CategoricalPolicy, world: TemplateWorld, objective: str, params: StepParams, rng) -> CategoricalPolicy:
     """One policy-gradient update from one sampled group.
 
@@ -160,16 +169,8 @@ def step(policy: CategoricalPolicy, world: TemplateWorld, objective: str, params
     objective adds beta times the analytic entropy gradient to the same
     update.
     """
-    if objective not in SIM_OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r}")
     draws, outcome, matrix = sample_group(policy, world, params.group_size, rng)
-    vec = rewards.advantages(
-        objective,
-        outcome=outcome,
-        matrix=matrix,
-        k=params.k if params.k is not None else params.group_size,
-        lambda_div=params.lambda_div,
-    )
+    vec = _group_advantages(objective, params, outcome, matrix)
     probs = policy.probs()
     grad = _policy_gradient(probs, draws, vec.a, policy.temperature)
     if objective == "entropy":
@@ -241,7 +242,7 @@ def run(
     Deterministic for a fixed seed: every objective sees identical training
     draws under the same seed.
     """
-    if objective not in SIM_OBJECTIVES:
+    if objective not in rewards.OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
     params = params or StepParams()
     if params.group_size < 2:
@@ -287,6 +288,22 @@ class SimulationConfig:
         def fail(name, why):
             raise ValueError(f"invalid config field {name!r}: {why}")
 
+        def number(name, value, positive=False):
+            # False for NaN, inf and ints beyond the float range alike.
+            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            if isinstance(value, bool) or not finite:
+                fail(name, f"expected a finite number, got {value!r}")
+            if positive and value <= 0:
+                fail(name, f"expected a number > 0, got {value!r}")
+            return value
+
+        def integer(name, value, minimum):
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                fail(name, f"expected an integer >= {minimum}, got {value!r}")
+            return value
+
+        if not isinstance(raw, dict):
+            raise ValueError(f"invalid config: expected an object, got {type(raw).__name__}")
         world_raw = raw.get("world", "default")
         if world_raw == "default":
             world = default_world()
@@ -295,9 +312,12 @@ class SimulationConfig:
                 world = TemplateWorld(
                     correct=world_raw["correct"], similarity=world_raw["similarity"]
                 )
-            except (KeyError, ValueError) as err:
+            except (KeyError, TypeError, ValueError) as err:
                 fail("world", err)
         elif isinstance(world_raw, dict):
+            for key in ("families", "per_family", "correct_families"):
+                if key in world_raw:
+                    integer(key, world_raw[key], 1)
             try:
                 world = family_world(**world_raw)
             except (TypeError, ValueError) as err:
@@ -322,23 +342,37 @@ class SimulationConfig:
             if not isinstance(entry, dict) or "name" not in entry:
                 fail("objectives", "each entry needs a 'name'")
             name = entry["name"]
-            if name not in SIM_OBJECTIVES:
+            if name not in rewards.OBJECTIVES:
                 fail("objectives", f"unknown objective {name!r}")
             merged = dict(base_params)
             for key in ("group_size", "lr", "k", "lambda_div", "entropy_beta"):
                 if key in entry:
                     merged[key] = entry[key]
+            integer("group_size", merged["group_size"], 2)
+            if merged["k"] is not None:
+                integer("k", merged["k"], 1)
+            for key in ("lr", "lambda_div", "entropy_beta"):
+                number(key, merged[key])
+            params = StepParams(**merged)
+            # Score one group of this size now, so that what the rewards
+            # module refuses (pkpo's k above the group size, a diversity
+            # term on fewer than 3 samples, a negative lambda_div) fails
+            # here, before any trace is written.
+            n = params.group_size
             try:
-                objectives.append((name, StepParams(**merged)))
-            except (TypeError, ValueError) as err:
-                fail("objectives", err)
+                _group_advantages(
+                    name, params, rewards.GroupOutcome.from_flags(np.arange(n) == 0), SimMatrix(np.eye(n))
+                )
+            except ValueError as err:
+                fail("objectives", f"{name!r}: {err}")
+            objectives.append((name, params))
 
         seeds = raw.get("seeds", [0])
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+        if not isinstance(seeds, list):
             fail("seeds", "expected a list of integers")
-        steps = raw.get("steps", DEFAULT_STEPS)
-        if not isinstance(steps, int) or steps < 0:
-            fail("steps", "expected a non-negative integer")
+        for seed in seeds:
+            integer("seeds", seed, 0)
+        steps = integer("steps", raw.get("steps", DEFAULT_STEPS), 0)
 
         eval_raw = raw.get("eval", {})
         if not isinstance(eval_raw, dict):
@@ -357,7 +391,7 @@ class SimulationConfig:
             objectives=objectives,
             seeds=seeds,
             steps=steps,
-            init_correct_bonus=raw.get("init_correct_bonus", 1.0),
-            temperature=raw.get("temperature", 1.0),
+            init_correct_bonus=number("init_correct_bonus", raw.get("init_correct_bonus", 1.0)),
+            temperature=number("temperature", raw.get("temperature", 1.0), positive=True),
             k_list=tuple(k_list),
         )

@@ -1,6 +1,8 @@
 import ast
 import itertools
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +60,31 @@ DEEP_EXPRESSIONS = {
 # A 1,501-branch if/elif chain: elif branches nest in ``orelse`` lists,
 # deeper than the default recursion limit of a recursive walk.
 LONG_ELIF_CHAIN = "if a:\n    pass\n" + "elif a:\n    def f():\n        'doc'\n" * 1500
+
+
+# Worst-case bounds: each is a fixed multiple of a measurement on a quiet
+# 2-core x86 host (Python 3.11), the best of three untraced runs for the
+# time and the tracemalloc peak of one traced run for the memory.
+TIME_FACTOR = 10
+MEMORY_FACTOR = 4
+
+
+def bounded_call(call, measured_s, measured_mb, runs=3):
+    """call(), asserting its time and memory stay within the bounds."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        result = call()
+        times.append(time.perf_counter() - start)
+    assert min(times) < TIME_FACTOR * measured_s, f"{min(times):.4f}s"
+    tracemalloc.start()
+    try:
+        assert call() == result
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < MEMORY_FACTOR * measured_mb, f"{peak_mb:.3f} MB"
+    return result
 
 
 def brute_force_tiles(a, b, min_match):

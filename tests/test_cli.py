@@ -296,7 +296,21 @@ class TestReportCommand:
     def test_oversized_k_names_prompt(self, duplicate_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["report", "--corpus", str(duplicate_corpus), "--k", "5", "--out", str(out)]) == 1
-        assert "p1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: param: pass@5 needs n >= 5; prompt 'p1' has n=2\n"
+        # Only the undersized prompt is named, wherever it sorts.
+        rows = [("big", i, f"x = {i}\n", i < 2) for i in range(5)] + [("tiny", 0, "y = 0\n", True)]
+        corpus = write_corpus(tmp_path / "two.jsonl", rows)
+        assert main(["report", "--corpus", str(corpus), "--k", "1,3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: param: pass@3 needs n >= 3; prompt 'tiny' has n=1\n"
+        assert not out.exists()
+
+    def test_empty_corpus_refused(self, tmp_path, capsys):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text("")
+        out = tmp_path / "out"
+        assert main(["report", "--corpus", str(corpus), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: input: corpus has no samples: {corpus}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["7", "-0.1", "nan", "inf"])
     def test_tau_must_be_in_unit_interval(self, duplicate_corpus, tmp_path, capsys, value):
@@ -444,6 +458,16 @@ class TestAdvantagesCommand:
         assert "--k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_lambda_div_must_be_finite_and_non_negative(self, duplicate_corpus, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        argv = ["advantages", "--corpus", str(duplicate_corpus), "--objective", "combined"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--lambda-div", value, "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--lambda-div" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diversity_small_group_errors_with_prompt(self, duplicate_corpus, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -539,6 +563,17 @@ class TestCompareCommand:
         assert "--resamples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_must_be_non_negative(self, mixed_corpus, tmp_path, capsys):
+        # Two prompts pair up, so a bootstrap would run with this seed.
+        report = self._make_report(tmp_path, "a", mixed_corpus)
+        out = tmp_path / "cmp"
+        argv = ["compare", "--report-a", str(report), "--report-b", str(report), "--seed", "-1"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_disjoint_prompt_sets_error(self, tmp_path, capsys):
         corpus_a = write_corpus(
             tmp_path / "a.jsonl", [("only_a", 0, "x = 1\n", True), ("only_a", 1, "y = 2\n", True)]
@@ -621,6 +656,36 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert "steps" in err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"temperature": 0},
+            {"temperature": "hot"},
+            {"init_correct_bonus": "x"},
+            {"lr": "x"},
+            {"lr": float("nan")},
+            {"seeds": [-1]},
+            {"seeds": [True]},
+            {"group_size": 1.5},
+            {"objectives": [{"name": "pkpo", "k": 20}]},
+            {"objectives": ["combined"], "group_size": 2},
+            {"world": {"correct": "x", "similarity": [[1.0]]}},
+            {"world": {"families": 2.5, "correct_families": 1}},
+            [{"objectives": ["base"]}],
+        ],
+        ids=repr,
+    )
+    def test_bad_values_refused_before_any_trace(self, tmp_path, capsys, raw):
+        if isinstance(raw, dict):
+            raw = {"objectives": ["base"], "seeds": [0], "steps": 3, **raw}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: invalid config") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("removed", ["groups", "n"])
     def test_removed_eval_keys_rejected(self, tmp_path, capsys, removed):

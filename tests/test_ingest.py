@@ -18,7 +18,9 @@ from codediv.ingest import (
 from codediv.tokenizer import format_debug, parse, tokenize
 
 from conftest import (
+    DEEP_EXPRESSIONS,
     LONG_ELIF_CHAIN,
+    bounded_call,
     docstring_spans_oracle,
     strip_comments_docstrings_oracle,
     strip_comments_oracle,
@@ -66,16 +68,19 @@ class TestParseCorpus:
         group = parse_corpus([line])["p1"]
         assert group.samples[0].source == "explicit = 2\n"
 
-    def test_roundtrip_identity(self):
+    def test_sample_order_and_unfenced_source(self):
         lines = [
             record("pB", 1, "prose\n```python\ndef f():\n    return 1\n```\ntail", True),
             record("pB", 0, "no fence here", False),
             record("pA", 0, "", True, source="x = 1\n"),
         ]
         corpus = parse_corpus(lines)
-        again = parse_corpus(list(corpus.to_jsonl_lines()))
-        assert again == corpus
-        assert list(again.to_jsonl_lines()) == list(corpus.to_jsonl_lines())
+        assert [g.prompt_id for g in corpus] == ["pA", "pB"]
+        samples = corpus["pB"].samples
+        assert [s.sample_id for s in samples] == [0, 1]
+        assert (samples[0].text, samples[0].source, samples[0].correct) == ("no fence here", None, False)
+        assert samples[1].source == "def f():\n    return 1\n"
+        assert (corpus["pA"].samples[0].text, corpus["pA"].samples[0].source) == ("", "x = 1\n")
 
     def test_load_corpus_from_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -363,6 +368,88 @@ class TestHostileFuzz:
             assert isinstance(source, str)
             assert source.count("\n") <= text.count("\n")
             tokenize(source)
+
+
+def _nested(depth):
+    """A function whose body nests compound statements ``depth`` deep."""
+    kinds = ("if x > 0:", "for x in x:", "while x:", "with x as x:", "try:")
+    lines = ["def deep(x):"] + ["    " * d + kinds[d % 5] for d in range(1, depth + 1)]
+    lines.append("    " * (depth + 1) + "x += 1")
+    for d in range(depth, 0, -1):
+        if kinds[d % 5] == "try:":
+            lines += ["    " * d + "except ValueError:", "    " * (d + 1) + "pass"]
+    return "\n".join(lines + ["    return x"]) + "\n"
+
+
+_PROGRAM = [
+    "def solve(values, limit):",
+    '    """Sum the distinct values below a limit."""',
+    "    total = 0  # running sum",
+    "    seen = set()",
+    "    for value in values:",
+    "        if value in seen:",
+    "            continue",
+    "        seen.add(value)",
+    "        if value < limit:",
+    "            total += value",
+    "        else:",
+    "            total -= 1",
+    "    while total > limit:",
+    "        total //= 2",
+    "    return total + len([v * 2 for v in seen if v % 3])",
+]
+
+
+def _broken(line, edit):
+    lines = list(_PROGRAM)
+    lines[line] = edit(lines[line])
+    return "\n".join(lines) + "\n"
+
+
+def _fenced(code, fallback):
+    completion = f"Here is a solution.\n\n```python\n{code}```\n\nThe function runs in linear time."
+    return completion, code, fallback
+
+
+# The source shapes of the benchmark's hostile cases, as raw completions:
+# 90-deep nesting, a 600-term chain, three malformed programs (a missing
+# colon, an unclosed parenthesis, a bad indent), an empty fence and no fence.
+# Each maps to (completion, extracted source, falls back to the lexer).
+HOSTILE_SOURCES = {
+    "nested90": _fenced(_nested(90), False),
+    "chain600": _fenced(DEEP_EXPRESSIONS["binop_chain"], False),
+    "missing_colon": _fenced(_broken(0, lambda s: s.rstrip(":")), True),
+    "open_paren": _fenced(_broken(9, lambda s: s + " + (1"), True),
+    "bad_indent": _fenced(_broken(7, lambda s: "  " + s), True),
+    "empty_fence": ("Here is a solution.\n```python\n```\n", "", False),
+    "no_fence": ("Here is a solution. def f(x): return x", None, False),
+}
+
+
+class TestHostileSources:
+    # (seconds, MB) for extract_code, tokenize and strip_comments_docstrings,
+    # measured as conftest.bounded_call describes. The bounds take the best of
+    # five runs, because the fastest of these calls take microseconds.
+    @pytest.mark.parametrize(
+        "shape, extract_bound, tokenize_bound, strip_bound",
+        [
+            ("nested90", (5e-5, 0.084), (1.0e-3, 0.30), (1.0e-3, 0.36)),
+            ("chain600", (3e-6, 0.0030), (1.4e-3, 0.62), (9e-4, 0.62)),
+            ("missing_colon", (5e-6, 0.0028), (2.6e-4, 0.013), (3.1e-5, 0.015)),
+            ("open_paren", (8e-6, 0.0028), (5.1e-4, 0.069), (1.5e-4, 0.071)),
+            ("bad_indent", (7e-6, 0.0028), (1.3e-4, 0.018), (6.3e-5, 0.019)),
+            ("empty_fence", (3e-6, 0.0005), (1.2e-5, 0.012), (1.1e-5, 0.012)),
+            ("no_fence", (1e-6, 0.0002), (1.1e-5, 0.012), (1.2e-5, 0.012)),
+        ],
+    )
+    def test_time_and_memory_bounds(self, shape, extract_bound, tokenize_bound, strip_bound):
+        text, expected_source, fallback = HOSTILE_SOURCES[shape]
+        source = bounded_call(lambda: extract_code(text), *extract_bound, runs=5)
+        assert source == expected_source
+        source = source or ""
+        stream = bounded_call(lambda: tokenize(source), *tokenize_bound, runs=5)
+        assert stream.fallback == fallback
+        bounded_call(lambda: strip_comments_docstrings(source), *strip_bound, runs=5)
 
 
 class TestLengthStats:

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from codediv.cli import main
 from codediv.ingest import parse_corpus
 from codediv.metrics import (
     EmbeddingSet,
     correct_only_view,
-    dataset_pass_at_k,
     embeddings_for_group,
     load_embeddings,
     pass_at_k,
@@ -85,39 +85,37 @@ class TestPassAtK:
 
 
 class TestDatasetPassAtK:
-    def _corpus(self, spec):
-        lines = []
+    """The dataset pass@k of ``codediv report``: the unweighted mean over prompts."""
+
+    def _dataset_pass_at(self, tmp_path, spec, k):
+        lines = [
+            json.dumps({"prompt_id": pid, "sample_id": sid, "source": f"x = {sid}\n", "correct": sid < m})
+            for pid, (n, m) in spec.items()
+            for sid in range(n)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["report", "--corpus", str(corpus), "--k", str(k), "--out", str(out)]) == 0
+        with open(out / "report.json") as fh:
+            report = json.load(fh)
+        prompts = report["prompts"]
         for pid, (n, m) in spec.items():
-            for sid in range(n):
-                lines.append(
-                    json.dumps(
-                        {
-                            "prompt_id": pid,
-                            "sample_id": sid,
-                            "source": f"x = {sid}\n",
-                            "correct": sid < m,
-                        }
-                    )
-                )
-        return parse_corpus(lines)
+            assert prompts[pid]["pass_at"][str(k)] == pass_at_k(n, m, k).value
+        return report["dataset"]["pass_at"][str(k)]
 
-    def test_mean_over_prompts(self):
-        corpus = self._corpus({"a": (5, 2), "b": (5, 0)})
-        expected = (pass_at_k(5, 2, 2).value + 0.0) / 2
-        assert dataset_pass_at_k(corpus, 2) == pytest.approx(expected, abs=1e-12)
+    def test_mean_over_prompts(self, tmp_path):
+        # Unequal group sizes tell an unweighted mean from a sample-weighted one.
+        value = self._dataset_pass_at(tmp_path, {"a": (5, 2), "b": (3, 0)}, 2)
+        expected = (pass_at_k(5, 2, 2).value + pass_at_k(3, 0, 2).value) / 2
+        assert value == pytest.approx(expected, abs=1e-12)
 
-    def test_single_prompt(self):
-        corpus = self._corpus({"a": (4, 1)})
-        assert dataset_pass_at_k(corpus, 2) == pytest.approx(pass_at_k(4, 1, 2).value)
+    def test_single_prompt(self, tmp_path):
+        value = self._dataset_pass_at(tmp_path, {"a": (4, 1)}, 2)
+        assert value == pytest.approx(pass_at_k(4, 1, 2).value)
 
-    def test_all_correct_gives_one(self):
-        corpus = self._corpus({"a": (3, 3), "b": (5, 5)})
-        assert dataset_pass_at_k(corpus, 2) == 1.0
-
-    def test_undersized_group_names_prompt(self):
-        corpus = self._corpus({"tiny": (2, 1)})
-        with pytest.raises(ValueError, match="tiny"):
-            dataset_pass_at_k(corpus, 3)
+    def test_all_correct_gives_one(self, tmp_path):
+        assert self._dataset_pass_at(tmp_path, {"a": (3, 3), "b": (5, 5)}, 2) == 1.0
 
 
 class TestVendiScore:

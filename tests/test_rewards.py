@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codediv.rewards import (
+    OBJECTIVES,
     AdvantageVector,
     GroupOutcome,
     advantages,
@@ -226,6 +227,10 @@ class TestCombinedAdvantages:
     def test_negative_lambda_rejected(self, rng):
         with pytest.raises(ValueError):
             combined_advantages(outcome(True, False, False), self._matrix(rng, 3), -1.0)
+        # NaN passes a "< 0" test, so non-finite values need their own check.
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                combined_advantages(outcome(True, False, False), self._matrix(rng, 3), value)
 
 
 class TestDispatcher:
@@ -234,7 +239,7 @@ class TestDispatcher:
         scores = rng.uniform(0, 1, size=(3, 3))
         matrix = SimMatrix((scores + scores.T) / 2)
         np.fill_diagonal(matrix.scores, 1.0)
-        for name in ("base", "passk_loo", "pkpo", "diversity", "combined", "entropy"):
+        for name in OBJECTIVES:
             vec = advantages(name, outcome=out, matrix=matrix, k=2, lambda_div=1.5)
             assert isinstance(vec, AdvantageVector)
             assert len(vec.a) == 3

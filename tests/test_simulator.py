@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from codediv.metrics import pass_at_k
+from codediv.rewards import OBJECTIVES
 from codediv.simulator import (
     CategoricalPolicy,
     SimulationConfig,
@@ -256,6 +257,12 @@ class TestSimulationConfig:
             {"world": {"families": 3, "per_family": 2, "correct_families": 1}, "objectives": ["base"]}
         )
         assert config.world.n_templates == 6
+
+    def test_accepts_every_objective(self):
+        config = SimulationConfig.from_dict({"objectives": list(OBJECTIVES)})
+        assert [name for name, _ in config.objectives] == list(OBJECTIVES)
+        for name, params in config.objectives:
+            assert len(run(config.world, name, steps=2, params=params).records) == 3
 
     def test_errors_name_field(self):
         with pytest.raises(ValueError, match="'objectives'"):

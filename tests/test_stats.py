@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from codediv.stats import (
-    PairedSeries,
-    aggregate_changes,
-    paired_bootstrap,
-    pearson,
-    seed_summary,
-)
+from codediv.stats import aggregate_changes, paired_bootstrap
 
 
 class TestPairedBootstrap:
@@ -45,8 +39,11 @@ class TestPairedBootstrap:
             paired_bootstrap([1.0], [2.0])
         with pytest.raises(ValueError):
             paired_bootstrap([1.0, 2.0], [2.0, 3.0], resamples=10)
-        with pytest.raises(ValueError):
-            PairedSeries([1.0, 2.0], [1.0])
+        for bad in (([1.0, 2.0], [1.0]), ([[1.0, 2.0]], [[1.0, 2.0]])):
+            with pytest.raises(ValueError, match="1-D and of equal length"):
+                paired_bootstrap(*bad)
+            with pytest.raises(ValueError, match="1-D and of equal length"):
+                aggregate_changes(*bad)
 
     def test_null_calibration(self):
         # Paired null: differences are zero-mean unit-width uniform noise.
@@ -97,42 +94,3 @@ class TestAggregateChanges:
         tie_pct = 100.0 * np.mean(a == b)
         assert report.up_pct + report.down_pct + tie_pct == pytest.approx(100.0)
 
-
-class TestPearson:
-    def test_perfect_positive(self):
-        assert pearson([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == pytest.approx(1.0)
-
-    def test_perfect_negative(self):
-        assert pearson([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0]) == pytest.approx(-1.0)
-
-    def test_hand_value(self):
-        # cov*(n-1) = 3, ssx = 2, ssy = 6 -> r = 3/sqrt(12).
-        assert pearson([1.0, 2.0, 3.0], [2.0, 2.0, 5.0]) == pytest.approx(
-            3.0 / np.sqrt(12.0), abs=1e-12
-        )
-        assert pearson([1.0, 2.0, 3.0], [2.0, 2.0, 5.0]) == pytest.approx(0.8660, abs=1e-4)
-
-    def test_affine_invariance(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=25)
-        y = rng.normal(size=25)
-        base = pearson(x, y)
-        assert pearson(2.5 * x + 7.0, y) == pytest.approx(base, abs=1e-12)
-        assert pearson(x, 0.3 * y - 2.0) == pytest.approx(base, abs=1e-12)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="zero-variance"):
-            pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-
-
-class TestSeedSummary:
-    def test_constant(self):
-        assert seed_summary([10.0, 10.0, 10.0]) == (10.0, 0.0)
-
-    def test_two_seeds(self):
-        mean, std = seed_summary([8.0, 12.0])
-        assert mean == 10.0
-        assert std == pytest.approx(np.sqrt(8.0), abs=1e-12)  # ddof=1
-
-    def test_single_seed_no_std(self):
-        assert seed_summary([7.5]) == (7.5, None)
