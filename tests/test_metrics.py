@@ -87,7 +87,7 @@ class TestPassAtK:
 class TestDatasetPassAtK:
     """The dataset pass@k of ``codediv report``: the unweighted mean over prompts."""
 
-    def _dataset_pass_at(self, tmp_path, spec, k):
+    def _corpus(self, tmp_path, spec):
         lines = [
             json.dumps({"prompt_id": pid, "sample_id": sid, "source": f"x = {sid}\n", "correct": sid < m})
             for pid, (n, m) in spec.items()
@@ -95,6 +95,10 @@ class TestDatasetPassAtK:
         ]
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
+        return corpus
+
+    def _dataset_pass_at(self, tmp_path, spec, k):
+        corpus = self._corpus(tmp_path, spec)
         out = tmp_path / "out"
         assert main(["report", "--corpus", str(corpus), "--k", str(k), "--out", str(out)]) == 0
         with open(out / "report.json") as fh:
@@ -116,6 +120,14 @@ class TestDatasetPassAtK:
 
     def test_all_correct_gives_one(self, tmp_path):
         assert self._dataset_pass_at(tmp_path, {"a": (3, 3), "b": (5, 5)}, 2) == 1.0
+
+    def test_undersized_group_names_prompt(self, tmp_path, capsys):
+        # Only the undersized prompt is named, wherever it sorts.
+        corpus = self._corpus(tmp_path, {"big": (5, 2), "tiny": (1, 1)})
+        out = tmp_path / "out"
+        assert main(["report", "--corpus", str(corpus), "--k", "1,3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: param: pass@3 needs n >= 3; prompt 'tiny' has n=1\n"
+        assert not out.exists()
 
 
 class TestVendiScore:
