@@ -13,9 +13,7 @@ from .similarity import (
     gst_match,
     jdiv,
     one_gram_div,
-    one_gram_similarity,
     pairwise_matrix,
-    similarity_score,
 )
 
 __all__ = [
@@ -29,9 +27,7 @@ __all__ = [
     "gst_match",
     "jdiv",
     "one_gram_div",
-    "one_gram_similarity",
     "pairwise_matrix",
-    "similarity_score",
     "token_vocabulary",
     "tokenize",
     "__version__",

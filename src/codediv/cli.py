@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__, metrics, rewards, simulator, stats
-from .ingest import CorpusError, length_stats, load_corpus, strip_comments_docstrings
+from .ingest import length_stats, load_corpus, strip_comments_docstrings
 from .similarity import (
     DEFAULT_MIN_MATCH,
     DEFAULT_TAU,
@@ -90,13 +90,38 @@ def _slug(prompt_id):
     return f"{safe or 'prompt'}-{digest}"
 
 
-def _load_corpus(path):
-    if not os.path.exists(path):
-        raise CliError("input", f"corpus file not found: {path}")
+def _read_input(path, what, read, error_class="parse"):
+    """``read(path)``. A file that cannot be opened or is not UTF-8 is an
+    ``input`` error; any other ValueError while reading it is ``error_class``."""
     try:
-        return load_corpus(path)
-    except CorpusError as err:
-        raise CliError("parse", str(err)) from err
+        return read(path)
+    except UnicodeDecodeError as err:  # a ValueError too, so caught first
+        raise CliError("input", f"cannot read {what} file {path}: not UTF-8 ({err.reason})") from err
+    except OSError as err:
+        raise CliError("input", f"cannot read {what} file {path}: {err.strerror or err}") from err
+    except ValueError as err:
+        raise CliError(error_class, str(err)) from err
+
+
+def _read_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _read_json(path):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: {err}") from err
+
+
+def _read_embeddings(path):
+    with open(path, encoding="utf-8") as fh:
+        return metrics.load_embeddings(fh)
+
+
+def _load_corpus(path):
+    return _read_input(path, "corpus", load_corpus)
 
 
 def _group_streams(group):
@@ -109,11 +134,7 @@ def _group_streams(group):
 
 
 def cmd_tokens(args):
-    if not os.path.exists(args.file):
-        raise CliError("input", f"file not found: {args.file}")
-    with open(args.file, encoding="utf-8") as fh:
-        source = fh.read()
-    stream = tokenize(source)
+    stream = tokenize(_read_input(args.file, "source", _read_text))
     print(format_debug(stream))
     if stream.fallback:
         print("# fallback lexer used", file=sys.stderr)
@@ -170,20 +191,17 @@ def _prompt_report(group, k_list, tau, min_match, embedding_table):
     streams, stripped = _streams_and_stripped(group)
     matrix = pairwise_matrix(streams, min_match=min_match)
     outcome = {"n": group.n, "m": group.m}
-    outcome["pass_at"] = {
-        str(k): metrics.pass_at_k(group.n, group.m, k).value for k in k_list
-    }
+    outcome["pass_at"] = {str(k): metrics.pass_at_k(group.n, group.m, k) for k in k_list}
     outcome["jdiv"] = jdiv(matrix) if group.n >= 2 else None
     outcome["one_gram_div"] = one_gram_div(stripped) if group.n >= 2 else None
-    clustering = clusters(matrix, tau=tau)
-    outcome["clusters"] = clustering.n_clusters
-    outcome["eff"] = effective_clusters(clustering)
-    sub_group, sub_matrix = metrics.correct_only_view(group, matrix)
-    outcome["jdiv_correct"] = jdiv(sub_matrix) if sub_group.n >= 2 else None
-    if sub_group.n >= 1:
-        outcome["eff_correct"] = effective_clusters(clusters(sub_matrix, tau=tau))
-    else:
-        outcome["eff_correct"] = None
+    ids = clusters(matrix, tau=tau)
+    outcome["clusters"] = max(ids) + 1
+    outcome["eff"] = effective_clusters(ids)
+    sub_matrix = metrics.correct_only_view(group, matrix)
+    outcome["jdiv_correct"] = jdiv(sub_matrix) if sub_matrix.n >= 2 else None
+    outcome["eff_correct"] = (
+        effective_clusters(clusters(sub_matrix, tau=tau)) if sub_matrix.n >= 1 else None
+    )
     if embedding_table is not None:
         try:
             emb = metrics.embeddings_for_group(embedding_table, group)
@@ -262,13 +280,7 @@ def cmd_report(args):
     embedding_table = None
     inputs = {"corpus": args.corpus}
     if args.embeddings:
-        if not os.path.exists(args.embeddings):
-            raise CliError("input", f"embeddings file not found: {args.embeddings}")
-        with open(args.embeddings, encoding="utf-8") as fh:
-            try:
-                embedding_table = metrics.load_embeddings(fh)
-            except ValueError as err:
-                raise CliError("parse", str(err)) from err
+        embedding_table = _read_input(args.embeddings, "embeddings", _read_embeddings)
         inputs["embeddings"] = args.embeddings
 
     prompt_reports = dict(
@@ -347,16 +359,16 @@ def cmd_advantages(args):
 
 
 def _load_report(path):
-    if not os.path.exists(path):
-        raise CliError("input", f"report file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise CliError("parse", f"{path}: {err}") from err
-    if "prompts" not in report:
-        raise CliError("parse", f"{path}: not a report file (missing 'prompts')")
-    return report
+    report = _read_input(path, "report", _read_json)
+    prompts = report.get("prompts") if isinstance(report, dict) else None
+    params = report.get("params") if isinstance(report, dict) else None
+    if not isinstance(prompts, dict) or not all(isinstance(r, dict) for r in prompts.values()):
+        problem = "'prompts' must be an object of objects"
+    elif not isinstance(params, dict) or not isinstance(params.get("k_list"), list):
+        problem = "'params.k_list' must be a list"
+    else:
+        return report
+    raise CliError("parse", f"{path}: not a report file ({problem})")
 
 
 def _metric_series(report_a, report_b, prompt_ids):
@@ -446,13 +458,7 @@ def cmd_compare(args):
 
 
 def cmd_simulate(args):
-    if not os.path.exists(args.config):
-        raise CliError("input", f"config file not found: {args.config}")
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise CliError("config", f"{args.config}: {err}") from err
+    raw = _read_input(args.config, "config", _read_json, error_class="config")
     try:
         config = simulator.SimulationConfig.from_dict(raw)
     except ValueError as err:
@@ -594,17 +600,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
+    except Exception as err:  # every failure ends in one line, not a traceback
+        if isinstance(err, CliError):
+            error_class = err.error_class
+        elif isinstance(err, (ValueError, OSError)):
+            error_class = "internal"
+        else:
+            error_class = f"internal: {type(err).__name__}"
         message = " ".join(str(err).split())
-        print(f"error: {err.error_class}: {message}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        message = " ".join(str(err).split())
-        print(f"error: internal: {message}", file=sys.stderr)
-        return 1
-    except Exception as err:  # any other failure still ends without a traceback
-        message = " ".join(str(err).split())
-        print(f"error: internal: {type(err).__name__}: {message}", file=sys.stderr)
+        print(f"error: {error_class}: {message}", file=sys.stderr)
         return 1
 
 

@@ -13,21 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import SampleGroup
 from .similarity import SimMatrix
 
 EIGENVALUE_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class PassKEstimate:
-    n: int
-    m: int
-    k: int
-    value: float
-
-
-def pass_at_k(n: int, m: int, k: int) -> PassKEstimate:
+def pass_at_k(n: int, m: int, k: int) -> float:
     """Unbiased pass@k estimate from n samples with m correct."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -36,10 +27,8 @@ def pass_at_k(n: int, m: int, k: int) -> PassKEstimate:
     if not 0 <= m <= n:
         raise ValueError(f"m={m} must be within [0, n={n}]")
     if n - m < k:
-        value = 1.0
-    else:
-        value = float(1.0 - np.prod(1.0 - k / np.arange(n - m + 1, n + 1)))
-    return PassKEstimate(n=n, m=m, k=k, value=value)
+        return 1.0
+    return float(1.0 - np.prod(1.0 - k / np.arange(n - m + 1, n + 1)))
 
 
 @dataclass
@@ -86,23 +75,22 @@ def vendi_score(embeddings) -> float:
     return float(np.exp(entropy))
 
 
-def correct_only_view(group: SampleGroup, matrix: SimMatrix):
-    """Restrict a group and its similarity matrix to correct samples.
+def correct_only_view(group, matrix: SimMatrix) -> SimMatrix:
+    """The rows and columns of ``matrix`` that belong to correct samples.
 
-    Order is preserved; the view may be empty, in which case downstream
-    diversity diagnostics are reported as absent by callers.
+    Sample order is preserved. The view may be empty (``n == 0``); callers
+    then report the correct-only diagnostics as absent.
     """
     idx = [i for i, s in enumerate(group.samples) if s.correct]
-    sub_group = SampleGroup(prompt_id=group.prompt_id, samples=[group.samples[i] for i in idx])
-    sub_scores = matrix.scores[np.ix_(idx, idx)]
-    return sub_group, SimMatrix(sub_scores)
+    return SimMatrix(matrix.scores[np.ix_(idx, idx)])
 
 
 def load_embeddings(lines):
     """Parse line-delimited embedding records {prompt_id, sample_id, vector}.
 
-    Returns {prompt_id: {sample_id: vector}}. The dimension must be uniform
-    across the whole stream.
+    Returns {prompt_id: {sample_id: vector}}. The keys are typed as in a
+    corpus record: a string and an integer >= 0. The dimension must be
+    uniform across the whole stream.
     """
     table: dict = {}
     dim = None
@@ -119,6 +107,10 @@ def load_embeddings(lines):
             vector = np.asarray(record["vector"], dtype=np.float64)
         except (KeyError, TypeError) as err:
             raise ValueError(f"embeddings line {lineno}: missing field: {err}") from err
+        if not isinstance(prompt_id, str):
+            raise ValueError(f"embeddings line {lineno}: field 'prompt_id' must be a string")
+        if isinstance(sample_id, bool) or not isinstance(sample_id, int) or sample_id < 0:
+            raise ValueError(f"embeddings line {lineno}: field 'sample_id' must be an integer >= 0")
         if vector.ndim != 1:
             raise ValueError(f"embeddings line {lineno}: vector must be flat")
         if not np.isfinite(vector).all():
@@ -133,7 +125,7 @@ def load_embeddings(lines):
     return table
 
 
-def embeddings_for_group(table, group: SampleGroup) -> EmbeddingSet:
+def embeddings_for_group(table, group) -> EmbeddingSet:
     """Embeddings aligned to a group's sample order."""
     by_sample = table.get(group.prompt_id, {})
     rows = []

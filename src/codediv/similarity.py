@@ -32,7 +32,7 @@ import math
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,12 +178,6 @@ def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:
     return min(1.0, max(0.0, 2.0 * match.matched_tokens / (len_a + len_b)))
 
 
-def similarity_score(a, b, min_match=DEFAULT_MIN_MATCH) -> float:
-    la = len(_as_ids(a))
-    lb = len(_as_ids(b))
-    return avg_similarity(gst_match(a, b, min_match), la, lb)
-
-
 @dataclass
 class SimMatrix:
     """Symmetric pairwise similarity scores for one sampled group."""
@@ -256,20 +250,13 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     return SimMatrix(scores)
 
 
-def _scores_of(matrix):
-    if isinstance(matrix, SimMatrix):
-        return matrix.scores
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def jdiv(matrix) -> float:
+def jdiv(matrix: SimMatrix) -> float:
     """Group diversity: one minus the mean pairwise similarity."""
-    scores = _scores_of(matrix)
-    n = scores.shape[0]
+    n = matrix.n
     if n < 2:
         raise ValueError("JDiv undefined for groups smaller than 2")
     iu = np.triu_indices(n, k=1)
-    return float(1.0 - scores[iu].mean())
+    return float(1.0 - matrix.scores[iu].mean())
 
 
 class _UnionFind:
@@ -290,56 +277,38 @@ class _UnionFind:
             self.parent[max(rx, ry)] = min(rx, ry)
 
 
-@dataclass
-class Clustering:
-    """Connected components of the similarity-threshold graph."""
-
-    assignment: tuple  # sample index -> cluster id
-    sizes: dict = field(repr=False)  # cluster id -> member count
-    tau: float = DEFAULT_TAU
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.sizes)
-
-
-def clusters(matrix, tau=DEFAULT_TAU) -> Clustering:
-    """Cluster samples whose similarity exceeds ``tau``.
+def clusters(matrix: SimMatrix, tau=DEFAULT_TAU) -> tuple:
+    """Cluster id of each sample, linking samples whose similarity exceeds ``tau``.
 
     Two samples are linked only when their score is strictly above ``tau``;
-    a score equal to ``tau`` does not link them. Cluster ids are assigned in
-    order of each cluster's smallest member index.
+    a score equal to ``tau`` does not link them. Clusters are the connected
+    components, numbered 0, 1, ... in order of each one's smallest member
+    index, so there are ``max(ids) + 1`` of them.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
-    scores = _scores_of(matrix)
-    n = scores.shape[0]
+    scores = matrix.scores
+    n = matrix.n
     uf = _UnionFind(n)
     for i in range(n):
         for j in range(i + 1, n):
             if scores[i, j] > tau:
                 uf.union(i, j)
-    ids = {}
-    assignment = []
-    for i in range(n):
-        root = uf.find(i)
-        if root not in ids:
-            ids[root] = len(ids)
-        assignment.append(ids[root])
-    sizes = Counter(assignment)
-    return Clustering(assignment=tuple(assignment), sizes=dict(sizes), tau=tau)
+    cluster_id = {}  # root -> id, numbered in order of first member
+    return tuple(cluster_id.setdefault(uf.find(i), len(cluster_id)) for i in range(n))
 
 
-def effective_clusters(clustering: Clustering) -> float:
-    """exp of the Shannon entropy of the cluster-size distribution."""
-    total = sum(clustering.sizes.values())
+def effective_clusters(ids) -> float:
+    """exp of the Shannon entropy of the cluster sizes of cluster ids ``ids``."""
+    total = len(ids)
     if total == 0:
         raise ValueError("effective_clusters needs at least one sample")
     entropy = 0.0
-    for size in clustering.sizes.values():
+    # Counter keeps first-appearance order, which for the ids from clusters
+    # is cluster-id order; the sum's rounding depends on that order.
+    for size in Counter(ids).values():
         p = size / total
-        if p > 0.0:
-            entropy -= p * math.log(p)
+        entropy -= p * math.log(p)
     return math.exp(entropy)
 
 
@@ -367,12 +336,8 @@ def _dice(a, b):
     return 2.0 * common / (la + lb)
 
 
-def one_gram_similarity(a: str, b: str) -> float:
-    """Sorensen-Dice overlap of lexical token multisets."""
-    return _dice(_lex_counts(a), _lex_counts(b))
-
-
 def one_gram_matrix(sources) -> SimMatrix:
+    """Sorensen-Dice overlap of the lexical token multisets of every pair."""
     n = len(sources)
     if n < 1:
         raise ValueError("one_gram_matrix needs at least one source")

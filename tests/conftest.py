@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 import re
 import time
 import tracemalloc
@@ -259,6 +260,58 @@ def pkpo_bruteforce_oracle(outcome, k):
             totals[i] += full - without
             counts[i] += 1
     return totals / counts
+
+
+def expected_credit(objective, p, correct, similarity, n, k=None, lambda_div=1.0):
+    """Closed form of ``a_t = E[A_i | sample i drew template t]`` for a group
+    of n i.i.d. draws from the policy ``p`` over templates with correctness
+    ``correct`` and template similarity ``similarity``.
+
+    With q = p.c, r = 2c - 1, u = Sp and s = pᵀSp:
+
+    * base and entropy: (n-1)/n (r_t - (2q-1))
+    * diversity: (2/n)(s - u_t); combined is base plus lambda_div times it
+    * passk_loo: (n-1)/n 2 [c_t (1-q)^(n-1) - (1-c_t) q (1-q)^(n-2)]
+    * pkpo: c_t sum_j Bin(j; n-1, q) C(n-1-j, k-1)/C(n-1, k-1)
+    """
+    c = np.asarray(correct, dtype=np.float64)
+    q = float(p @ c)
+    base = (n - 1) / n * ((2.0 * c - 1.0) - (2.0 * q - 1.0))
+    u = similarity @ p
+    diversity = 2.0 / n * (float(p @ u) - u)
+    if objective in ("base", "entropy"):
+        return base
+    if objective in ("diversity", "diversity_only"):
+        return diversity
+    if objective == "combined":
+        return base + lambda_div * diversity
+    if objective == "passk_loo":
+        return (n - 1) / n * 2.0 * (c * (1 - q) ** (n - 1) - (1 - c) * q * (1 - q) ** (n - 2))
+    if objective == "pkpo":
+        k = n if k is None else k
+        unique = sum(
+            math.comb(n - 1, j) * q**j * (1 - q) ** (n - 1 - j)
+            * math.comb(n - 1 - j, k - 1) / math.comb(n - 1, k - 1)
+            for j in range(n)
+        )
+        return c * unique
+    raise ValueError(f"no closed form for {objective!r}")
+
+
+def expected_logit_step(objective, p, correct, similarity, n, lr, temperature=1.0,
+                        k=None, lambda_div=1.0, entropy_beta=0.0):
+    """Expected logit change of one policy-gradient update on a group of n.
+
+    lr n (p*a - (p.a) p) / temperature for the credit a above; the entropy
+    objective adds lr entropy_beta times the entropy gradient
+    -p (log p + H) / temperature.
+    """
+    a = expected_credit(objective, p, correct, similarity, n, k, lambda_div)
+    delta = lr * n * (p * a - float(p @ a) * p) / temperature
+    if objective == "entropy":
+        log_p = np.log(p)
+        delta += lr * entropy_beta * -p * (log_p - float(p @ log_p)) / temperature
+    return delta
 
 
 def random_id_stream(rng, max_len=40, alphabet=8):

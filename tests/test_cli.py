@@ -230,6 +230,7 @@ class TestReportCommand:
         report = read_json(out / "report.json")
         p1 = report["prompts"]["p1"]
         assert p1["jdiv"] == 0.0
+        assert p1["clusters"] == 1
         assert p1["eff"] == 1.0
         assert p1["pass_at"]["1"] == 1.0
         assert p1["pass_at"]["2"] == 1.0
@@ -244,6 +245,8 @@ class TestReportCommand:
             assert set(prompt["pass_at"]) == {"1", "2", "3"}
             assert prompt["jdiv"] is not None
             assert prompt["eff"] >= 1.0
+        # a and its renamed copy b link; the while loop c stands alone.
+        assert [report["prompts"][p]["clusters"] for p in ("p1", "p2")] == [2, 2]
         assert report["lengths"]["code_chars"]["max"] <= report["lengths"]["raw_chars"]["max"]
 
     def test_correct_only_columns(self, mixed_corpus, tmp_path):
@@ -367,6 +370,23 @@ class TestReportCommand:
         )
         assert code == 1
         assert "error: input:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("prompt_id", ["p1"], "field 'prompt_id' must be a string"),
+            ("sample_id", {"a": 1}, "field 'sample_id' must be an integer >= 0"),
+        ],
+    )
+    def test_embedding_key_types_checked(self, duplicate_corpus, tmp_path, capsys, key, value, message):
+        record = {"prompt_id": "p1", "sample_id": 0, "vector": [1.0, 0.0], key: value}
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "out"
+        argv = ["report", "--corpus", str(duplicate_corpus), "--k", "1", "--embeddings", str(emb)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: parse: embeddings line 1: {message}\n"
+        assert not out.exists()
 
 
 class TestAdvantagesCommand:
@@ -593,6 +613,26 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "only_a" in err and "only_b" in err
 
+    @pytest.mark.parametrize(
+        "raw, problem",
+        [
+            ("prompts", "'prompts' must be an object of objects"),
+            ({"prompts": 5}, "'prompts' must be an object of objects"),
+            ({"prompts": {"a": {}}}, "'params.k_list' must be a list"),
+            ({"prompts": {}, "params": {"k_list": 5}}, "'params.k_list' must be a list"),
+        ],
+        ids=repr,
+    )
+    def test_file_not_shaped_like_a_report_refused(self, mixed_corpus, tmp_path, capsys, raw, problem):
+        good = self._make_report(tmp_path, "good", mixed_corpus)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        out = tmp_path / "cmp"
+        for a, b in ((bad, good), (good, bad)):
+            assert main(["compare", "--report-a", str(a), "--report-b", str(b), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: parse: {bad}: not a report file ({problem})\n"
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def _config(self, tmp_path, **overrides):
@@ -690,6 +730,42 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert "'eval'" in err and removed in err
+
+
+class TestUnreadableInputs:
+    """Every input file that cannot be read ends as one ``input`` error line."""
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tokens", "BAD"],
+            ["similarity", "--corpus", "BAD", "--out", "OUT"],
+            ["report", "--corpus", "BAD", "--out", "OUT"],
+            ["report", "--corpus", "CORPUS", "--k", "1", "--embeddings", "BAD", "--out", "OUT"],
+            ["advantages", "--corpus", "BAD", "--objective", "base", "--out", "OUT"],
+            ["compare", "--report-a", "BAD", "--report-b", "REPORT", "--out", "OUT"],
+            ["compare", "--report-a", "REPORT", "--report-b", "BAD", "--out", "OUT"],
+            ["simulate", "--config", "BAD", "--out", "OUT"],
+        ],
+        ids=lambda argv: " ".join(dict.fromkeys([argv[0], argv[argv.index("BAD") - 1]])),
+    )
+    def test_input_error_and_no_output(self, duplicate_corpus, tmp_path, capsys, argv, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b'{"prompt_id": "\xff"}\n')
+        report = tmp_path / "report"
+        assert main(["report", "--corpus", str(duplicate_corpus), "--k", "1", "--out", str(report)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        paths = {"BAD": bad, "CORPUS": duplicate_corpus, "REPORT": report / "report.json", "OUT": out}
+        assert main([str(paths.get(a, a)) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: cannot read ") and err.count("\n") == 1, err
+        assert str(bad) in err
+        assert not out.exists()
 
 
 class TestAtomicWrite:

@@ -35,19 +35,20 @@ def pass_at_k_enumeration(n, m, k):
 
 class TestPassAtK:
     def test_none_correct(self):
-        assert pass_at_k(5, 0, 2).value == 0.0
+        assert pass_at_k(5, 0, 2) == 0.0
 
     def test_all_correct(self):
-        assert pass_at_k(5, 5, 1).value == 1.0
+        assert pass_at_k(5, 5, 1) == 1.0
 
     def test_enumerated_example(self):
         # 10 2-subsets of 5 samples, 7 contain one of the 2 correct.
         assert pass_at_k_enumeration(5, 2, 2) == pytest.approx(0.7)
-        assert pass_at_k(5, 2, 2).value == pytest.approx(0.7, abs=1e-12)
+        assert pass_at_k(5, 2, 2) == pytest.approx(0.7, abs=1e-12)
+        assert type(pass_at_k(5, 2, 2)) is float and type(pass_at_k(5, 4, 2)) is float
 
     def test_boundary_value_one(self):
-        assert pass_at_k(5, 4, 2).value == 1.0  # n - m < k
-        assert pass_at_k(3, 3, 3).value == 1.0
+        assert pass_at_k(5, 4, 2) == 1.0  # n - m < k
+        assert pass_at_k(3, 3, 3) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,24 +63,24 @@ class TestPassAtK:
             for m in range(0, n + 1):
                 for k in range(1, n + 1):
                     expected = pass_at_k_enumeration(n, m, k)
-                    assert pass_at_k(n, m, k).value == pytest.approx(expected, abs=1e-12)
+                    assert pass_at_k(n, m, k) == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_k_and_m(self):
         n = 12
         for m in range(n + 1):
-            values = [pass_at_k(n, m, k).value for k in range(1, n + 1)]
+            values = [pass_at_k(n, m, k) for k in range(1, n + 1)]
             assert values == sorted(values)
         for k in (1, 4, 9):
-            values = [pass_at_k(n, m, k).value for m in range(n + 1)]
+            values = [pass_at_k(n, m, k) for m in range(n + 1)]
             assert values == sorted(values)
 
     def test_pass_at_one_is_success_rate(self):
         for n in (1, 7, 200):
             for m in (0, n // 2, n):
-                assert pass_at_k(n, m, 1).value == pytest.approx(m / n, abs=1e-12)
+                assert pass_at_k(n, m, 1) == pytest.approx(m / n, abs=1e-12)
 
     def test_large_n_no_overflow(self):
-        value = pass_at_k(200, 37, 100).value
+        value = pass_at_k(200, 37, 100)
         assert 0.0 <= value <= 1.0
         assert value == pytest.approx(1.0 - math.comb(163, 100) / math.comb(200, 100), rel=1e-12)
 
@@ -105,18 +106,18 @@ class TestDatasetPassAtK:
             report = json.load(fh)
         prompts = report["prompts"]
         for pid, (n, m) in spec.items():
-            assert prompts[pid]["pass_at"][str(k)] == pass_at_k(n, m, k).value
+            assert prompts[pid]["pass_at"][str(k)] == pass_at_k(n, m, k)
         return report["dataset"]["pass_at"][str(k)]
 
     def test_mean_over_prompts(self, tmp_path):
         # Unequal group sizes tell an unweighted mean from a sample-weighted one.
         value = self._dataset_pass_at(tmp_path, {"a": (5, 2), "b": (3, 0)}, 2)
-        expected = (pass_at_k(5, 2, 2).value + pass_at_k(3, 0, 2).value) / 2
+        expected = (pass_at_k(5, 2, 2) + pass_at_k(3, 0, 2)) / 2
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_single_prompt(self, tmp_path):
         value = self._dataset_pass_at(tmp_path, {"a": (4, 1)}, 2)
-        assert value == pytest.approx(pass_at_k(4, 1, 2).value)
+        assert value == pytest.approx(pass_at_k(4, 1, 2))
 
     def test_all_correct_gives_one(self, tmp_path):
         assert self._dataset_pass_at(tmp_path, {"a": (3, 3), "b": (5, 5)}, 2) == 1.0
@@ -187,14 +188,11 @@ class TestCorrectOnlyView:
     def test_all_correct_identity(self):
         group = self._group([True, True, True])
         matrix = SimMatrix(np.eye(3))
-        sub_group, sub_matrix = correct_only_view(group, matrix)
-        assert sub_group.n == 3
-        assert sub_matrix == matrix
+        assert correct_only_view(group, matrix) == matrix
 
     def test_none_correct_empty(self):
         group = self._group([False, False])
-        sub_group, sub_matrix = correct_only_view(group, SimMatrix(np.eye(2)))
-        assert sub_group.n == 0
+        sub_matrix = correct_only_view(group, SimMatrix(np.eye(2)))
         assert sub_matrix.n == 0
         with pytest.raises(ValueError):
             jdiv(sub_matrix)  # reported as absent by callers
@@ -202,13 +200,13 @@ class TestCorrectOnlyView:
     def test_index_selection(self):
         group = self._group([True, False, True])
         scores = np.array([[1.0, 0.2, 0.8], [0.2, 1.0, 0.4], [0.8, 0.4, 1.0]])
-        _, sub_matrix = correct_only_view(group, SimMatrix(scores))
+        sub_matrix = correct_only_view(group, SimMatrix(scores))
         assert sub_matrix.scores.tolist() == [[1.0, 0.8], [0.8, 1.0]]
 
     def test_duplicate_correct_samples_have_zero_jdiv(self):
         group = self._group([True, False, True])
         scores = np.array([[1.0, 0.1, 1.0], [0.1, 1.0, 0.1], [1.0, 0.1, 1.0]])
-        _, sub_matrix = correct_only_view(group, SimMatrix(scores))
+        sub_matrix = correct_only_view(group, SimMatrix(scores))
         assert jdiv(sub_matrix) == 0.0
 
 
@@ -241,6 +239,25 @@ class TestEmbeddingIO:
             load_embeddings([json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [float("nan")]})])
         with pytest.raises(ValueError, match="NaN or Inf"):
             EmbeddingSet(np.array([[np.inf, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("prompt_id", ["p"]),
+            ("prompt_id", 3),
+            ("sample_id", {"a": 1}),
+            ("sample_id", True),
+            ("sample_id", -1),
+            ("sample_id", 0.0),
+            ("sample_id", "0"),
+        ],
+    )
+    def test_key_types_checked(self, key, value):
+        record = {"prompt_id": "p", "sample_id": 0, "vector": [1.0]}
+        record[key] = value
+        lines = [json.dumps({"prompt_id": "p", "sample_id": 1, "vector": [1.0]}), json.dumps(record)]
+        with pytest.raises(ValueError, match=f"^embeddings line 2: field '{key}' must be"):
+            load_embeddings(lines)
 
     def test_missing_sample_named(self):
         group = parse_corpus(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from codediv import similarity
 from codediv.similarity import (
-    Clustering,
     MatchSet,
     SimMatrix,
     avg_similarity,
@@ -18,9 +18,7 @@ from codediv.similarity import (
     lex_tokens,
     one_gram_div,
     one_gram_matrix,
-    one_gram_similarity,
     pairwise_matrix,
-    similarity_score,
 )
 from codediv.tokenizer import tokenize
 
@@ -210,7 +208,7 @@ class TestHostileShapes:
 class TestAvgSimilarity:
     def test_identical_full_score(self):
         ids = as_ids([1, 2, 3, 4, 5, 6])
-        assert similarity_score(ids, ids, min_match=5) == 1.0
+        assert pairwise_matrix([ids, ids], min_match=5).scores[0, 1] == 1.0
 
     def test_empty_match_zero(self):
         assert avg_similarity(MatchSet.from_tiles([]), 10, 10) == 0.0
@@ -218,14 +216,14 @@ class TestAvgSimilarity:
     def test_two_run_example_full_score(self):
         a = as_ids([0] * 5 + [1] * 5)
         b = as_ids([1] * 5 + [0] * 5)
-        assert similarity_score(a, b, min_match=5) == 1.0
+        assert pairwise_matrix([a, b], min_match=5).scores[0, 1] == 1.0
 
     def test_short_common_runs_score_zero(self):
         # Shared material exists, but every common run is below min_match.
         a = as_ids([1, 2, 3, 4, 5, 6])
         b = as_ids([1, 2, 9, 4, 5, 8])
-        assert similarity_score(a, b, min_match=3) == 0.0
-        assert similarity_score(a, b, min_match=2) > 0.0
+        assert pairwise_matrix([a, b], min_match=3).scores[0, 1] == 0.0
+        assert pairwise_matrix([a, b], min_match=2).scores[0, 1] > 0.0
 
     def test_empty_stream_conventions(self):
         empty = MatchSet.from_tiles([])
@@ -236,7 +234,7 @@ class TestAvgSimilarity:
     @given(a=IDS, b=IDS)
     @settings(max_examples=150, deadline=None)
     def test_score_symmetry(self, a, b):
-        assert similarity_score(a, b, 3) == similarity_score(b, a, 3)
+        assert pairwise_matrix([a, b], 3).scores[0, 1] == pairwise_matrix([b, a], 3).scores[0, 1]
 
 
 class TestPairwiseMatrix:
@@ -395,25 +393,20 @@ class TestJDiv:
 
 class TestClusters:
     def test_all_similar_single_cluster(self):
-        clustering = clusters(SimMatrix(np.ones((5, 5))), tau=0.7)
-        assert clustering.assignment == (0,) * 5
-        assert clustering.sizes == {0: 5}
+        assert clusters(SimMatrix(np.ones((5, 5))), tau=0.7) == (0,) * 5
 
     def test_all_dissimilar_singletons(self):
-        clustering = clusters(SimMatrix(np.eye(5)), tau=0.7)
-        assert clustering.assignment == (0, 1, 2, 3, 4)
-        assert all(size == 1 for size in clustering.sizes.values())
+        assert clusters(SimMatrix(np.eye(5)), tau=0.7) == (0, 1, 2, 3, 4)
 
     def test_transitive_chain(self):
         scores = np.array([[1.0, 0.8, 0.1], [0.8, 1.0, 0.8], [0.1, 0.8, 1.0]])
-        clustering = clusters(SimMatrix(scores), tau=0.7)
-        assert clustering.assignment == (0, 0, 0)
+        assert clusters(SimMatrix(scores), tau=0.7) == (0, 0, 0)
 
     def test_strict_threshold(self):
         scores = np.array([[1.0, 0.7], [0.7, 1.0]])
-        assert clusters(SimMatrix(scores), tau=0.7).n_clusters == 2
+        assert clusters(SimMatrix(scores), tau=0.7) == (0, 1)
         above = np.nextafter(0.7, 1.0)
-        assert clusters(SimMatrix(np.array([[1.0, above], [above, 1.0]])), tau=0.7).n_clusters == 1
+        assert clusters(SimMatrix(np.array([[1.0, above], [above, 1.0]])), tau=0.7) == (0, 0)
 
     def test_reorder_invariance(self, rng):
         n = 7
@@ -424,7 +417,7 @@ class TestClusters:
         permuted = scores[np.ix_(perm, perm)]
         original = clusters(SimMatrix(scores), tau=0.5)
         shuffled = clusters(SimMatrix(permuted), tau=0.5)
-        assert sorted(original.sizes.values()) == sorted(shuffled.sizes.values())
+        assert sorted(Counter(original).values()) == sorted(Counter(shuffled).values())
         assert effective_clusters(original) == pytest.approx(
             effective_clusters(shuffled), abs=1e-12
         )
@@ -438,11 +431,10 @@ class TestEffectiveClusters:
         assert effective_clusters(clusters(SimMatrix(np.eye(6)))) == pytest.approx(6.0)
 
     def test_two_one_one_split(self):
-        clustering = Clustering(assignment=(0, 0, 1, 2), sizes={0: 2, 1: 1, 2: 1}, tau=0.7)
         expected = math.exp(
             -(0.5 * math.log(0.5) + 0.25 * math.log(0.25) + 0.25 * math.log(0.25))
         )
-        value = effective_clusters(clustering)
+        value = effective_clusters((0, 0, 1, 2))
         assert value == pytest.approx(expected, abs=1e-12)
         assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
@@ -452,26 +444,26 @@ class TestEffectiveClusters:
             scores = rng.uniform(0, 1, size=(n, n))
             scores = (scores + scores.T) / 2
             np.fill_diagonal(scores, 1.0)
-            clustering = clusters(SimMatrix(scores), tau=0.6)
-            eff = effective_clusters(clustering)
-            assert 1.0 - 1e-12 <= eff <= clustering.n_clusters + 1e-12 <= n + 1e-12
+            ids = clusters(SimMatrix(scores), tau=0.6)
+            eff = effective_clusters(ids)
+            assert 1.0 - 1e-12 <= eff <= max(ids) + 1 + 1e-12 <= n + 1e-12
 
 
 class TestOneGram:
     def test_identical_sources(self):
         src = "def f(x):\n    return x + 1\n"
-        assert one_gram_similarity(src, src) == 1.0
+        assert one_gram_matrix([src, src]).scores[0, 1] == 1.0
 
     def test_disjoint_sources(self):
-        assert one_gram_similarity("alpha beta", "gamma delta") == 0.0
+        assert one_gram_matrix(["alpha beta", "gamma delta"]).scores[0, 1] == 0.0
 
     def test_multiset_overlap(self):
         # Token multisets [a, a, b] and [a, b, b]: intersection size 2.
-        assert one_gram_similarity("a a b", "a b b") == pytest.approx(2.0 / 3.0)
+        assert one_gram_matrix(["a a b", "a b b"]).scores[0, 1] == pytest.approx(2.0 / 3.0)
 
     def test_empty_conventions(self):
-        assert one_gram_similarity("", "") == 1.0
-        assert one_gram_similarity("", "x") == 0.0
+        assert one_gram_matrix(["", ""]).scores[0, 1] == 1.0
+        assert one_gram_matrix(["", "x"]).scores[0, 1] == 0.0
 
     def test_div_from_pair(self):
         assert one_gram_div(["a a b", "a b b"]) == pytest.approx(1.0 / 3.0)

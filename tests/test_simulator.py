@@ -24,6 +24,8 @@ from codediv.simulator import (
     step,
 )
 
+from conftest import expected_logit_step
+
 
 class TestTemplateWorld:
     def test_family_structure(self):
@@ -311,7 +313,7 @@ def _monte_carlo_evaluate(policy, world, group_size, k_list, rng, groups=20_000,
     for k in k_list:
         if k == 1:
             continue
-        table = np.array([pass_at_k(n, m, k).value for m in range(n + 1)])
+        table = np.array([pass_at_k(n, m, k) for m in range(n + 1)])
         values = table[m_per_group]
         out[f"pass@{k}"] = (values.mean(), values.std(ddof=1) / math.sqrt(groups))
     jdraws = rng.choice(world.n_templates, size=(groups, group_size), p=probs)
@@ -334,7 +336,7 @@ class TestClosedFormEvaluation:
                     )
                     assert expected == 1 - (1 - q) ** k, (q, n, k)
                     for m in range(n + 1):
-                        assert pass_at_k(n, m, k).value == pytest.approx(
+                        assert pass_at_k(n, m, k) == pytest.approx(
                             float(_exact_pass_at_k(n, m, k)), abs=1e-12
                         )
 
@@ -384,3 +386,35 @@ class TestClosedFormEvaluation:
                 assert abs(mean - exact["pass_at"][k]) <= 4 * se, (k, mean, se)
             mean, se = sampled["jdiv"]
             assert abs(mean - exact["jdiv"]) <= 4 * se, (mean, se)
+
+
+class TestExpectedCredit:
+    """The mean logit change of sampled updates against its closed form."""
+
+    UPDATES = 3000
+
+    @pytest.mark.parametrize("objective", ["base", "entropy", "diversity", "combined", "passk_loo", "pkpo"])
+    def test_mean_update_agrees_within_four_standard_errors(self, objective):
+        world = default_world()
+        # entropy_beta well above its default, so the entropy term shows above the noise.
+        params = StepParams(group_size=8, k=4, lambda_div=2.0, entropy_beta=1.0)
+        policy = CategoricalPolicy(logits=np.random.default_rng(7).normal(0.0, 1.0, size=world.n_templates))
+        rng = np.random.default_rng(2026)
+        # Each update is one independent sample; draws within a group are not.
+        deltas = np.array(
+            [step(policy, world, objective, params, rng).logits - policy.logits for _ in range(self.UPDATES)]
+        )
+        exact = expected_logit_step(
+            objective,
+            policy.probs(),
+            world.correct,
+            world.similarity,
+            params.group_size,
+            params.lr,
+            k=params.k,
+            lambda_div=params.lambda_div,
+            entropy_beta=params.entropy_beta,
+        )
+        se = deltas.std(axis=0, ddof=1) / np.sqrt(self.UPDATES)
+        z = (deltas.mean(axis=0) - exact) / se
+        assert np.abs(z).max() <= 4.0, np.round(z, 2)
