@@ -18,6 +18,7 @@ files are written atomically.
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -72,14 +73,41 @@ def _atomic_write(path, data):
         raise
 
 
-def _write_manifest(out_dir, command, inputs, params):
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write_outputs(out_dir, command, inputs, params, files):
+    """Write each ``(name, text)`` of ``files`` into ``out_dir``, then
+    ``manifest.json`` (command, params, tool version, input hashes), and
+    return the names written. ``files`` may be a generator: each output is
+    then written as soon as it is computed. A path that cannot be written
+    is an ``output`` error."""
     manifest = {
         "command": command,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "params": params,
         "version": __version__,
     }
-    _atomic_write(os.path.join(out_dir, "manifest.json"), json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+    def failed(path, err):
+        return CliError("output", f"cannot write {path}: {err.strerror or err}")
+
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise failed(out_dir, err) from err
+    written = []
+    # Only the writes are guarded: an error while computing an output is not
+    # an output error.
+    for name, text in itertools.chain(files, [("manifest.json", _json_text(manifest))]):
+        path = os.path.join(out_dir, name)
+        try:
+            _atomic_write(path, text)
+        except OSError as err:
+            raise failed(path, err) from err
+        written.append(name)
+    return written
 
 
 def _slug(prompt_id):
@@ -146,19 +174,14 @@ def cmd_tokens(args):
 
 def cmd_similarity(args):
     corpus = _load_corpus(args.corpus)
-    os.makedirs(args.out, exist_ok=True)
-    written = set()
-    for group in corpus:
-        name = f"{_slug(group.prompt_id)}.simmatrix.txt"
-        matrix = pairwise_matrix(_group_streams(group), min_match=args.min_match)
-        _atomic_write(os.path.join(args.out, name), matrix.to_text())
-        written.add(name)
-    _write_manifest(
-        args.out,
-        "similarity",
-        {"corpus": args.corpus},
-        {"min_match": args.min_match, "gst_backend": GST_BACKEND},
-    )
+
+    def matrices():
+        for group in corpus:
+            matrix = pairwise_matrix(_group_streams(group), min_match=args.min_match)
+            yield f"{_slug(group.prompt_id)}.simmatrix.txt", matrix.to_text()
+
+    params = {"min_match": args.min_match, "gst_backend": GST_BACKEND}
+    written = _write_outputs(args.out, "similarity", {"corpus": args.corpus}, params, matrices())
     # Matrices of an earlier run into the same directory would otherwise sit
     # beside a manifest that does not describe them.
     for name in os.listdir(args.out):
@@ -297,10 +320,8 @@ def cmd_report(args):
         "dataset": _dataset_rollup(prompt_reports, k_list),
         "lengths": dataclasses.asdict(length_stats(corpus)),
     }
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "report.json"), json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _atomic_write(os.path.join(args.out, "report.txt"), _report_text(report))
-    _write_manifest(args.out, "report", inputs, report["params"])
+    files = [("report.json", _json_text(report)), ("report.txt", _report_text(report))]
+    _write_outputs(args.out, "report", inputs, report["params"], files)
     return 0
 
 
@@ -310,7 +331,7 @@ def cmd_report(args):
 def cmd_advantages(args):
     corpus = _load_corpus(args.corpus)
     objective = args.objective
-    needs_matrix = objective in ("diversity", "diversity_only", "combined")
+    needs_matrix = objective in rewards.MATRIX_OBJECTIVES
 
     def compute(group):
         outcome = rewards.GroupOutcome.from_flags(group.correct_flags())
@@ -338,20 +359,9 @@ def cmd_advantages(args):
             sort_keys=True,
         )
 
-    lines = [compute(group) for group in corpus]
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "advantages.jsonl"), "".join(line + "\n" for line in lines))
-    _write_manifest(
-        args.out,
-        "advantages",
-        {"corpus": args.corpus},
-        {
-            "objective": objective,
-            "k": args.k,
-            "lambda_div": args.lambda_div,
-            "min_match": args.min_match,
-        },
-    )
+    text = "".join(compute(group) + "\n" for group in corpus)
+    params = {"objective": objective, "k": args.k, "lambda_div": args.lambda_div, "min_match": args.min_match}
+    _write_outputs(args.out, "advantages", {"corpus": args.corpus}, params, [("advantages.jsonl", text)])
     return 0
 
 
@@ -359,72 +369,52 @@ def cmd_advantages(args):
 
 
 def _load_report(path):
+    """A report's metric values as ``{prompt_id: {label: number}}``, labels
+    ``pass@<k>`` for each k in ``params.k_list`` and ``_REPORT_METRICS``.
+    Absent and null values are left out; any other value that is not a
+    number is a ``parse`` error, as is a file not shaped like a report."""
     report = _read_input(path, "report", _read_json)
     prompts = report.get("prompts") if isinstance(report, dict) else None
     params = report.get("params") if isinstance(report, dict) else None
     if not isinstance(prompts, dict) or not all(isinstance(r, dict) for r in prompts.values()):
-        problem = "'prompts' must be an object of objects"
-    elif not isinstance(params, dict) or not isinstance(params.get("k_list"), list):
-        problem = "'params.k_list' must be a list"
-    else:
-        return report
-    raise CliError("parse", f"{path}: not a report file ({problem})")
-
-
-def _metric_series(report_a, report_b, prompt_ids):
-    """Paired per-prompt series for every metric defined in both reports."""
-    names = []
-    shared_k = [k for k in report_a["params"]["k_list"] if k in report_b["params"]["k_list"]]
-    names += [("pass@%s" % k, ("pass_at", str(k))) for k in shared_k]
-    names += [(name, (name,)) for name in _REPORT_METRICS]
-
-    def lookup(report, pid, path):
-        value = report["prompts"][pid]
-        for key in path:
-            value = value.get(key) if isinstance(value, dict) else None
-            if value is None:
-                return None
-        return value
-
-    series = {}
-    for label, path in names:
-        a_vals, b_vals = [], []
-        for pid in prompt_ids:
-            va = lookup(report_a, pid, path)
-            vb = lookup(report_b, pid, path)
-            if va is None or vb is None:
-                continue
-            a_vals.append(va)
-            b_vals.append(vb)
-        if len(a_vals) >= 2:
-            series[label] = (np.array(a_vals), np.array(b_vals))
-    return series
+        raise CliError("parse", f"{path}: not a report file ('prompts' must be an object of objects)")
+    if not isinstance(params, dict) or not isinstance(params.get("k_list"), list):
+        raise CliError("parse", f"{path}: not a report file ('params.k_list' must be a list)")
+    table = {}
+    for pid, record in prompts.items():
+        pass_at = {} if record.get("pass_at") is None else record["pass_at"]
+        if not isinstance(pass_at, dict):
+            raise CliError("parse", f"{path}: prompt {pid!r}: pass_at must be an object or null, got {pass_at!r}")
+        values = {f"pass@{k}": pass_at.get(str(k)) for k in params["k_list"]}
+        values.update((name, record.get(name)) for name in _REPORT_METRICS)
+        table[pid] = {label: value for label, value in values.items() if value is not None}
+        for label, value in table[pid].items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CliError("parse", f"{path}: prompt {pid!r}: {label} must be a number or null, got {value!r}")
+    return table
 
 
 def cmd_compare(args):
-    report_a = _load_report(args.report_a)
-    report_b = _load_report(args.report_b)
-    ids_a = set(report_a["prompts"])
-    ids_b = set(report_b["prompts"])
-    if ids_a != ids_b:
-        missing_b = sorted(ids_a - ids_b)
-        missing_a = sorted(ids_b - ids_a)
+    values_a = _load_report(args.report_a)
+    values_b = _load_report(args.report_b)
+    if values_a.keys() != values_b.keys():
+        missing_b = sorted(values_a.keys() - values_b.keys())
+        missing_a = sorted(values_b.keys() - values_a.keys())
         raise CliError(
             "input",
             f"prompt sets differ; missing from B: {missing_b}; missing from A: {missing_a}",
         )
-    prompt_ids = sorted(ids_a)
+    prompt_ids = sorted(values_a)
     comparison = {}
-    for label, (a_vals, b_vals) in _metric_series(report_a, report_b, prompt_ids).items():
+    for label in sorted({label for values in values_a.values() for label in values}):
+        shared = [pid for pid in prompt_ids if label in values_a[pid] and label in values_b[pid]]
+        if len(shared) < 2:
+            continue
+        a_vals = np.array([values_a[pid][label] for pid in shared])
+        b_vals = np.array([values_b[pid][label] for pid in shared])
         change = stats.aggregate_changes(a_vals, b_vals)
         p_value = stats.paired_bootstrap(a_vals, b_vals, resamples=args.resamples, seed=args.seed)
-        comparison[label] = {
-            "up_pct": change.up_pct,
-            "down_pct": change.down_pct,
-            "mean_delta": change.mean_delta,
-            "n": change.n,
-            "p_value": p_value,
-        }
+        comparison[label] = {**dataclasses.asdict(change), "p_value": p_value}
     result = {
         "params": {"resamples": args.resamples, "seed": args.seed},
         "prompts": len(prompt_ids),
@@ -441,16 +431,9 @@ def cmd_compare(args):
         ]
         for label, c in sorted(comparison.items())
     ]
-
-    os.makedirs(args.out, exist_ok=True)
-    _atomic_write(os.path.join(args.out, "comparison.json"), json.dumps(result, sort_keys=True, indent=2) + "\n")
-    _atomic_write(os.path.join(args.out, "comparison.txt"), _table(headers, rows))
-    _write_manifest(
-        args.out,
-        "compare",
-        {"report_a": args.report_a, "report_b": args.report_b},
-        result["params"],
-    )
+    inputs = {"report_a": args.report_a, "report_b": args.report_b}
+    files = [("comparison.json", _json_text(result)), ("comparison.txt", _table(headers, rows))]
+    _write_outputs(args.out, "compare", inputs, result["params"], files)
     return 0
 
 
@@ -464,27 +447,24 @@ def cmd_simulate(args):
     except ValueError as err:
         raise CliError("config", str(err)) from err
 
-    os.makedirs(args.out, exist_ok=True)
-    for index, (name, params) in enumerate(config.objectives):
-        for seed in config.seeds:
-            trace = simulator.run(
-                config.world,
-                name,
-                steps=config.steps,
-                seed=seed,
-                params=params,
-                init_correct_bonus=config.init_correct_bonus,
-                temperature=config.temperature,
-                k_list=config.k_list,
-            )
-            path = os.path.join(args.out, f"trace_{index:02d}_{name}_s{seed}.jsonl")
-            _atomic_write(path, "".join(line + "\n" for line in trace.to_jsonl_lines()))
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"config": args.config},
-        {"objectives": [name for name, _ in config.objectives], "seeds": config.seeds, "steps": config.steps},
-    )
+    def traces():
+        for index, (name, step_params) in enumerate(config.objectives):
+            for seed in config.seeds:
+                trace = simulator.run(
+                    config.world,
+                    name,
+                    steps=config.steps,
+                    seed=seed,
+                    params=step_params,
+                    init_correct_bonus=config.init_correct_bonus,
+                    temperature=config.temperature,
+                    k_list=config.k_list,
+                )
+                lines = trace.to_jsonl_lines()
+                yield f"trace_{index:02d}_{name}_s{seed}.jsonl", "".join(line + "\n" for line in lines)
+
+    params = {"objectives": [name for name, _ in config.objectives], "seeds": config.seeds, "steps": config.steps}
+    _write_outputs(args.out, "simulate", {"config": args.config}, params, traces())
     return 0
 
 

@@ -9,7 +9,6 @@ vectors, n for n orthonormal ones.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,34 +30,20 @@ def pass_at_k(n: int, m: int, k: int) -> float:
     return float(1.0 - np.prod(1.0 - k / np.arange(n - m + 1, n + 1)))
 
 
-@dataclass
-class EmbeddingSet:
-    """One embedding vector per sample, fixed dimension, finite values."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=np.float64)
-        if self.vectors.ndim != 2:
-            raise ValueError("embeddings must be a 2-D array (n, d)")
-        if not np.isfinite(self.vectors).all():
-            raise ValueError("embeddings contain NaN or Inf")
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-
-def vendi_score(embeddings) -> float:
+def vendi_score(vectors) -> float:
     """Effective number of distinct samples in embedding space.
 
-    exp of the Shannon entropy of the eigenvalues of K/n, K the cosine
-    similarity kernel of L2-normalized vectors. Tiny or negative
-    eigenvalues (floating-point residue) are clamped to zero.
+    ``vectors`` is an (n, d) array-like of finite values, one row per
+    sample, n >= 1 and no zero row. The score is exp of the Shannon entropy
+    of the eigenvalues of K/n, K the cosine similarity kernel of the
+    L2-normalized rows. Tiny or negative eigenvalues (floating-point
+    residue) are clamped to zero.
     """
-    vectors = embeddings.vectors if isinstance(embeddings, EmbeddingSet) else None
-    if vectors is None:
-        vectors = EmbeddingSet(np.asarray(embeddings, dtype=np.float64)).vectors
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ValueError("embeddings must be a 2-D array (n, d)")
+    if not np.isfinite(vectors).all():
+        raise ValueError("embeddings contain NaN or Inf")
     n = vectors.shape[0]
     if n < 1:
         raise ValueError("vendi score needs at least one embedding")
@@ -88,9 +73,10 @@ def correct_only_view(group, matrix: SimMatrix) -> SimMatrix:
 def load_embeddings(lines):
     """Parse line-delimited embedding records {prompt_id, sample_id, vector}.
 
-    Returns {prompt_id: {sample_id: vector}}. The keys are typed as in a
-    corpus record: a string and an integer >= 0. The dimension must be
-    uniform across the whole stream.
+    Returns {prompt_id: {sample_id: vector}}, each vector a flat finite
+    ``float64`` array. The keys are typed as in a corpus record: a string
+    and an integer >= 0. The dimension must be uniform across the whole
+    stream. Every bad record is a ValueError naming its line.
     """
     table: dict = {}
     dim = None
@@ -104,13 +90,17 @@ def load_embeddings(lines):
         try:
             prompt_id = record["prompt_id"]
             sample_id = record["sample_id"]
-            vector = np.asarray(record["vector"], dtype=np.float64)
+            vector = record["vector"]
         except (KeyError, TypeError) as err:
             raise ValueError(f"embeddings line {lineno}: missing field: {err}") from err
         if not isinstance(prompt_id, str):
             raise ValueError(f"embeddings line {lineno}: field 'prompt_id' must be a string")
         if isinstance(sample_id, bool) or not isinstance(sample_id, int) or sample_id < 0:
             raise ValueError(f"embeddings line {lineno}: field 'sample_id' must be an integer >= 0")
+        try:
+            vector = np.asarray(vector, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"embeddings line {lineno}: vector must be a list of numbers: {err}") from err
         if vector.ndim != 1:
             raise ValueError(f"embeddings line {lineno}: vector must be flat")
         if not np.isfinite(vector).all():
@@ -125,8 +115,9 @@ def load_embeddings(lines):
     return table
 
 
-def embeddings_for_group(table, group) -> EmbeddingSet:
-    """Embeddings aligned to a group's sample order."""
+def embeddings_for_group(table, group) -> np.ndarray:
+    """The group's embeddings stacked in sample order: an (n, d) ``float64``
+    array, (0, 1) for an empty group."""
     by_sample = table.get(group.prompt_id, {})
     rows = []
     for s in group.samples:
@@ -135,4 +126,4 @@ def embeddings_for_group(table, group) -> EmbeddingSet:
                 f"no embedding for prompt {group.prompt_id!r} sample {s.sample_id}"
             )
         rows.append(by_sample[s.sample_id])
-    return EmbeddingSet(np.stack(rows) if rows else np.zeros((0, 1)))
+    return np.stack(rows) if rows else np.zeros((0, 1))

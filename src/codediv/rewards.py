@@ -29,6 +29,8 @@ from .similarity import SimMatrix
 # Every objective name the CLI and the simulator accept; "diversity_only" is
 # an alias of "diversity".
 OBJECTIVES = ("base", "passk_loo", "pkpo", "diversity", "diversity_only", "combined", "entropy")
+# The objectives whose credit reads the group's similarity matrix.
+MATRIX_OBJECTIVES = ("diversity", "diversity_only", "combined")
 
 
 @dataclass(frozen=True)

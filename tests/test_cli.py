@@ -634,6 +634,58 @@ class TestCompareCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "record, problem",
+        [
+            ({"jdiv": "x"}, "jdiv must be a number or null, got 'x'"),
+            ({"jdiv": True}, "jdiv must be a number or null, got True"),
+            ({"jdiv": {}}, "jdiv must be a number or null, got {}"),
+            ({"pass_at": {"1": [0.5]}}, "pass@1 must be a number or null, got [0.5]"),
+            ({"pass_at": 5}, "pass_at must be an object or null, got 5"),
+        ],
+        ids=repr,
+    )
+    def test_metric_value_not_a_number_refused(self, tmp_path, capsys, record, problem):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"prompts": {"a": {"jdiv": 0.5}, "b": {"jdiv": 0.25}}, "params": {"k_list": [1]}}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"prompts": {"a": {"jdiv": 0.5}, "b": record}, "params": {"k_list": [1]}}))
+        out = tmp_path / "cmp"
+        for a, b in ((bad, good), (good, bad)):
+            assert main(["compare", "--report-a", str(a), "--report-b", str(b), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: parse: {bad}: prompt 'b': {problem}\n"
+        assert not out.exists()
+
+    def test_metric_paired_over_prompts_defining_it_in_both(self, tmp_path):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps({
+            "prompts": {
+                "p": {"jdiv": 0.5, "pass_at": {"1": 0.5, "2": 0.75}},
+                "q": {"jdiv": 0.25, "pass_at": {"1": 0, "2": 0.5}},
+                "r": {"jdiv": 0.75, "pass_at": {"1": 1, "2": 1}},
+            },
+            "params": {"k_list": [1, 2]},
+        }))
+        b = tmp_path / "b.json"
+        b.write_text(json.dumps({
+            "prompts": {
+                "p": {"jdiv": 0.75, "pass_at": {"1": 0.5}},
+                "q": {"jdiv": None, "pass_at": {"1": 0.5}},
+                "r": {"jdiv": 1.0, "pass_at": None},
+            },
+            "params": {"k_list": [1]},
+        }))
+        out = tmp_path / "cmp"
+        argv = ["compare", "--report-a", str(a), "--report-b", str(b), "--resamples", "1000"]
+        assert main(argv + ["--out", str(out)]) == 0
+        metrics = read_json(out / "comparison.json")["metrics"]
+        # pass@2 is in A's k_list only; jdiv pairs p and r, pass@1 pairs p and q.
+        assert sorted(metrics) == ["jdiv", "pass@1"]
+        for label in metrics:
+            assert metrics[label]["n"] == 2
+            assert metrics[label]["mean_delta"] == pytest.approx(0.25)
+
+
 class TestSimulateCommand:
     def _config(self, tmp_path, **overrides):
         raw = {
@@ -766,6 +818,43 @@ class TestUnreadableInputs:
         assert err.startswith("error: input: cannot read ") and err.count("\n") == 1, err
         assert str(bad) in err
         assert not out.exists()
+
+
+class TestUnwritableOutputs:
+    """An ``--out`` that cannot be created or written ends as one ``output``
+    error line. Blocked by a regular file or a directory, not by permission
+    bits, which root ignores."""
+
+    @pytest.mark.parametrize(
+        "blocked, reason",
+        [("file", "File exists"), ("file/sub", "Not a directory"), ("manifest.json", "Is a directory")],
+        ids=["file", "file/sub", "manifest_is_a_directory"],
+    )
+    @pytest.mark.parametrize("command", ["similarity", "report", "advantages", "compare", "simulate"])
+    def test_output_error(self, duplicate_corpus, tmp_path, capsys, command, blocked, reason):
+        report = tmp_path / "report"
+        assert main(["report", "--corpus", str(duplicate_corpus), "--k", "1", "--out", str(report)]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"objectives": ["base"], "seeds": [0], "steps": 1}))
+        capsys.readouterr()
+        inputs = {
+            "similarity": ["--corpus", str(duplicate_corpus)],
+            "report": ["--corpus", str(duplicate_corpus), "--k", "1"],
+            "advantages": ["--corpus", str(duplicate_corpus), "--objective", "base"],
+            "compare": ["--report-a", str(report / "report.json"), "--report-b", str(report / "report.json")],
+            "simulate": ["--config", str(config)],
+        }[command]
+        if blocked == "manifest.json":
+            out = tmp_path / "out"
+            unwritable = out / "manifest.json"
+            unwritable.mkdir(parents=True)
+        else:
+            (tmp_path / "file").write_text("x")
+            out = unwritable = tmp_path / blocked
+        assert main([command, *inputs, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: output: cannot write {unwritable}: {reason}\n"
+        if out.is_dir():
+            assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 class TestAtomicWrite:

@@ -8,7 +8,6 @@ import pytest
 from codediv.cli import main
 from codediv.ingest import parse_corpus
 from codediv.metrics import (
-    EmbeddingSet,
     correct_only_view,
     embeddings_for_group,
     load_embeddings,
@@ -166,6 +165,12 @@ class TestVendiScore:
         with pytest.raises(ValueError, match="sample 1"):
             vendi_score(vectors)
 
+    def test_shape_checked(self):
+        with pytest.raises(ValueError, match="2-D"):
+            vendi_score([1.0, 2.0])
+        with pytest.raises(ValueError, match="at least one"):
+            vendi_score(np.zeros((0, 3)))
+
     def test_range(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -224,7 +229,7 @@ class TestEmbeddingIO:
             ]
         )["p"]
         emb = embeddings_for_group(table, group)
-        assert emb.vectors.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert emb.dtype == np.float64 and emb.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_dimension_mismatch(self):
         lines = [
@@ -238,7 +243,16 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError, match="NaN"):
             load_embeddings([json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [float("nan")]})])
         with pytest.raises(ValueError, match="NaN or Inf"):
-            EmbeddingSet(np.array([[np.inf, 1.0]]))
+            vendi_score(np.array([[np.inf, 1.0]]))
+
+    @pytest.mark.parametrize("vector", [["a"], [[1], [2, 3]], {"x": 1.0}], ids=repr)
+    def test_vector_checked_with_its_line(self, vector):
+        lines = [
+            json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [1.0]}),
+            json.dumps({"prompt_id": "p", "sample_id": 1, "vector": vector}),
+        ]
+        with pytest.raises(ValueError, match="^embeddings line 2: vector must be a list of numbers"):
+            load_embeddings(lines)
 
     @pytest.mark.parametrize(
         "key, value",

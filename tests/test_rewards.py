@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from codediv.rewards import (
+    MATRIX_OBJECTIVES,
     OBJECTIVES,
     AdvantageVector,
     GroupOutcome,
@@ -243,6 +244,13 @@ class TestDispatcher:
             vec = advantages(name, outcome=out, matrix=matrix, k=2, lambda_div=1.5)
             assert isinstance(vec, AdvantageVector)
             assert len(vec.a) == 3
+
+    def test_only_matrix_objectives_need_a_matrix(self):
+        # The CLI builds a similarity matrix only for MATRIX_OBJECTIVES.
+        assert set(MATRIX_OBJECTIVES) <= set(OBJECTIVES)
+        out = outcome(True, False, False)
+        for name in sorted(set(OBJECTIVES) - set(MATRIX_OBJECTIVES)):
+            assert len(advantages(name, outcome=out, matrix=None, k=2).a) == 3
 
     def test_diversity_only_alias(self, rng):
         scores = rng.uniform(0, 1, size=(4, 4))

@@ -418,3 +418,44 @@ class TestExpectedCredit:
         se = deltas.std(axis=0, ddof=1) / np.sqrt(self.UPDATES)
         z = (deltas.mean(axis=0) - exact) / se
         assert np.abs(z).max() <= 4.0, np.round(z, 2)
+
+
+class TestMeanFieldFloor:
+    """Without sampling noise, base and combined both settle at the diversity
+    of the uniform policy over the correct templates. Sampled base training
+    falls below that floor; the diversity credit of combined holds it there."""
+
+    SEEDS = range(8)
+
+    def _floor(self, world):
+        uniform_correct = world.correct / world.correct.sum()
+        return float(1.0 - uniform_correct @ world.similarity @ uniform_correct)
+
+    @pytest.mark.parametrize("objective", ["base", "combined"])
+    def test_expected_updates_settle_at_the_floor(self, objective):
+        world = default_world()
+        params = StepParams()
+        policy = initial_policy(world)
+        for _ in range(400):
+            delta = expected_logit_step(
+                objective,
+                policy.probs(),
+                world.correct,
+                world.similarity,
+                params.group_size,
+                params.lr,
+                lambda_div=params.lambda_div,
+            )
+            policy = CategoricalPolicy(logits=policy.logits + delta)
+        floor = self._floor(world)
+        assert floor == pytest.approx(0.6167, abs=1e-4)
+        assert _evaluate(policy, world, (1,))["jdiv"] == pytest.approx(floor, abs=0.005)
+
+    def test_sampled_base_collapses_below_the_floor_and_combined_does_not(self):
+        world = default_world()
+        floor = self._floor(world)
+        base = [run(world, "base", seed=seed).final().jdiv for seed in self.SEEDS]
+        combined = [run(world, "combined", seed=seed).final().jdiv for seed in self.SEEDS]
+        assert max(base) < floor, base
+        assert np.mean(base) <= floor - 0.2, base
+        assert abs(np.mean(combined) - floor) <= 0.02, combined
