@@ -97,6 +97,10 @@ def load_embeddings(lines):
             raise ValueError(f"embeddings line {lineno}: field 'prompt_id' must be a string")
         if isinstance(sample_id, bool) or not isinstance(sample_id, int) or sample_id < 0:
             raise ValueError(f"embeddings line {lineno}: field 'sample_id' must be an integer >= 0")
+        if isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
+            raise ValueError(
+                f"embeddings line {lineno}: vector must be a list of numbers, not booleans"
+            )
         try:
             vector = np.asarray(vector, dtype=np.float64)
         except (TypeError, ValueError) as err:

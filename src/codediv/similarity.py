@@ -11,15 +11,22 @@ rename-sensitive control metric.
 
 Each tiling round marks the longest common unmarked run of at least
 ``min_match`` tokens; ties go to the smallest start in the first stream,
-then the smallest start in the second. The run is found by binary search on
-its length. Windows are compared by exact rank keys: prefix doubling ranks
-every 2^q-gram of the two streams once per pair, and a window of length L,
-2^q <= L < 2^(q+1), is keyed by the ranks of its first and last 2^q-grams.
-Equal keys mean equal windows, so there is nothing to verify and any
-integer ids work. Marking only removes runs, so tile lengths never grow
-from one round to the next and each search is capped at the previous
-tile's length. The tests check the tiles against a brute-force
-extension-scan oracle, tile for tile.
+then the smallest start in the second. Windows are compared by exact rank
+keys: prefix doubling ranks every 2^q-gram of the two streams once per
+pair, and a window of length L, 2^q <= L < 2^(q+1), is keyed by the ranks
+of its first and last 2^q-grams. Equal keys mean equal windows, so there is
+nothing to verify and any integer ids work.
+
+A pair is tiled maximal matches first, as in RKR-GST (Wise 1993), on which
+JPlag is built. Its equal k-grams (k = ``min_match``) join along their
+diagonals into the maximal common runs, which a heap hands out longest
+first, in tie-break order; a run that overlaps an earlier tile goes back
+as its unmarked pieces. Long repetitive pairs have millions of k-gram hits
+but few runs. A pair with more than ``PROBE_HITS_PER_TOKEN`` hits per token
+is therefore tiled by binary search on each round's tile length instead,
+from the same rank tables, with each search capped at the previous tile's
+length. The tests check both against a brute-force extension-scan oracle,
+tile for tile.
 
 A group's matrix tiles each distinct ordered pair of streams once. Renamed
 copies, the redundancy this package measures, share one structural stream,
@@ -28,6 +35,7 @@ order (lower sample index first), not as a set, because the tie break makes
 tiling asymmetric; the matrix is then the same as tiling every pair.
 """
 
+import heapq
 import math
 import re
 from bisect import bisect_left
@@ -38,13 +46,19 @@ import numpy as np
 
 from .tokenizer import TokenStream
 
-#: There is one matcher, written in Python. The name must stay:
+#: Tiling is Python and NumPy, with no compiled backend. The name must stay:
 #: report.json and the manifests record it as ``gst_backend``, and
 #: ``perfbench/run.py`` reads ``codediv.GST_BACKEND`` directly.
 GST_BACKEND = "python"
 
 DEFAULT_MIN_MATCH = 5
 DEFAULT_TAU = 0.7
+
+#: A pair with more exact k-gram hits than this many per token is tiled by
+#: length probes instead: repetitive streams give hits by the million but
+#: few runs. On random pairs of 100-600 tokens the two paths cost about the
+#: same at 4-16 hits per token.
+PROBE_HITS_PER_TOKEN = 8
 
 
 @dataclass(frozen=True)
@@ -71,22 +85,39 @@ def _as_ids(stream):
     return np.ascontiguousarray(ids, dtype=np.int64)
 
 
-def _rank_tables(ids, levels):
-    """``r[q][p]``: the rank of the 2^q-gram at ``p`` among those of ``ids``.
+def _ranks(values):
+    """The rank of each value among the distinct ``values``, from 0."""
+    return np.unique(values, return_inverse=True)[1].ravel()  # shape differs in numpy 2.0.x
 
-    Prefix doubling: level q+1 ranks the pairs (r_q[p], r_q[p+2^q]+1), with
-    0 past the end, so equal ranks mean equal grams.
+
+def _rank_tables(tables, levels):
+    """Extend prefix-doubling rank tables in place up to level ``levels``.
+
+    ``r[q][p]`` is the rank of the 2^q-gram at ``p`` among those of one
+    array; ``tables`` holds levels 0 to some q. Level q+1 ranks the pairs
+    (r_q[p], r_q[p+2^q]+1), with 0 past the end, so equal ranks mean equal
+    grams.
     """
-    n = len(ids)
-    r = np.unique(ids, return_inverse=True)[1].ravel()  # shape differs in numpy 2.0.x
-    tables = [r]
-    for q in range(levels):
+    r = tables[-1]
+    n = len(r)
+    for q in range(len(tables) - 1, levels):
         span = 1 << q
         nxt = np.zeros(n, dtype=np.int64)
         nxt[: n - span] = r[span:] + 1
-        r = np.unique(r * (n + 1) + nxt, return_inverse=True)[1].ravel()
+        r = _ranks(r * (n + 1) + nxt)
         tables.append(r)
     return tables
+
+
+def _window_keys(ranks, starts, length):
+    """Exact keys of the windows of ``length`` tokens at ``starts``.
+
+    A window is keyed by the ranks of its first and last 2^q-grams,
+    2^q <= length < 2^(q+1), so equal keys mean equal windows.
+    """
+    q = length.bit_length() - 1
+    r = ranks[q]
+    return r[starts] * (len(r) + 1) + r[starts + (length - (1 << q))]
 
 
 def _free_run_lengths(marked):
@@ -96,24 +127,23 @@ def _free_run_lengths(marked):
     return np.minimum.accumulate(stop[::-1])[::-1] - pos
 
 
-def _tiles(a, b, min_match):
-    """All tiles of the greedy string tiling of int64 arrays ``a`` and ``b``."""
+def _probe_tiles(a, b, min_match, ranks):
+    """Tiles found by binary-searching each round's tile length.
+
+    ``ranks`` holds the low levels of ``_rank_tables`` over ``a`` then
+    ``b``; the levels the probes need are added to it.
+    """
     la, lb = len(a), len(b)
-    tiles = []
-    if min(la, lb) < min_match:
-        return tiles
     n = la + lb
-    ranks = _rank_tables(np.concatenate((a, b)), min(la, lb).bit_length() - 1)
+    _rank_tables(ranks, min(la, lb).bit_length() - 1)
     marked = np.zeros(n, dtype=bool)  # a's positions, then b's
+    tiles = []
 
     def first_hit(run, length):
-        # A window (p, length) is keyed exactly by its first and last
-        # 2^q-grams, 2^q <= length < 2^(q+1); ``run`` holds each position's
-        # free-run length, so windows over marked tokens are left out.
-        q = length.bit_length() - 1
-        r = ranks[q]
+        # ``run`` holds each position's free-run length, so windows over
+        # marked tokens are left out.
         ps = np.flatnonzero(run >= length)
-        keys = (r[ps] * (n + 1) + r[ps + (length - (1 << q))]).tolist()
+        keys = _window_keys(ranks, ps, length).tolist()
         ps = ps.tolist()
         split = bisect_left(ps, la)
         first = dict(zip(reversed(keys[split:]), reversed(ps[split:])))
@@ -150,6 +180,70 @@ def _tiles(a, b, min_match):
     return tiles
 
 
+def _next(buf, value, start, stop):
+    """The first position in [start, stop) of ``buf`` holding ``value``, else stop."""
+    pos = buf.find(value, start, stop)
+    return stop if pos < 0 else pos
+
+
+def _tiles(a, b, min_match):
+    """All tiles of the greedy string tiling of int64 arrays ``a`` and ``b``."""
+    la, lb, k = len(a), len(b), min_match
+    if min(la, lb) < k:
+        return []
+    n = la + lb
+    ranks = _rank_tables([_ranks(np.concatenate((a, b)))], k.bit_length() - 1)
+    keys_a = _window_keys(ranks, np.arange(la - k + 1), k)
+    keys_b = _window_keys(ranks, np.arange(la, n - k + 1), k)
+    order = np.argsort(keys_b)  # b's k-gram starts, by key
+    sorted_b = keys_b[order]
+    lo = np.searchsorted(sorted_b, keys_a, "left")
+    counts = np.searchsorted(sorted_b, keys_a, "right") - lo
+    hits = int(counts.sum())
+    if hits > PROBE_HITS_PER_TOKEN * n:
+        return _probe_tiles(a, b, k, ranks)
+    if hits == 0:
+        return []
+    # Every pair of equal k-grams, by its starts in a and in b, sorted by
+    # diagonal (start in a minus start in b), then by start in a.
+    in_a = np.repeat(np.arange(la - k + 1), counts)
+    in_b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(hits)]
+    by_diagonal = np.lexsort((in_a, in_a - in_b))
+    in_a, in_b = in_a[by_diagonal], in_b[by_diagonal]
+    # Consecutive hits on a diagonal join into its maximal common runs.
+    starts = np.flatnonzero(np.r_[True, (np.diff(in_a) != 1) | (np.diff(in_b) != 1)])
+    lengths = np.diff(np.r_[starts, hits]) + k - 1
+    heap = list(zip((-lengths).tolist(), in_a[starts].tolist(), in_b[starts].tolist()))
+    heapq.heapify(heap)
+
+    # Maximal matches first. Each maximal unmarked common run of at least k
+    # tokens lies inside one heap entry, and entries pop longest first, so a
+    # popped entry with no marked token is a longest unmarked run; equal
+    # lengths pop by (i, j), the tie break. An entry that overlaps a tile
+    # goes back as its unmarked pieces of at least k tokens.
+    marked_a, marked_b = bytearray(la), bytearray(lb)
+    tiles = []
+    while heap:
+        neg, i, j = heapq.heappop(heap)
+        end_a, end_b = i - neg, j - neg
+        if marked_a.find(1, i, end_a) < 0 and marked_b.find(1, j, end_b) < 0:
+            tiles.append((i, j, -neg))
+            marked_a[i:end_a] = marked_b[j:end_b] = b"\1" * -neg
+            continue
+        while end_a - i >= k:
+            if marked_a[i]:
+                skip = _next(marked_a, 0, i, end_a) - i
+            elif marked_b[j]:
+                skip = _next(marked_b, 0, j, end_b) - j
+            else:
+                skip = min(_next(marked_a, 1, i, end_a) - i, _next(marked_b, 1, j, end_b) - j)
+                if skip >= k:
+                    heapq.heappush(heap, (-skip, i, j))
+            i += skip
+            j += skip
+    return tiles
+
+
 def _check_min_match(min_match):
     if not isinstance(min_match, (int, np.integer)) or min_match < 1:
         raise ValueError(f"min_match must be an integer >= 1, got {min_match!r}")
@@ -163,7 +257,7 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     in ``b``. Deterministic for fixed inputs.
     """
     _check_min_match(min_match)
-    return MatchSet.from_tiles(_tiles(_as_ids(a), _as_ids(b), min_match))
+    return MatchSet.from_tiles(_tiles(_as_ids(a), _as_ids(b), int(min_match)))
 
 
 def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:

@@ -245,7 +245,9 @@ class TestEmbeddingIO:
         with pytest.raises(ValueError, match="NaN or Inf"):
             vendi_score(np.array([[np.inf, 1.0]]))
 
-    @pytest.mark.parametrize("vector", [["a"], [[1], [2, 3]], {"x": 1.0}], ids=repr)
+    @pytest.mark.parametrize(
+        "vector", [["a"], [[1], [2, 3]], {"x": 1.0}, [True, False]], ids=repr
+    )
     def test_vector_checked_with_its_line(self, vector):
         lines = [
             json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [1.0]}),

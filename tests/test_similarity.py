@@ -68,6 +68,10 @@ class TestGstMatch:
         with pytest.raises(ValueError):
             gst_match(as_ids([1, 2]), as_ids([1, 2]), min_match=0)
 
+    def test_numpy_integer_min_match(self):
+        a = as_ids([1, 2, 3, 4, 5, 6, 1, 2, 3])
+        assert gst_match(a, a[2:], min_match=np.int64(2)).tiles == ((2, 0, 7),)
+
     @pytest.mark.parametrize(
         "ids",
         [
@@ -144,17 +148,101 @@ def period3_stream(lines):
     return tokenize("".join(f"v{i % 7} = w{i % 5}\n" for i in range(lines)))
 
 
-# The bounds' measurements were taken on the earlier window-hash matcher;
-# the rank-key matcher stays under them (period-3 1000x1000: 0.004 s and
-# 1.0 MB; 10,500 tokens: 0.07 s and 4.9 MB).
+def shared_pair(rng, max_len, alphabet):
+    """A random stream and one built from slices of it and random filler."""
+    a = random_id_stream(rng, max_len=max_len, alphabet=alphabet)
+    pieces = []
+    for _ in range(int(rng.integers(1, 4))):
+        start = int(rng.integers(0, len(a) + 1))
+        pieces += [a[start : int(rng.integers(start, len(a) + 1))]]
+        pieces += [random_id_stream(rng, max_len=6, alphabet=alphabet)]
+    return a, np.concatenate(pieces).astype(np.intc)
+
+
+def kgram_hits(a, b, k):
+    """Pairs of equal k-grams of ``a`` and ``b``, counted directly."""
+    grams_b = Counter(tuple(b[j : j + k]) for j in range(len(b) - k + 1))
+    return sum(grams_b[tuple(a[i : i + k])] for i in range(len(a) - k + 1))
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """The pairs that ``_tiles`` leaves to its length-probe tiler."""
+    calls = []
+    probe = similarity._probe_tiles
+
+    def counting(a, b, min_match, ranks):
+        calls.append((len(a), len(b)))
+        return probe(a, b, min_match, ranks)
+
+    monkeypatch.setattr(similarity, "_probe_tiles", counting)
+    return calls
+
+
+class TestTilingPaths:
+    # A pair is tiled maximal matches first from its exact k-gram hits, or
+    # by length probes when the hits outnumber PROBE_HITS_PER_TOKEN per
+    # token. Both paths must give the brute-force tiles.
+
+    @pytest.mark.parametrize("bound", [0, math.inf], ids=["probes", "kgram_hits"])
+    def test_each_path_equals_bruteforce(self, rng, monkeypatch, probe_calls, bound):
+        monkeypatch.setattr(similarity, "PROBE_HITS_PER_TOKEN", bound)
+        for _ in range(300):
+            a, b = shared_pair(rng, max_len=40, alphabet=int(rng.integers(1, 6)))
+            # 8 and 11 key k-grams by rank level 3, past level 2 of the default.
+            min_match = int(rng.choice([1, 2, 3, 5, 8, 11]))
+            assert list(gst_match(a, b, min_match).tiles) == brute_force_tiles(a, b, min_match)
+        assert bool(probe_calls) == (bound == 0)
+
+    def test_hit_bound_selects_path(self, rng, probe_calls):
+        # Period-3 and small-alphabet pairs lie above the bound, pairs over
+        # a wider alphabet below it.
+        cases = [(period3_stream(la).ids, period3_stream(lb).ids) for la, lb in ((30, 30), (25, 14))]
+        cases += [(as_ids([0] * 60), as_ids([0] * 50)), (as_ids([0, 1] * 20), as_ids([1, 0] * 15))]
+        for _ in range(300):
+            cases.append(shared_pair(rng, max_len=40, alphabet=int(rng.integers(1, 9))))
+        sides = Counter()
+        for a, b in cases:
+            for min_match in (1, 3, 8):
+                probe_calls.clear()
+                tiles = list(gst_match(a, b, min_match).tiles)
+                assert tiles == brute_force_tiles(a, b, min_match)
+                hits = kgram_hits(a, b, min_match)
+                probed = hits > similarity.PROBE_HITS_PER_TOKEN * (len(a) + len(b))
+                assert len(probe_calls) == probed
+                sides[min_match, probed] += 1
+        assert all(sides[min_match, probed] >= 5 for min_match in (1, 3, 8) for probed in (0, 1))
+
+    def test_corpus_pairs_never_probe_and_period3_pairs_always_do(self, rng, probe_calls):
+        # Program-sized streams over a token-kind-sized alphabet, half of
+        # them mutated copies of one another, as sampled generations are.
+        for _ in range(300):
+            a = rng.integers(0, 44, size=int(rng.integers(100, 300)))
+            b = a.copy() if rng.random() < 0.5 else rng.integers(0, 44, size=len(a))
+            mutations = rng.random(len(b)) < rng.uniform(0.0, 0.3)
+            b[mutations] = rng.integers(0, 44, size=int(mutations.sum()))
+            gst_match(a, b)
+        assert probe_calls == []
+        # From 25 lines a side, a period-3 pair is above the bound.
+        sizes = [(25, 25), (40, 25), (200, 200), (1000, 800)]
+        for la, lb in sizes:
+            gst_match(period3_stream(la), period3_stream(lb))
+        assert probe_calls == [(3 * la + 2, 3 * lb + 2) for la, lb in sizes]
+
+
+# The times were measured on the maximal-matches-first matcher: the slowest
+# of six processes' best of three runs (of one run for the 10,500-token
+# pair). Period-3 pairs go to the length probes; their memory bounds stay
+# from the earlier window-hash matcher, which used less (the probes peak at
+# 1.0-1.1 MB).
 
 
 class TestHostileShapes:
     @pytest.mark.parametrize(
         "lines_a, lines_b, measured_s, measured_mb, expected",
         [
-            (1000, 1000, 0.011, 0.59, ((0, 0, 3002),)),
-            (1000, 800, 0.010, 0.53, ((0, 0, 2401),)),
+            (1000, 1000, 0.0049, 0.59, ((0, 0, 3002),)),
+            (1000, 800, 0.0042, 0.53, ((0, 0, 2401),)),
         ],
         ids=["1000x1000", "1000x800"],
     )
@@ -171,17 +259,17 @@ class TestHostileShapes:
         a = rng.integers(0, 40, size=n).astype(np.intc)
         b = rng.integers(0, 40, size=n).astype(np.intc)
         b[2000:2400] = a[1000:1400]  # one long shared block
-        match = bounded_call(lambda: gst_match(a, b), measured_s=0.40, measured_mb=3.72, runs=1)
+        match = bounded_call(lambda: gst_match(a, b), measured_s=0.0067, measured_mb=1.87, runs=1)
         assert match.tiles == ((1000, 2000, 400), (10443, 7447, 5))
 
     @pytest.mark.parametrize(
         "shape, measured_s, measured_mb, expected",
         [
-            ("near_dup", 0.034, 4.49, ((5000, 5400, 7000), (0, 0, 5000))),
+            ("near_dup", 0.0072, 1.88, ((5000, 5400, 7000), (0, 0, 5000))),
             (
                 "reordered",
-                0.062,
-                5.19,
+                0.0073,
+                1.85,
                 (
                     (6500, 0, 3000),
                     (1500, 9500, 2500),
@@ -191,10 +279,11 @@ class TestHostileShapes:
                 ),
             ),
         ],
+        ids=["near_dup", "reordered"],
     )
     def test_long_edited_pairs(self, rng, shape, measured_s, measured_mb, expected):
         # 12,000 tokens against an edited copy. The expected tiles were pinned
-        # from the window-hash matcher this one replaced; the 200-kind
+        # from the earlier window-hash matcher; the 200-kind
         # alphabet leaves no chance tile of min_match tokens.
         a = rng.integers(0, 200, size=12_000)
         if shape == "near_dup":  # one 400-token block inserted
