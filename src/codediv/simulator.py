@@ -11,28 +11,25 @@ concentrates the policy on one template family and drains group diversity,
 a combined correctness+diversity objective keeps several correct families
 alive, and diversity alone walks away from correctness.
 
-Traces record, per step, exact expectations under the policy ``p``: with
-``q`` its mass on correct templates, pass@k is ``1-(1-q)^k`` (the expected
-value of the unbiased pass@k estimator over i.i.d. draws), expected group
-diversity is ``1 - pᵀSp`` for the template similarity matrix ``S``, and the
-policy entropy and logits follow.
+A trace has one row per step, a dict with keys ``step``, ``pass_at``
+(k -> value), ``jdiv``, ``entropy`` and ``logits``. The metrics are exact
+expectations under the policy ``p``: with ``q`` its mass on correct
+templates, pass@k is ``1-(1-q)^k`` (the expected value of the unbiased
+pass@k estimator over i.i.d. draws), ``jdiv``, the expected group
+diversity, is ``1 - pᵀSp`` for the template similarity matrix ``S``, and
+``entropy`` and ``logits`` are the policy's.
 """
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import rewards
 from .similarity import SimMatrix
 
-# Defaults validated against the directional acceptance run (20 seeds):
-# see tests/test_acceptance.py.
-DEFAULT_LAMBDA_DIV = 2.0
 DEFAULT_STEPS = 400
-DEFAULT_LR = 0.15
-DEFAULT_GROUP_SIZE = 8
 DEFAULT_K_LIST = (1, 10)
 
 
@@ -98,11 +95,6 @@ class CategoricalPolicy:
         e = np.exp(z)
         return e / e.sum()
 
-    def entropy(self) -> float:
-        p = self.probs()
-        nz = p[p > 0]
-        return float(-(nz * np.log(nz)).sum())
-
 
 def initial_policy(world: TemplateWorld, correct_bonus=1.0, temperature=1.0) -> CategoricalPolicy:
     """Pretrained-model stand-in: correct templates start with a logit bonus,
@@ -113,10 +105,16 @@ def initial_policy(world: TemplateWorld, correct_bonus=1.0, temperature=1.0) -> 
 
 @dataclass(frozen=True)
 class StepParams:
-    group_size: int = DEFAULT_GROUP_SIZE
-    lr: float = DEFAULT_LR
+    """The settings of one training step. A config sets each field by its
+    name, at the top level or per objective; an integer field's
+    ``minimum`` is the least value a config may give. Defaults validated
+    against the directional acceptance run (20 seeds): see
+    tests/test_acceptance.py."""
+
+    group_size: int = field(default=8, metadata={"minimum": 2})
+    lr: float = 0.15
     k: int | None = None  # pkpo subset size; defaults to the group size
-    lambda_div: float = DEFAULT_LAMBDA_DIV
+    lambda_div: float = 2.0
     entropy_beta: float = 0.05
 
     def __post_init__(self):
@@ -126,9 +124,9 @@ class StepParams:
             raise ValueError("group_size must be >= 1")
 
 
-def sample_group(policy: CategoricalPolicy, world: TemplateWorld, n: int, rng):
-    """Draw n i.i.d. templates; read correctness and similarity off the world."""
-    probs = policy.probs()
+def sample_group(probs: np.ndarray, world: TemplateWorld, n: int, rng):
+    """Draw n i.i.d. templates from ``probs``; read correctness and
+    similarity off the world."""
     draws = rng.choice(world.n_templates, size=n, p=probs)
     outcome = rewards.GroupOutcome.from_flags(world.correct[draws])
     matrix = SimMatrix(world.similarity[np.ix_(draws, draws)])
@@ -169,60 +167,38 @@ def step(policy: CategoricalPolicy, world: TemplateWorld, objective: str, params
     objective adds beta times the analytic entropy gradient to the same
     update.
     """
-    draws, outcome, matrix = sample_group(policy, world, params.group_size, rng)
-    vec = _group_advantages(objective, params, outcome, matrix)
     probs = policy.probs()
+    draws, outcome, matrix = sample_group(probs, world, params.group_size, rng)
+    vec = _group_advantages(objective, params, outcome, matrix)
     grad = _policy_gradient(probs, draws, vec.a, policy.temperature)
     if objective == "entropy":
         grad += params.entropy_beta * _entropy_gradient(probs, policy.temperature)
     return CategoricalPolicy(logits=policy.logits + params.lr * grad, temperature=policy.temperature)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    step: int
-    pass_at: dict  # k -> estimate
-    jdiv: float
-    entropy: float
-    logits: tuple
-
-
 @dataclass
 class TrainingTrace:
     objective: str
     seed: int
-    records: list = field(default_factory=list)
-
-    def final(self) -> TraceStep:
-        return self.records[-1]
-
-    def initial(self) -> TraceStep:
-        return self.records[0]
+    records: list = field(default_factory=list)  # one dict per traced step
 
     def to_jsonl_lines(self):
+        # String keys, so that pass@k keys sort as text, as JSON reads them.
         for r in self.records:
-            yield json.dumps(
-                {
-                    "step": r.step,
-                    "pass_at": {str(k): v for k, v in sorted(r.pass_at.items())},
-                    "jdiv": r.jdiv,
-                    "entropy": r.entropy,
-                    "logits": list(r.logits),
-                },
-                sort_keys=True,
-            )
+            yield json.dumps({**r, "pass_at": {str(k): v for k, v in r["pass_at"].items()}}, sort_keys=True)
 
 
 def _evaluate(policy: CategoricalPolicy, world: TemplateWorld, k_list) -> dict:
     """Exact expected pass@k, group diversity and entropy of the policy."""
     probs = policy.probs()
     q = float(probs[world.correct].sum())
+    nz = probs[probs > 0]
     # Expected pairwise similarity of two i.i.d. draws is pᵀSp, whatever
     # the group size, so it is also the expected mean over a group's pairs.
     return {
         "pass_at": {k: q if k == 1 else 1.0 - (1.0 - q) ** k for k in sorted(k_list)},
         "jdiv": float(1.0 - probs @ world.similarity @ probs),
-        "entropy": policy.entropy(),
+        "entropy": float(-(nz * np.log(nz)).sum()),
     }
 
 
@@ -239,8 +215,10 @@ def run(
 ) -> TrainingTrace:
     """Train one policy and trace metrics at step 0 and after every update.
 
-    Deterministic for a fixed seed: every objective sees identical training
-    draws under the same seed.
+    Each record is a dict with keys ``step``, ``pass_at`` (k -> value),
+    ``jdiv``, ``entropy`` and ``logits`` (a list of floats). Deterministic
+    for a fixed seed: every objective sees identical training draws under
+    the same seed.
     """
     if objective not in rewards.OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
@@ -251,23 +229,10 @@ def run(
 
     policy = initial_policy(world, correct_bonus=init_correct_bonus, temperature=temperature)
     trace = TrainingTrace(objective=objective, seed=seed)
-
-    def record(step_idx, pol):
-        metrics = _evaluate(pol, world, k_list)
-        trace.records.append(
-            TraceStep(
-                step=step_idx,
-                pass_at=metrics["pass_at"],
-                jdiv=metrics["jdiv"],
-                entropy=metrics["entropy"],
-                logits=tuple(float(x) for x in pol.logits),
-            )
-        )
-
-    record(0, policy)
-    for t in range(1, steps + 1):
-        policy = step(policy, world, objective, params, train_rng)
-        record(t, policy)
+    for t in range(steps + 1):
+        if t > 0:
+            policy = step(policy, world, objective, params, train_rng)
+        trace.records.append({"step": t, **_evaluate(policy, world, k_list), "logits": policy.logits.tolist()})
     return trace
 
 
@@ -304,15 +269,22 @@ class SimulationConfig:
 
         if not isinstance(raw, dict):
             raise ValueError(f"invalid config: expected an object, got {type(raw).__name__}")
-        world_raw = raw.get("world", "default")
+        # Each key is popped as it is read, so what is left is unknown.
+        raw = dict(raw)
+        world_raw = raw.pop("world", "default")
         if world_raw == "default":
             world = default_world()
         elif isinstance(world_raw, dict) and "similarity" in world_raw:
+            world_raw = dict(world_raw)
+            correct = world_raw.pop("correct", None)
+            similarity = world_raw.pop("similarity")
+            if world_raw:
+                fail("world", f"unknown keys {sorted(world_raw)}")
+            if not isinstance(correct, list) or not all(isinstance(c, bool) for c in correct):
+                fail("world", f"'correct' must be a list of true/false values, got {correct!r}")
             try:
-                world = TemplateWorld(
-                    correct=world_raw["correct"], similarity=world_raw["similarity"]
-                )
-            except (KeyError, TypeError, ValueError) as err:
+                world = TemplateWorld(correct=correct, similarity=similarity)
+            except (TypeError, ValueError) as err:
                 fail("world", err)
         elif isinstance(world_raw, dict):
             for key in ("families", "per_family", "correct_families"):
@@ -326,33 +298,29 @@ class SimulationConfig:
             fail("world", "expected 'default' or an object")
 
         objectives = []
-        raw_objectives = raw.get("objectives")
+        raw_objectives = raw.pop("objectives", None)
         if not isinstance(raw_objectives, list) or not raw_objectives:
             fail("objectives", "expected a non-empty list")
-        base_params = {
-            "group_size": raw.get("group_size", DEFAULT_GROUP_SIZE),
-            "lr": raw.get("lr", DEFAULT_LR),
-            "k": raw.get("k"),
-            "lambda_div": raw.get("lambda_div", DEFAULT_LAMBDA_DIV),
-            "entropy_beta": raw.get("entropy_beta", 0.05),
-        }
+        step_fields = fields(StepParams)
+        base_params = {f.name: raw.pop(f.name, f.default) for f in step_fields}
         for entry in raw_objectives:
             if isinstance(entry, str):
                 entry = {"name": entry}
             if not isinstance(entry, dict) or "name" not in entry:
                 fail("objectives", "each entry needs a 'name'")
-            name = entry["name"]
+            entry = dict(entry)
+            name = entry.pop("name")
             if name not in rewards.OBJECTIVES:
                 fail("objectives", f"unknown objective {name!r}")
-            merged = dict(base_params)
-            for key in ("group_size", "lr", "k", "lambda_div", "entropy_beta"):
-                if key in entry:
-                    merged[key] = entry[key]
-            integer("group_size", merged["group_size"], 2)
-            if merged["k"] is not None:
-                integer("k", merged["k"], 1)
-            for key in ("lr", "lambda_div", "entropy_beta"):
-                number(key, merged[key])
+            merged = {key: entry.pop(key, value) for key, value in base_params.items()}
+            if entry:
+                fail("objectives", f"{name!r}: unknown keys {sorted(entry)}")
+            for f in step_fields:
+                value = merged[f.name]
+                if f.type is float:
+                    number(f.name, value)
+                elif value is not None or f.default is not None:
+                    integer(f.name, value, f.metadata.get("minimum", 1))
             params = StepParams(**merged)
             # Score one group of this size now, so that what the rewards
             # module refuses (pkpo's k above the group size, a diversity
@@ -367,14 +335,14 @@ class SimulationConfig:
                 fail("objectives", f"{name!r}: {err}")
             objectives.append((name, params))
 
-        seeds = raw.get("seeds", [0])
+        seeds = raw.pop("seeds", [0])
         if not isinstance(seeds, list):
             fail("seeds", "expected a list of integers")
         for seed in seeds:
             integer("seeds", seed, 0)
-        steps = integer("steps", raw.get("steps", DEFAULT_STEPS), 0)
+        steps = integer("steps", raw.pop("steps", DEFAULT_STEPS), 0)
 
-        eval_raw = raw.get("eval", {})
+        eval_raw = raw.pop("eval", {})
         if not isinstance(eval_raw, dict):
             fail("eval", "expected an object")
         unknown = sorted(set(eval_raw) - {"k_list"})
@@ -386,12 +354,19 @@ class SimulationConfig:
         ):
             fail("eval", "'k_list' must be a list of integers >= 1")
 
+        bonus = number("init_correct_bonus", raw.pop("init_correct_bonus", 1.0))
+        temperature = number("temperature", raw.pop("temperature", 1.0), positive=True)
+        # The initial softmax scales the correct templates' logit by 1/temperature.
+        if abs(bonus / temperature) > sys.float_info.max:
+            fail("temperature", f"init_correct_bonus / temperature = {bonus!r} / {temperature!r} overflows")
+        if raw:
+            fail(min(raw), "unknown key")
         return cls(
             world=world,
             objectives=objectives,
             seeds=seeds,
             steps=steps,
-            init_correct_bonus=number("init_correct_bonus", raw.get("init_correct_bonus", 1.0)),
-            temperature=number("temperature", raw.get("temperature", 1.0), positive=True),
+            init_correct_bonus=bonus,
+            temperature=temperature,
             k_list=tuple(k_list),
         )

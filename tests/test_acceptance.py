@@ -208,14 +208,14 @@ def test_08_simulator_directionality():
             combined[seed] = run(world, "combined", seed=seed, params=params)
             diversity[seed] = run(world, "diversity_only", seed=seed, params=params)
 
-        a_hits = sum(base[s].final().jdiv < base[s].initial().jdiv for s in seeds)
+        a_hits = sum(base[s].records[-1]["jdiv"] < base[s].records[0]["jdiv"] for s in seeds)
         b_hits = sum(
-            combined[s].final().jdiv > base[s].final().jdiv
-            and combined[s].final().pass_at[1] >= 0.9 * base[s].final().pass_at[1]
+            combined[s].records[-1]["jdiv"] > base[s].records[-1]["jdiv"]
+            and combined[s].records[-1]["pass_at"][1] >= 0.9 * base[s].records[-1]["pass_at"][1]
             for s in seeds
         )
         c_hits = sum(
-            diversity[s].final().pass_at[1] < diversity[s].initial().pass_at[1] for s in seeds
+            diversity[s].records[-1]["pass_at"][1] < diversity[s].records[0]["pass_at"][1] for s in seeds
         )
         assert a_hits >= 16, f"base JDiv decline in only {a_hits}/20 seeds"
         assert b_hits >= 16, f"combined above base in only {b_hits}/20 seeds"

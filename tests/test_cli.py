@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -736,6 +737,54 @@ class TestSimulateCommand:
                 continue  # manifest embeds the config path, identical here anyway
             assert blobs1[name] == blobs2[name], name
 
+    # Every objective, per-objective overrides, a non-default world,
+    # temperature, bonus and k_list order. The digests pin the trace bytes,
+    # so a change in the order of float operations shows up here.
+    GOLDEN_CONFIG = {
+        "world": {"families": 4, "per_family": 3, "correct_families": 2, "within": 0.8, "cross": 0.25},
+        "objectives": [
+            "base",
+            "passk_loo",
+            {"name": "pkpo", "k": 3},
+            {"name": "diversity", "lr": 0.1},
+            "diversity_only",
+            {"name": "combined", "lambda_div": 1.5, "lr": 0.2},
+            {"name": "entropy", "entropy_beta": 0.5},
+        ],
+        "temperature": 0.7,
+        "init_correct_bonus": 0.3,
+        "group_size": 6,
+        "eval": {"k_list": [10, 1, 2]},
+        "seeds": [0, 7],
+        "steps": 40,
+    }
+    GOLDEN_SHA256 = {
+        "trace_00_base_s0.jsonl": "b60a77d710dc9da41ea2ca79d6e16dd1befb9d9f2aa2cdbf8a2e369581dca9a1",
+        "trace_00_base_s7.jsonl": "16435c70ba6a7587b85a4d06c90cb20a76fa6722e8c19ea9147a46ff545bffec",
+        "trace_01_passk_loo_s0.jsonl": "e169388156643d21da1e1057081c8ea083782e8f5834c8b56b9bb77808291da6",
+        "trace_01_passk_loo_s7.jsonl": "5d21c27689f61032172b5bad9afdd1cac2633f6d6423ab907a4d5aed6e966ea9",
+        "trace_02_pkpo_s0.jsonl": "95b1cb38d2d19d3e7377329ccbdfb640fab912a9151673f136e55e8027aca839",
+        "trace_02_pkpo_s7.jsonl": "242a9cead77eab180652fa528e988ad19cbc8f52be678dee9d6e41bbe7c596d2",
+        "trace_03_diversity_s0.jsonl": "edb63a9a57d6d3459f1ed0f219c7c60e43cfdb1069f6d8f8d2a9d2e2eb86e8a1",
+        "trace_03_diversity_s7.jsonl": "6717de7910949568b6ad435edf0639b889379df0830cdec6e2eef213dea9d012",
+        "trace_04_diversity_only_s0.jsonl": "acbc4a61aae262762c2f9e247e667c1b5d816838883a53fc0d825c69e817f83d",
+        "trace_04_diversity_only_s7.jsonl": "3d25515355443875af0727cc503c85d303fd5572e83485e0eeeb66b0be97bf1a",
+        "trace_05_combined_s0.jsonl": "07bf408ecd9961e7411c57d9fdc559c3d83bde56001bfc4602e027bc851d2dac",
+        "trace_05_combined_s7.jsonl": "c60419a2553c99bd693c1a9c11ceec19ca64c88e21b9304954b29bb607132893",
+        "trace_06_entropy_s0.jsonl": "f6f97a9a9b0916e6933a86c0c46f6bdb82702868dca1ba93fef922554c105a1d",
+        "trace_06_entropy_s7.jsonl": "cb073bf5317489231c9a5cdf79c882475bd3ebd7ad00fc26eee1a335991567da",
+    }
+
+    def test_golden_trace_bytes(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.GOLDEN_CONFIG))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        blobs = read_all_outputs(out)
+        del blobs["manifest.json"]
+        digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+        assert digests == self.GOLDEN_SHA256
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         config = self._config(tmp_path, steps=-2)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -755,10 +804,17 @@ class TestSimulateCommand:
             {"seeds": [-1]},
             {"seeds": [True]},
             {"group_size": 1.5},
+            {"group_size": 1},
             {"objectives": [{"name": "pkpo", "k": 20}]},
             {"objectives": ["combined"], "group_size": 2},
             {"world": {"correct": "x", "similarity": [[1.0]]}},
             {"world": {"families": 2.5, "correct_families": 1}},
+            {"world": {"correct": [1, 0], "similarity": [[1.0, 0.0], [0.0, 1.0]]}},
+            {"world": {"correct": [True, False], "similarity": [[1.0, 0.0], [0.0, 1.0]], "extra": 1}},
+            {"objectives": [{"name": "combined", "lamda_div": 0.5}]},
+            {"stpes": 10},
+            {"temperature": 1e-310},
+            {"init_correct_bonus": 1e308, "temperature": 0.1},
             [{"objectives": ["base"]}],
         ],
         ids=repr,

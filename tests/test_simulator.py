@@ -66,7 +66,17 @@ class TestCategoricalPolicy:
 
     def test_entropy_uniform_max(self):
         uniform = CategoricalPolicy(logits=np.zeros(4))
-        assert uniform.entropy() == pytest.approx(np.log(4.0), abs=1e-12)
+        world = TemplateWorld(correct=[True, False, False, False], similarity=np.eye(4))
+        assert _evaluate(uniform, world, (1,))["entropy"] == pytest.approx(np.log(4.0), abs=1e-12)
+
+    def test_saturated_entropy_is_negative_zero(self):
+        # Templates with zero mass are left out of the sum, so a policy on
+        # one template has entropy -0.0, which traces write as such.
+        world = default_world()
+        logits = np.zeros(world.n_templates)
+        logits[0] = 1e6
+        entropy = _evaluate(CategoricalPolicy(logits=logits), world, (1,))["entropy"]
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == -1.0
 
     def test_initial_policy_prefers_correct(self):
         world = default_world()
@@ -81,7 +91,7 @@ class TestSampleGroup:
         logits = np.full(world.n_templates, -30.0)
         logits[0] = 30.0
         policy = CategoricalPolicy(logits=logits)
-        draws, outcome, matrix = sample_group(policy, world, 6, np.random.default_rng(0))
+        draws, outcome, matrix = sample_group(policy.probs(), world, 6, np.random.default_rng(0))
         assert set(draws.tolist()) == {0}
         assert outcome.m == 6
         assert np.array_equal(matrix.scores, np.ones((6, 6)))
@@ -92,7 +102,7 @@ class TestSampleGroup:
             similarity=np.array([[1.0, 0.3], [0.3, 1.0]]),
         )
         policy = CategoricalPolicy(logits=np.zeros(2))
-        draws, _, matrix = sample_group(policy, world, 50, np.random.default_rng(1))
+        draws, _, matrix = sample_group(policy.probs(), world, 50, np.random.default_rng(1))
         for a in range(50):
             for b in range(50):
                 expected = 1.0 if draws[a] == draws[b] else 0.3
@@ -101,8 +111,8 @@ class TestSampleGroup:
     def test_seeded_determinism(self):
         world = default_world()
         policy = initial_policy(world)
-        d1, o1, m1 = sample_group(policy, world, 8, np.random.default_rng(7))
-        d2, o2, m2 = sample_group(policy, world, 8, np.random.default_rng(7))
+        d1, o1, m1 = sample_group(policy.probs(), world, 8, np.random.default_rng(7))
+        d2, o2, m2 = sample_group(policy.probs(), world, 8, np.random.default_rng(7))
         assert np.array_equal(d1, d2)
         assert np.array_equal(o1.r, o2.r)
         assert m1 == m2
@@ -153,6 +163,11 @@ class TestStep:
         analytic = _entropy_gradient(
             CategoricalPolicy(logits=logits, temperature=temperature).probs(), temperature
         )
+        world = TemplateWorld(correct=[True, False, False, False], similarity=np.eye(4))
+
+        def entropy(z):
+            return _evaluate(CategoricalPolicy(logits=z, temperature=temperature), world, (1,))["entropy"]
+
         eps = 1e-6
         numeric = np.zeros_like(logits)
         for i in range(len(logits)):
@@ -160,8 +175,8 @@ class TestStep:
             up[i] += eps
             down = logits.copy()
             down[i] -= eps
-            h_up = CategoricalPolicy(logits=up, temperature=temperature).entropy()
-            h_down = CategoricalPolicy(logits=down, temperature=temperature).entropy()
+            h_up = entropy(up)
+            h_down = entropy(down)
             numeric[i] = (h_up - h_down) / (2 * eps)
         assert np.allclose(analytic, numeric, atol=1e-6)
 
@@ -180,7 +195,7 @@ class TestRun:
     def test_trace_length_and_initial_record(self):
         trace = run(default_world(), "base", steps=5, seed=0)
         assert len(trace.records) == 6
-        assert trace.records[0].step == 0
+        assert trace.records[0]["step"] == 0
 
     def test_zero_lr_constant_trace(self):
         trace = run(default_world(), "base", steps=4, seed=1, params=StepParams(lr=0.0))
@@ -203,12 +218,12 @@ class TestRun:
             default_world(), "combined", steps=10, seed=5, params=StepParams(lambda_div=0.0)
         )
         for rb, rc in zip(base.records, combined.records):
-            assert rb.logits == rc.logits
+            assert rb["logits"] == rc["logits"]
 
     def test_policy_stays_normalized(self):
         trace = run(default_world(), "passk_loo", steps=20, seed=2)
         for record in trace.records:
-            p = CategoricalPolicy(logits=np.array(record.logits)).probs()
+            p = CategoricalPolicy(logits=np.array(record["logits"])).probs()
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_pkpo_objective_runs(self):
@@ -220,7 +235,7 @@ class TestRun:
         reg = run(
             default_world(), "entropy", steps=60, seed=4, params=StepParams(entropy_beta=2.0)
         )
-        assert reg.final().entropy > base.final().entropy
+        assert reg.records[-1]["entropy"] > base.records[-1]["entropy"]
 
     def test_directional_smoke(self):
         # Three-seed smoke version of the 20-seed acceptance run.
@@ -229,9 +244,9 @@ class TestRun:
             base = run(world, "base", steps=300, seed=seed)
             combined = run(world, "combined", steps=300, seed=seed)
             diversity = run(world, "diversity_only", steps=300, seed=seed)
-            assert base.final().jdiv < base.initial().jdiv
-            assert combined.final().jdiv > base.final().jdiv
-            assert diversity.final().pass_at[1] < diversity.initial().pass_at[1]
+            assert base.records[-1]["jdiv"] < base.records[0]["jdiv"]
+            assert combined.records[-1]["jdiv"] > base.records[-1]["jdiv"]
+            assert diversity.records[-1]["pass_at"][1] < diversity.records[0]["pass_at"][1]
 
 
 class TestSimulationConfig:
@@ -286,12 +301,56 @@ class TestSimulationConfig:
             with pytest.raises(ValueError, match="'eval'"):
                 SimulationConfig.from_dict({"objectives": ["base"], "eval": {"k_list": k_list}})
 
+    @pytest.mark.parametrize(
+        "raw, field, key",
+        [
+            ({"objectives": [{"name": "combined", "lamda_div": 0.5}]}, "objectives", "lamda_div"),
+            ({"objectives": ["base"], "stpes": 10}, "stpes", "stpes"),
+            (
+                {"objectives": ["base"], "world": {"correct": [True, False], "similarity": np.eye(2).tolist(), "x": 1}},
+                "world",
+                "x",
+            ),
+            ({"objectives": ["base"], "world": {"families": 3, "per_famly": 2}}, "world", "per_famly"),
+        ],
+        ids=["objective-entry", "top-level", "explicit-world", "family-world"],
+    )
+    def test_unknown_keys_refused(self, raw, field, key):
+        with pytest.raises(ValueError, match=f"field '{field}'") as info:
+            SimulationConfig.from_dict(raw)
+        assert key in str(info.value)
+
+    def test_every_step_param_read_at_top_level_and_per_objective(self):
+        top = {"group_size": 5, "lr": 0.3, "k": 2, "lambda_div": 0.5, "entropy_beta": 0.2}
+        per = {"group_size": 6, "lr": 0.1, "k": 3, "lambda_div": 1.5, "entropy_beta": 0.4}
+        config = SimulationConfig.from_dict({"objectives": ["pkpo", {"name": "pkpo", **per}], **top})
+        assert config.objectives == [("pkpo", StepParams(**top)), ("pkpo", StepParams(**per))]
+        assert SimulationConfig.from_dict({"objectives": ["base"]}).objectives == [("base", StepParams())]
+
+    @pytest.mark.parametrize("correct", [["", "x"], [1, 0], [0.0, 1.0], ["no", "yes"], None, "TF"])
+    def test_world_correct_must_be_booleans(self, correct):
+        world = {"correct": correct, "similarity": np.eye(2).tolist()}
+        with pytest.raises(ValueError, match="field 'world': 'correct' must be a list of true/false"):
+            SimulationConfig.from_dict({"objectives": ["base"], "world": world})
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"temperature": 1e-310},
+            {"init_correct_bonus": 1e308, "temperature": 0.1},
+            {"init_correct_bonus": -1e308, "temperature": 0.5},
+        ],
+    )
+    def test_overflowing_initial_softmax_refused(self, values):
+        with pytest.raises(ValueError, match="'temperature': init_correct_bonus / temperature = .* overflows"):
+            SimulationConfig.from_dict({"objectives": ["base"], **values})
+
     def test_k_list(self):
         assert SimulationConfig.from_dict({"objectives": ["base"]}).k_list == (1, 10)
         config = SimulationConfig.from_dict({"objectives": ["base"], "eval": {"k_list": [4, 1]}})
         assert config.k_list == (4, 1)
         trace = run(config.world, "base", steps=1, k_list=config.k_list)
-        assert sorted(trace.final().pass_at) == [1, 4]
+        assert sorted(trace.records[-1]["pass_at"]) == [1, 4]
 
 
 def _exact_pass_at_k(n, m, k):
@@ -454,8 +513,8 @@ class TestMeanFieldFloor:
     def test_sampled_base_collapses_below_the_floor_and_combined_does_not(self):
         world = default_world()
         floor = self._floor(world)
-        base = [run(world, "base", seed=seed).final().jdiv for seed in self.SEEDS]
-        combined = [run(world, "combined", seed=seed).final().jdiv for seed in self.SEEDS]
+        base = [run(world, "base", seed=seed).records[-1]["jdiv"] for seed in self.SEEDS]
+        combined = [run(world, "combined", seed=seed).records[-1]["jdiv"] for seed in self.SEEDS]
         assert max(base) < floor, base
         assert np.mean(base) <= floor - 0.2, base
         assert abs(np.mean(combined) - floor) <= 0.02, combined
