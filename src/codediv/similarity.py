@@ -12,23 +12,26 @@ rename-sensitive control metric.
 Each tiling round marks the longest common unmarked run of at least
 ``min_match`` tokens; ties go to the smallest start in the first stream,
 then the smallest start in the second. Windows are compared by exact rank
-keys: prefix doubling ranks every 2^q-gram of the two streams once per
-pair, and a window of length L, 2^q <= L < 2^(q+1), is keyed by the ranks
-of its first and last 2^q-grams. Equal keys mean equal windows, so there is
-nothing to verify and any integer ids work.
+keys: prefix doubling ranks every 2^q-gram of the streams, concatenated,
+and a window of length L, 2^q <= L < 2^(q+1), is keyed by the ranks of its
+first and last 2^q-grams. A window inside one stream reads only that
+stream's tokens, so equal keys mean equal windows in any two streams;
+there is nothing to verify and any integer ids work.
 
 A pair is tiled maximal matches first, as in RKR-GST (Wise 1993), on which
-JPlag is built. Its equal k-grams (k = ``min_match``) join along their
-diagonals into the maximal common runs, which a heap hands out longest
-first, in tie-break order; a run that overlaps an earlier tile goes back
-as its unmarked pieces. Long repetitive pairs have millions of k-gram hits
-but few runs. A pair with more than ``PROBE_HITS_PER_TOKEN`` hits per token
-is therefore tiled by binary search on each round's tile length instead,
-from the same rank tables, with each search capped at the previous tile's
-length. The tests check both against a brute-force extension-scan oracle,
-tile for tile.
+JPlag is built. Its equal k-grams (k = ``min_match``) are found by
+searching the first stream's keys among the second's, sorted beforehand,
+and join along their diagonals into the maximal common runs, which a heap
+hands out longest first, in tie-break order; a run that overlaps an
+earlier tile goes back as its unmarked pieces. Long repetitive pairs have
+millions of k-gram hits but few runs. A pair with more than
+``PROBE_HITS_PER_TOKEN`` hits per token is therefore tiled by binary search
+on each round's tile length instead, from rank tables of that pair alone,
+with each search capped at the previous tile's length. The tests check both
+against a brute-force extension-scan oracle, tile for tile.
 
-A group's matrix tiles each distinct ordered pair of streams once. Renamed
+A group's matrix ranks its distinct streams and sorts their k-gram keys
+once; each distinct ordered pair then only joins presorted keys. Renamed
 copies, the redundancy this package measures, share one structural stream,
 so their cells reuse a score instead of tiling again. The pair is keyed in
 order (lower sample index first), not as a set, because the tie break makes
@@ -103,7 +106,7 @@ def _rank_tables(tables, levels):
     for q in range(len(tables) - 1, levels):
         span = 1 << q
         nxt = np.zeros(n, dtype=np.int64)
-        nxt[: n - span] = r[span:] + 1
+        nxt[: max(n - span, 0)] = r[span:] + 1
         r = _ranks(r * (n + 1) + nxt)
         tables.append(r)
     return tables
@@ -186,34 +189,50 @@ def _next(buf, value, start, stop):
     return stop if pos < 0 else pos
 
 
-def _tiles(a, b, min_match):
-    """All tiles of the greedy string tiling of int64 arrays ``a`` and ``b``."""
-    la, lb, k = len(a), len(b), min_match
+def _keyed(streams, k):
+    """Each stream's ``(ids, keys, order, sorted keys)`` of its k-grams.
+
+    The group's streams are ranked once, concatenated. A k-gram inside one
+    stream reads only that stream's tokens, so its key is exact across the
+    whole group: equal keys mean equal k-grams, in any two streams.
+    """
+    ranks = _rank_tables([_ranks(np.concatenate(streams))], k.bit_length() - 1)
+    keyed = []
+    offset = 0
+    for ids in streams:
+        keys = _window_keys(ranks, np.arange(offset, offset + len(ids) - k + 1), k)
+        order = np.argsort(keys)
+        keyed.append((ids, keys, order, keys[order]))
+        offset += len(ids)
+    return keyed
+
+
+def _tiles(ka, kb, k):
+    """All tiles of the greedy string tiling of two streams keyed by ``_keyed``."""
+    a, keys_a = ka[:2]
+    b, _, order, sorted_b = kb
+    la, lb = len(a), len(b)
     if min(la, lb) < k:
         return []
-    n = la + lb
-    ranks = _rank_tables([_ranks(np.concatenate((a, b)))], k.bit_length() - 1)
-    keys_a = _window_keys(ranks, np.arange(la - k + 1), k)
-    keys_b = _window_keys(ranks, np.arange(la, n - k + 1), k)
-    order = np.argsort(keys_b)  # b's k-gram starts, by key
-    sorted_b = keys_b[order]
     lo = np.searchsorted(sorted_b, keys_a, "left")
     counts = np.searchsorted(sorted_b, keys_a, "right") - lo
     hits = int(counts.sum())
-    if hits > PROBE_HITS_PER_TOKEN * n:
-        return _probe_tiles(a, b, k, ranks)
+    if hits > PROBE_HITS_PER_TOKEN * (la + lb):
+        return _probe_tiles(a, b, k, [_ranks(np.concatenate((a, b)))])
     if hits == 0:
         return []
-    # Every pair of equal k-grams, by its starts in a and in b, sorted by
-    # diagonal (start in a minus start in b), then by start in a.
+    # Every pair of equal k-grams, by its starts i in a and j in b, packed
+    # as (i - j + lb) * (la + 1) + i and sorted: by diagonal, then by i.
+    # Consecutive hits of one diagonal's run differ by exactly 1, and hits
+    # on two diagonals by at least k + 1.
     in_a = np.repeat(np.arange(la - k + 1), counts)
     in_b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(hits)]
-    by_diagonal = np.lexsort((in_a, in_a - in_b))
-    in_a, in_b = in_a[by_diagonal], in_b[by_diagonal]
-    # Consecutive hits on a diagonal join into its maximal common runs.
-    starts = np.flatnonzero(np.r_[True, (np.diff(in_a) != 1) | (np.diff(in_b) != 1)])
-    lengths = np.diff(np.r_[starts, hits]) + k - 1
-    heap = list(zip((-lengths).tolist(), in_a[starts].tolist(), in_b[starts].tolist()))
+    packed = np.sort((in_a - in_b + lb) * (la + 1) + in_a)
+    gap = np.diff(packed, prepend=-2, append=packed[-1] + 2) != 1
+    first, last = packed[gap[:-1]], packed[gap[1:]]
+    diagonal, i = np.divmod(first, la + 1)
+    lengths = last - first + k
+    heap = list(zip((-lengths).tolist(), i.tolist(), (i - diagonal + lb).tolist()))
     heapq.heapify(heap)
 
     # Maximal matches first. Each maximal unmarked common run of at least k
@@ -257,7 +276,8 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     in ``b``. Deterministic for fixed inputs.
     """
     _check_min_match(min_match)
-    return MatchSet.from_tiles(_tiles(_as_ids(a), _as_ids(b), int(min_match)))
+    k = int(min_match)
+    return MatchSet.from_tiles(_tiles(*_keyed([_as_ids(a), _as_ids(b)], k), k))
 
 
 def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:
@@ -329,6 +349,8 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     # _as_ids returns C-contiguous int64 arrays, so equal bytes mean equal ids.
     first = {}
     rep = [first.setdefault(a.tobytes(), i) for i, a in enumerate(ids)]
+    k = int(min_match)
+    keyed = dict(zip(first.values(), _keyed([ids[i] for i in first.values()], k)))
     scored = {}  # (rep[i], rep[j]) -> score
     scores = np.eye(n, dtype=np.float64)
     for i in range(n):
@@ -336,8 +358,9 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
             key = (rep[i], rep[j])
             s = scored.get(key)
             if s is None:
-                a, b = ids[key[0]], ids[key[1]]
-                s = avg_similarity(gst_match(a, b, min_match), len(a), len(b))
+                a, b = keyed[key[0]], keyed[key[1]]
+                match = MatchSet.from_tiles(_tiles(a, b, k))
+                s = avg_similarity(match, len(a[0]), len(b[0]))
                 scored[key] = s
             scores[i, j] = s
             scores[j, i] = s

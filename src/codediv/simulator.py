@@ -282,6 +282,11 @@ class SimulationConfig:
                 fail("world", f"unknown keys {sorted(world_raw)}")
             if not isinstance(correct, list) or not all(isinstance(c, bool) for c in correct):
                 fail("world", f"'correct' must be a list of true/false values, got {correct!r}")
+            if not isinstance(similarity, list) or not all(isinstance(row, list) for row in similarity):
+                fail("world", f"'similarity' must be a list of rows of numbers, got {similarity!r}")
+            for row in similarity:
+                for value in row:
+                    number("world.similarity", value)
             try:
                 world = TemplateWorld(correct=correct, similarity=similarity)
             except (TypeError, ValueError) as err:

@@ -811,6 +811,7 @@ class TestSimulateCommand:
             {"world": {"families": 2.5, "correct_families": 1}},
             {"world": {"correct": [1, 0], "similarity": [[1.0, 0.0], [0.0, 1.0]]}},
             {"world": {"correct": [True, False], "similarity": [[1.0, 0.0], [0.0, 1.0]], "extra": 1}},
+            {"world": {"correct": [True, False], "similarity": [["1", "0.2"], ["0.2", True]]}},
             {"objectives": [{"name": "combined", "lamda_div": 0.5}]},
             {"stpes": 10},
             {"temperature": 1e-310},

@@ -395,12 +395,14 @@ class TestPairwiseMatrix:
 
     def test_tiles_each_distinct_ordered_pair_once(self, rng, monkeypatch):
         calls = []
+        tiles = similarity._tiles
 
-        def counting(a, b, min_match):
-            calls.append((tuple(a.tolist()), tuple(b.tolist())))
-            return gst_match(a, b, min_match)
+        def counting(ka, kb, min_match):
+            # Each keyed stream starts with its ids.
+            calls.append((tuple(ka[0].tolist()), tuple(kb[0].tolist())))
+            return tiles(ka, kb, min_match)
 
-        monkeypatch.setattr(similarity, "gst_match", counting)
+        monkeypatch.setattr(similarity, "_tiles", counting)
         for _ in range(100):
             pool = [random_id_stream(rng, max_len=10, alphabet=3) for _ in range(3)]
             n = int(rng.integers(1, 9))
@@ -414,6 +416,36 @@ class TestPairwiseMatrix:
             }
             assert len(calls) == len(keys)
             assert set(calls) == keys
+
+    def test_keys_never_match_across_stream_boundaries(self, rng):
+        # The group's distinct streams are ranked as one concatenation. Here
+        # a k-gram of the last stream is spelled across boundaries: by the
+        # tail of one stream, any middle pieces as whole streams shorter
+        # than k, and the head of the next. Empty and short streams sit
+        # between the spellings. No cell may match the spelled k-gram.
+        for _ in range(150):
+            min_match = int(rng.choice([2, 3, 5, 8]))
+            alphabet = int(rng.integers(2, 6))
+            gram = rng.integers(0, alphabet, size=min_match)
+            group = []
+            for _ in range(2):
+                n_cuts = min(int(rng.integers(1, 3)), min_match - 1)
+                cuts = np.sort(rng.choice(np.arange(1, min_match), n_cuts, replace=False))
+                pieces = np.split(gram, cuts)
+                group.append(np.concatenate((random_id_stream(rng, 8, alphabet), pieces[0])))
+                group += pieces[1:-1]
+                group.append(np.concatenate((pieces[-1], random_id_stream(rng, 8, alphabet))))
+                group.append(as_ids([]))
+                group.append(random_id_stream(rng, min_match - 1, alphabet))
+            witness = (random_id_stream(rng, 6, alphabet), gram, random_id_stream(rng, 6, alphabet))
+            group.append(np.concatenate(witness))
+            scores = pairwise_matrix(group, min_match).scores
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    a, b = group[i], group[j]
+                    direct = avg_similarity(gst_match(a, b, min_match), len(a), len(b))
+                    brute = MatchSet.from_tiles(brute_force_tiles(a, b, min_match))
+                    assert scores[i, j] == direct == avg_similarity(brute, len(a), len(b))
 
     @pytest.mark.parametrize("min_match", [0, -1, 2.5])
     def test_min_match_checked_for_any_group(self, min_match):
