@@ -345,6 +345,115 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="'temperature': init_correct_bonus / temperature = .* overflows"):
             SimulationConfig.from_dict({"objectives": ["base"], **values})
 
+    # Every refusal from_dict makes, with its full text. A dict case runs
+    # with "objectives": ["base"] unless it sets its own objectives.
+    REFUSALS = {
+        "not-an-object": ([{"objectives": ["base"]}], "invalid config: expected an object, got list"),
+        "top-level-unknown": ({"stpes": 10}, "invalid config field 'stpes': unknown key"),
+        "world-not-object": ({"world": "big"}, "invalid config field 'world': expected 'default' or an object"),
+        "explicit-world-unknown": (
+            {"world": {"correct": [True, False], "similarity": np.eye(2).tolist(), "x": 1}},
+            "invalid config field 'world': unknown keys ['x']",
+        ),
+        "explicit-world-correct": (
+            {"world": {"correct": [1, 0], "similarity": np.eye(2).tolist()}},
+            "invalid config field 'world': 'correct' must be a list of true/false values, got [1, 0]",
+        ),
+        "explicit-world-rows": (
+            {"world": {"correct": [True, False], "similarity": "x"}},
+            "invalid config field 'world': 'similarity' must be a list of rows of numbers, got 'x'",
+        ),
+        "explicit-world-value": (
+            {"world": {"correct": [True, False], "similarity": [["1", 0.2], [0.2, 1.0]]}},
+            "invalid config field 'world.similarity': expected a finite number, got '1'",
+        ),
+        "explicit-world-asymmetric": (
+            {"world": {"correct": [True, False], "similarity": [[1.0, 0.2], [0.3, 1.0]]}},
+            "invalid config field 'world': similarity must be symmetric",
+        ),
+        "explicit-world-shape": (
+            {"world": {"correct": [True, False], "similarity": [[1.0]]}},
+            "invalid config field 'world': similarity must be (T, T) for T templates",
+        ),
+        "family-world-integer": (
+            {"world": {"families": 2.5, "correct_families": 1}},
+            "invalid config field 'families': expected an integer >= 1, got 2.5",
+        ),
+        "family-world-correct-families": (
+            {"world": {"families": 1, "correct_families": 1}},
+            "invalid config field 'world': correct_families must leave at least one incorrect family",
+        ),
+        "family-world-range": (
+            {"world": {"within": 1.5}},
+            "invalid config field 'world': similarity values must lie in [0, 1]",
+        ),
+        "family-world-unknown": (
+            {"world": {"families": 3, "per_famly": 2}},
+            "invalid config field 'world': family_world() got an unexpected keyword argument 'per_famly'",
+        ),
+        "family-world-nan": (
+            {"world": {"within": float("nan")}},
+            "invalid config field 'world': similarity must be symmetric",
+        ),
+        "objectives-missing": ({"objectives": None}, "invalid config field 'objectives': expected a non-empty list"),
+        "objectives-empty": ({"objectives": []}, "invalid config field 'objectives': expected a non-empty list"),
+        "objective-no-name": ({"objectives": [{"lr": 0.1}]}, "invalid config field 'objectives': each entry needs a 'name'"),
+        "objective-unknown": ({"objectives": ["nope"]}, "invalid config field 'objectives': unknown objective 'nope'"),
+        "objective-entry-unknown": (
+            {"objectives": [{"name": "combined", "lamda_div": 0.5}]},
+            "invalid config field 'objectives': 'combined': unknown keys ['lamda_div']",
+        ),
+        "lr": ({"lr": "x"}, "invalid config field 'lr': expected a finite number, got 'x'"),
+        "lr-per-objective": (
+            {"objectives": [{"name": "base", "lr": float("inf")}]},
+            "invalid config field 'lr': expected a finite number, got inf",
+        ),
+        "group-size": ({"group_size": 1}, "invalid config field 'group_size': expected an integer >= 2, got 1"),
+        "k": ({"k": 0}, "invalid config field 'k': expected an integer >= 1, got 0"),
+        "pkpo-k": (
+            {"objectives": [{"name": "pkpo", "k": 20}]},
+            "invalid config field 'objectives': 'pkpo': k=20 exceeds the group size n=8",
+        ),
+        "diversity-group-size": (
+            {"objectives": ["diversity"], "group_size": 2},
+            "invalid config field 'objectives': 'diversity': diversity LOO undefined for groups smaller than 3",
+        ),
+        "combined-negative-lambda": (
+            {"objectives": ["combined"], "lambda_div": -1.0},
+            "invalid config field 'objectives': 'combined': lambda_div must be >= 0",
+        ),
+        "seeds-not-list": ({"seeds": "0"}, "invalid config field 'seeds': expected a list of integers"),
+        "seed": ({"seeds": [0, -1]}, "invalid config field 'seeds': expected an integer >= 0, got -1"),
+        "steps": ({"steps": -1}, "invalid config field 'steps': expected an integer >= 0, got -1"),
+        "eval-not-object": ({"eval": [1]}, "invalid config field 'eval': expected an object"),
+        "eval-unknown": (
+            {"eval": {"groups": 10}},
+            "invalid config field 'eval': unknown keys ['groups']; only 'k_list' is accepted",
+        ),
+        "eval-k-list": (
+            {"eval": {"k_list": [1, 0]}},
+            "invalid config field 'eval': 'k_list' must be a list of integers >= 1",
+        ),
+        "bonus": (
+            {"init_correct_bonus": "x"},
+            "invalid config field 'init_correct_bonus': expected a finite number, got 'x'",
+        ),
+        "temperature-type": ({"temperature": "hot"}, "invalid config field 'temperature': expected a finite number, got 'hot'"),
+        "temperature-zero": ({"temperature": 0}, "invalid config field 'temperature': expected a number > 0, got 0"),
+        "initial-softmax": (
+            {"init_correct_bonus": 1e308, "temperature": 0.1},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1e+308 / 0.1 overflows",
+        ),
+    }
+
+    @pytest.mark.parametrize("raw, message", list(REFUSALS.values()), ids=list(REFUSALS))
+    def test_refusal_text(self, raw, message):
+        if isinstance(raw, dict):
+            raw = {"objectives": ["base"], **raw}
+        with pytest.raises(ValueError) as info:
+            SimulationConfig.from_dict(raw)
+        assert str(info.value) == message
+
     def test_k_list(self):
         assert SimulationConfig.from_dict({"objectives": ["base"]}).k_list == (1, 10)
         config = SimulationConfig.from_dict({"objectives": ["base"], "eval": {"k_list": [4, 1]}})
