@@ -20,9 +20,11 @@ diversity, is ``1 - pᵀSp`` for the template similarity matrix ``S``, and
 ``entropy`` and ``logits`` are the policy's.
 """
 
+import inspect
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -236,142 +238,136 @@ def run(
     return trace
 
 
+def _fail(name, why):
+    raise ValueError(f"invalid config field {name!r}: {why}")
+
+
+def _check(name, value, kind, floor=None):
+    """Return config field ``name``'s value, or refuse it. An ``int`` takes
+    an integer >= ``floor`` (1 if unset), a ``list`` a list of them, and a
+    ``float`` a finite number, above ``floor`` if one is set."""
+    if kind is list:
+        if not isinstance(value, list):
+            _fail(name, f"expected a list of integers >= {floor}, got {value!r}")
+        return [_check(name, v, int, floor) for v in value]
+    if kind is not float:  # int, or int | None
+        floor = 1 if floor is None else floor
+        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+            _fail(name, f"expected an integer >= {floor}, got {value!r}")
+    # abs(value) <= max is False for NaN, inf and ints beyond the float range alike.
+    elif isinstance(value, bool) or not (isinstance(value, (int, float)) and abs(value) <= sys.float_info.max):
+        _fail(name, f"expected a finite number, got {value!r}")
+    elif floor is not None and value <= floor:
+        _fail(name, f"expected a number > {floor}, got {value!r}")
+    return value
+
+
+def _read(raw: dict, source) -> dict:
+    """Pop and check from ``raw`` each key that ``source`` declares: a
+    dataclass its fields with a default, floored by their ``minimum``, and
+    a function its keywords, typed by their defaults. A missing key takes
+    its default, and a None default also admits None."""
+    if isinstance(source, type):
+        keys = [(f.name, f.type, f.metadata.get("minimum"), f.default) for f in fields(source)]
+    else:
+        keys = [(p.name, type(p.default), None, p.default) for p in inspect.signature(source).parameters.values()]
+    values = {}
+    for name, kind, floor, default in keys:
+        if default is not MISSING:
+            value = raw.pop(name, default)
+            values[name] = value if value is None and default is None else _check(name, value, kind, floor)
+    return values
+
+
+def _read_world(raw) -> TemplateWorld:
+    if raw == "default":
+        return default_world()
+    if not isinstance(raw, dict):
+        _fail("world", "expected 'default' or an object")
+    raw = dict(raw)
+    if "similarity" not in raw:
+        make, values = family_world, _read(raw, family_world)
+    else:
+        correct, similarity = raw.pop("correct", None), raw.pop("similarity")
+        if not isinstance(correct, list) or not all(isinstance(c, bool) for c in correct):
+            _fail("world", f"'correct' must be a list of true/false values, got {correct!r}")
+        if not isinstance(similarity, list) or not all(isinstance(row, list) for row in similarity):
+            _fail("world", f"'similarity' must be a list of rows of numbers, got {similarity!r}")
+        similarity = [[_check("world.similarity", value, float) for value in row] for row in similarity]
+        make, values = TemplateWorld, {"correct": correct, "similarity": similarity}
+    if raw:
+        _fail("world", f"unknown keys {sorted(raw)}")
+    try:
+        return make(**values)
+    except ValueError as err:
+        _fail("world", err)
+
+
 @dataclass
 class SimulationConfig:
-    """Declarative multi-run simulation: a world, objectives, seeds."""
+    """Declarative multi-run simulation: a world, objectives, seeds. A
+    config sets each field with a default by its name at the top level."""
 
     world: TemplateWorld
     objectives: list  # of (name, StepParams)
     seeds: list
-    steps: int
-    init_correct_bonus: float
-    temperature: float
     k_list: tuple
+    steps: int = field(default=DEFAULT_STEPS, metadata={"minimum": 0})
+    init_correct_bonus: float = 1.0
+    temperature: float = field(default=1.0, metadata={"minimum": 0})
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SimulationConfig":
-        def fail(name, why):
-            raise ValueError(f"invalid config field {name!r}: {why}")
-
-        def number(name, value, positive=False):
-            # False for NaN, inf and ints beyond the float range alike.
-            finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if isinstance(value, bool) or not finite:
-                fail(name, f"expected a finite number, got {value!r}")
-            if positive and value <= 0:
-                fail(name, f"expected a number > 0, got {value!r}")
-            return value
-
-        def integer(name, value, minimum):
-            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-                fail(name, f"expected an integer >= {minimum}, got {value!r}")
-            return value
-
         if not isinstance(raw, dict):
             raise ValueError(f"invalid config: expected an object, got {type(raw).__name__}")
         # Each key is popped as it is read, so what is left is unknown.
         raw = dict(raw)
-        world_raw = raw.pop("world", "default")
-        if world_raw == "default":
-            world = default_world()
-        elif isinstance(world_raw, dict) and "similarity" in world_raw:
-            world_raw = dict(world_raw)
-            correct = world_raw.pop("correct", None)
-            similarity = world_raw.pop("similarity")
-            if world_raw:
-                fail("world", f"unknown keys {sorted(world_raw)}")
-            if not isinstance(correct, list) or not all(isinstance(c, bool) for c in correct):
-                fail("world", f"'correct' must be a list of true/false values, got {correct!r}")
-            if not isinstance(similarity, list) or not all(isinstance(row, list) for row in similarity):
-                fail("world", f"'similarity' must be a list of rows of numbers, got {similarity!r}")
-            for row in similarity:
-                for value in row:
-                    number("world.similarity", value)
-            try:
-                world = TemplateWorld(correct=correct, similarity=similarity)
-            except (TypeError, ValueError) as err:
-                fail("world", err)
-        elif isinstance(world_raw, dict):
-            for key in ("families", "per_family", "correct_families"):
-                if key in world_raw:
-                    integer(key, world_raw[key], 1)
-            try:
-                world = family_world(**world_raw)
-            except (TypeError, ValueError) as err:
-                fail("world", err)
-        else:
-            fail("world", "expected 'default' or an object")
-
-        objectives = []
+        world = _read_world(raw.pop("world", "default"))
+        top = _read(raw, cls)
+        # A step parameter set at the top level is each objective's default.
+        step_defaults = {f.name: raw.pop(f.name) for f in fields(StepParams) if f.name in raw}
         raw_objectives = raw.pop("objectives", None)
         if not isinstance(raw_objectives, list) or not raw_objectives:
-            fail("objectives", "expected a non-empty list")
-        step_fields = fields(StepParams)
-        base_params = {f.name: raw.pop(f.name, f.default) for f in step_fields}
+            _fail("objectives", "expected a non-empty list")
+        objectives = []
         for entry in raw_objectives:
-            if isinstance(entry, str):
-                entry = {"name": entry}
-            if not isinstance(entry, dict) or "name" not in entry:
-                fail("objectives", "each entry needs a 'name'")
-            entry = dict(entry)
+            entry = {"name": entry} if isinstance(entry, str) else entry
+            if not isinstance(entry, dict) or entry.get("name") not in rewards.OBJECTIVES:
+                _fail("objectives", f"each entry needs a 'name' in {list(rewards.OBJECTIVES)}, got {entry!r}")
+            entry = {**step_defaults, **entry}
             name = entry.pop("name")
-            if name not in rewards.OBJECTIVES:
-                fail("objectives", f"unknown objective {name!r}")
-            merged = {key: entry.pop(key, value) for key, value in base_params.items()}
+            params = StepParams(**_read(entry, StepParams))
             if entry:
-                fail("objectives", f"{name!r}: unknown keys {sorted(entry)}")
-            for f in step_fields:
-                value = merged[f.name]
-                if f.type is float:
-                    number(f.name, value)
-                elif value is not None or f.default is not None:
-                    integer(f.name, value, f.metadata.get("minimum", 1))
-            params = StepParams(**merged)
-            # Score one group of this size now, so that what the rewards
-            # module refuses (pkpo's k above the group size, a diversity
-            # term on fewer than 3 samples, a negative lambda_div) fails
-            # here, before any trace is written.
-            n = params.group_size
+                _fail("objectives", f"{name!r}: unknown keys {sorted(entry)}")
+            # Score one group now: what rewards refuses (pkpo's k > n, diversity on n < 3) fails here.
+            eye = np.eye(params.group_size)
             try:
-                _group_advantages(
-                    name, params, rewards.GroupOutcome.from_flags(np.arange(n) == 0), SimMatrix(np.eye(n))
-                )
+                _group_advantages(name, params, rewards.GroupOutcome.from_flags(eye[0]), SimMatrix(eye))
             except ValueError as err:
-                fail("objectives", f"{name!r}: {err}")
+                _fail("objectives", f"{name!r}: {err}")
             objectives.append((name, params))
-
-        seeds = raw.pop("seeds", [0])
-        if not isinstance(seeds, list):
-            fail("seeds", "expected a list of integers")
-        for seed in seeds:
-            integer("seeds", seed, 0)
-        steps = integer("steps", raw.pop("steps", DEFAULT_STEPS), 0)
-
+        seeds = _check("seeds", raw.pop("seeds", [0]), list, 0)
         eval_raw = raw.pop("eval", {})
-        if not isinstance(eval_raw, dict):
-            fail("eval", "expected an object")
-        unknown = sorted(set(eval_raw) - {"k_list"})
-        if unknown:
-            fail("eval", f"unknown keys {unknown}; only 'k_list' is accepted")
-        k_list = eval_raw.get("k_list", DEFAULT_K_LIST)
-        if not isinstance(k_list, (list, tuple)) or not all(
-            isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_list
-        ):
-            fail("eval", "'k_list' must be a list of integers >= 1")
-
-        bonus = number("init_correct_bonus", raw.pop("init_correct_bonus", 1.0))
-        temperature = number("temperature", raw.pop("temperature", 1.0), positive=True)
-        # The initial softmax scales the correct templates' logit by 1/temperature.
-        if abs(bonus / temperature) > sys.float_info.max:
-            fail("temperature", f"init_correct_bonus / temperature = {bonus!r} / {temperature!r} overflows")
+        if not isinstance(eval_raw, dict) or set(eval_raw) - {"k_list"}:
+            _fail("eval", f"expected an object whose only key is 'k_list', got {eval_raw!r}")
+        k_list = _check("eval", eval_raw.get("k_list", list(DEFAULT_K_LIST)), list, 1)
         if raw:
-            fail(min(raw), "unknown key")
-        return cls(
-            world=world,
-            objectives=objectives,
-            seeds=seeds,
-            steps=steps,
-            init_correct_bonus=bonus,
-            temperature=temperature,
-            k_list=tuple(k_list),
-        )
+            _fail(min(raw), "unknown key")
+        return cls(world, objectives, seeds, tuple(k_list), **top)
+
+    def __post_init__(self):
+        """Refuse a config unless, by a sufficient bound, no logit nor any value
+        on the way to it can overflow. A sample's credit is at most 2(1+|λ|) and
+        T times an entropy-gradient term at most 1 + ln M for M templates, so a
+        step moves a logit by at most |lr|·G/T, G = n·2(1+|λ|) + |β|·(1 + ln M),
+        and the softmax subtracts two logits over T. Python floats do not warn."""
+        t, bonus = self.temperature, self.init_correct_bonus
+        steps = float(self.steps) if self.steps <= sys.float_info.max else math.inf
+        for name, p in self.objectives:
+            lam = abs(p.lambda_div) if name == "combined" else 0.0
+            spread = 1.0 + math.log(self.world.n_templates) if name == "entropy" else 0.0
+            gain = (p.group_size * 2.0 * (1.0 + lam) + abs(p.entropy_beta) * spread) / t
+            reach = 2.0 * ((abs(bonus) + steps * abs(p.lr) * gain) / t)
+            if not all(map(math.isfinite, (gain, spread / t, reach))):
+                why = f"{bonus!r} / {t!r} with lr {p.lr!r} over {self.steps} steps of {name!r} overflows the logits"
+                _fail("temperature", f"init_correct_bonus / temperature = {why}")

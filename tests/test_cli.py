@@ -1,15 +1,20 @@
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import codediv
 from codediv import cli
 from codediv.cli import main
+from codediv.rewards import OBJECTIVES
 from codediv.similarity import SimMatrix
+from codediv.simulator import SimulationConfig
 
 from conftest import DEEP_EXPRESSIONS, RENAMED_PAIR
 
@@ -24,6 +29,20 @@ def write_corpus(path, rows):
         )
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _float_edge(accepts, refused, accepted):
+    """The adjacent positive floats (refused, accepted) between which
+    ``accepts`` flips, by bisection on their bit patterns, which order
+    positive floats."""
+    lo, hi = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (refused, accepted))
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if accepts(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            hi = mid
+        else:
+            lo = mid
+    return tuple(struct.unpack("<d", struct.pack("<q", b))[0] for b in (lo, hi))
 
 
 @pytest.fixture
@@ -817,6 +836,16 @@ class TestSimulateCommand:
             {"temperature": 1e-310},
             {"init_correct_bonus": 1e308, "temperature": 0.1},
             [{"objectives": ["base"]}],
+            # Each would overflow the logits during training.
+            {"temperature": 1e-310, "init_correct_bonus": 0},
+            {"temperature": 1e-310, "init_correct_bonus": 0, "lr": 0.0},
+            {"lr": 1e308},
+            {"objectives": ["entropy"], "entropy_beta": 1e308},
+            {"objectives": ["combined"], "lambda_div": 1e308},
+            # A family world's float keys take finite numbers only.
+            {"world": {"families": 3, "correct_families": 1, "within": True}},
+            {"world": {"within": [0.9]}},
+            {"world": {"within": float("nan")}},
         ],
         ids=repr,
     )
@@ -839,6 +868,40 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert "'eval'" in err and removed in err
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_overflow_bound_edges(self, tmp_path, capsys, objective):
+        # The bound is checked against training, not against itself: the
+        # most extreme accepted temperature and lr must train with finite
+        # logits and no numpy warning, and the next float past each edge
+        # must be refused before any trace is written.
+        raw = {"objectives": [objective], "seeds": [0], "eval": {"k_list": [1]}}
+        for steps in (1, 3, 10):
+            for key, refused, accepted in (("temperature", 1e-320, 1.0), ("lr", sys.float_info.max, 1.0)):
+
+                def accepts(value):
+                    try:
+                        SimulationConfig.from_dict({**raw, "steps": steps, key: value})
+                    except ValueError:
+                        return False
+                    return True
+
+                past, inside = _float_edge(accepts, refused, accepted)
+                config = tmp_path / "config.json"
+                out = tmp_path / f"{key}_{steps}"
+                config.write_text(json.dumps({**raw, "steps": steps, key: inside}))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+                rows = [json.loads(line) for line in (out / f"trace_00_{objective}_s0.jsonl").read_text().splitlines()]
+                assert len(rows) == steps + 1
+                assert all(math.isfinite(x) for row in rows for x in row["logits"]), (key, steps, inside)
+
+                config.write_text(json.dumps({**raw, "steps": steps, key: past}))
+                past_out = tmp_path / "past"
+                assert main(["simulate", "--config", str(config), "--out", str(past_out)]) == 1
+                assert capsys.readouterr().err.startswith("error: config: invalid config field")
+                assert not past_out.exists()
 
 
 class TestUnreadableInputs:

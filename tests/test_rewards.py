@@ -166,6 +166,13 @@ class TestDiversityAdvantages:
                 keep = [j for j in range(n) if j != i]
                 reduced = jdiv(SimMatrix(scores[np.ix_(keep, keep)]))
                 assert vec[i] == pytest.approx(full - reduced, abs=1e-12)
+            # Closed form: A_i = (2/(n-2))·(s̄ - u_i), with s̄ the group's
+            # mean pairwise similarity and u_i sample i's mean similarity
+            # to the others, so the credit's scale shrinks as 1/n.
+            off_diagonal = scores.sum(axis=1) - 1.0
+            mean_pair = off_diagonal.sum() / (n * (n - 1))
+            closed = 2.0 / (n - 2) * (mean_pair - off_diagonal / (n - 1))
+            assert vec == pytest.approx(closed, abs=1e-12)
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="diversity LOO undefined"):

@@ -389,16 +389,32 @@ class TestSimulationConfig:
         ),
         "family-world-unknown": (
             {"world": {"families": 3, "per_famly": 2}},
-            "invalid config field 'world': family_world() got an unexpected keyword argument 'per_famly'",
+            "invalid config field 'world': unknown keys ['per_famly']",
         ),
         "family-world-nan": (
             {"world": {"within": float("nan")}},
-            "invalid config field 'world': similarity must be symmetric",
+            "invalid config field 'within': expected a finite number, got nan",
+        ),
+        "family-world-bool": (
+            {"world": {"families": 3, "correct_families": 1, "within": True}},
+            "invalid config field 'within': expected a finite number, got True",
+        ),
+        "family-world-list": (
+            {"world": {"within": [0.9]}},
+            "invalid config field 'within': expected a finite number, got [0.9]",
         ),
         "objectives-missing": ({"objectives": None}, "invalid config field 'objectives': expected a non-empty list"),
         "objectives-empty": ({"objectives": []}, "invalid config field 'objectives': expected a non-empty list"),
-        "objective-no-name": ({"objectives": [{"lr": 0.1}]}, "invalid config field 'objectives': each entry needs a 'name'"),
-        "objective-unknown": ({"objectives": ["nope"]}, "invalid config field 'objectives': unknown objective 'nope'"),
+        "objective-no-name": (
+            {"objectives": [{"lr": 0.1}]},
+            "invalid config field 'objectives': each entry needs a 'name' in ['base', 'passk_loo', 'pkpo',"
+            " 'diversity', 'diversity_only', 'combined', 'entropy'], got {'lr': 0.1}",
+        ),
+        "objective-unknown": (
+            {"objectives": ["nope"]},
+            "invalid config field 'objectives': each entry needs a 'name' in ['base', 'passk_loo', 'pkpo',"
+            " 'diversity', 'diversity_only', 'combined', 'entropy'], got {'name': 'nope'}",
+        ),
         "objective-entry-unknown": (
             {"objectives": [{"name": "combined", "lamda_div": 0.5}]},
             "invalid config field 'objectives': 'combined': unknown keys ['lamda_div']",
@@ -422,27 +438,70 @@ class TestSimulationConfig:
             {"objectives": ["combined"], "lambda_div": -1.0},
             "invalid config field 'objectives': 'combined': lambda_div must be >= 0",
         ),
-        "seeds-not-list": ({"seeds": "0"}, "invalid config field 'seeds': expected a list of integers"),
+        "seeds-not-list": ({"seeds": "0"}, "invalid config field 'seeds': expected a list of integers >= 0, got '0'"),
         "seed": ({"seeds": [0, -1]}, "invalid config field 'seeds': expected an integer >= 0, got -1"),
         "steps": ({"steps": -1}, "invalid config field 'steps': expected an integer >= 0, got -1"),
-        "eval-not-object": ({"eval": [1]}, "invalid config field 'eval': expected an object"),
+        "eval-not-object": (
+            {"eval": [1]},
+            "invalid config field 'eval': expected an object whose only key is 'k_list', got [1]",
+        ),
         "eval-unknown": (
             {"eval": {"groups": 10}},
-            "invalid config field 'eval': unknown keys ['groups']; only 'k_list' is accepted",
+            "invalid config field 'eval': expected an object whose only key is 'k_list', got {'groups': 10}",
         ),
-        "eval-k-list": (
-            {"eval": {"k_list": [1, 0]}},
-            "invalid config field 'eval': 'k_list' must be a list of integers >= 1",
+        "eval-k-list": ({"eval": {"k_list": [1, 0]}}, "invalid config field 'eval': expected an integer >= 1, got 0"),
+        "eval-k-list-type": (
+            {"eval": {"k_list": 10}},
+            "invalid config field 'eval': expected a list of integers >= 1, got 10",
         ),
         "bonus": (
             {"init_correct_bonus": "x"},
             "invalid config field 'init_correct_bonus': expected a finite number, got 'x'",
         ),
-        "temperature-type": ({"temperature": "hot"}, "invalid config field 'temperature': expected a finite number, got 'hot'"),
+        "temperature-type": (
+            {"temperature": "hot"},
+            "invalid config field 'temperature': expected a finite number, got 'hot'",
+        ),
         "temperature-zero": ({"temperature": 0}, "invalid config field 'temperature': expected a number > 0, got 0"),
         "initial-softmax": (
             {"init_correct_bonus": 1e308, "temperature": 0.1},
-            "invalid config field 'temperature': init_correct_bonus / temperature = 1e+308 / 0.1 overflows",
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1e+308 / 0.1"
+            " with lr 0.15 over 400 steps of 'base' overflows the logits",
+        ),
+        "denormal-temperature": (
+            {"temperature": 1e-310, "init_correct_bonus": 0},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 0 / 1e-310"
+            " with lr 0.15 over 400 steps of 'base' overflows the logits",
+        ),
+        "denormal-temperature-zero-lr": (
+            {"temperature": 1e-310, "init_correct_bonus": 0, "lr": 0.0},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 0 / 1e-310"
+            " with lr 0.0 over 400 steps of 'base' overflows the logits",
+        ),
+        "huge-lr": (
+            {"lr": 1e308, "steps": 5},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1.0 / 1.0"
+            " with lr 1e+308 over 5 steps of 'base' overflows the logits",
+        ),
+        "huge-entropy-beta": (
+            {"objectives": ["base", "entropy"], "entropy_beta": 1e308},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1.0 / 1.0"
+            " with lr 0.15 over 400 steps of 'entropy' overflows the logits",
+        ),
+        "huge-lambda-div": (
+            {"objectives": ["base", "combined"], "lambda_div": 1e308},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1.0 / 1.0"
+            " with lr 0.15 over 400 steps of 'combined' overflows the logits",
+        ),
+        "int-lr-beyond-float-range-in-product": (
+            {"lr": 10**308, "steps": 10},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1.0 / 1.0"
+            f" with lr {10**308} over 10 steps of 'base' overflows the logits",
+        ),
+        "steps-beyond-float-range": (
+            {"lr": 0.0, "steps": 10**400},
+            "invalid config field 'temperature': init_correct_bonus / temperature = 1.0 / 1.0"
+            f" with lr 0.0 over {10**400} steps of 'base' overflows the logits",
         ),
     }
 
@@ -453,6 +512,31 @@ class TestSimulationConfig:
         with pytest.raises(ValueError) as info:
             SimulationConfig.from_dict(raw)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"init_correct_bonus": 1e308, "temperature": 1e300},
+            {"init_correct_bonus": -1e308, "temperature": 1e308, "objectives": ["entropy"]},
+            {"lr": 10**308, "steps": 0},
+            {"lr": 10**300, "steps": 3},
+        ],
+        ids=["bonus-over-large-temperature", "entropy-large-temperature", "huge-lr-no-steps", "int-lr"],
+    )
+    def test_extreme_configs_inside_the_bound_run(self, values):
+        # The overflow bound divides by the temperature before doubling and
+        # multiplies in floats, so these finite runs are not refused.
+        config = SimulationConfig.from_dict({"objectives": ["base"], "steps": 3, **values})
+        (name, params), = config.objectives
+        trace = run(
+            config.world,
+            name,
+            steps=config.steps,
+            params=params,
+            init_correct_bonus=config.init_correct_bonus,
+            temperature=config.temperature,
+        )
+        assert all(math.isfinite(x) for row in trace.records for x in row["logits"])
 
     def test_k_list(self):
         assert SimulationConfig.from_dict({"objectives": ["base"]}).k_list == (1, 10)
