@@ -26,9 +26,10 @@ hands out longest first, in tie-break order; a run that overlaps an
 earlier tile goes back as its unmarked pieces. Long repetitive pairs have
 millions of k-gram hits but few runs. A pair with more than
 ``PROBE_HITS_PER_TOKEN`` hits per token is therefore tiled by binary search
-on each round's tile length instead, from rank tables of that pair alone,
-with each search capped at the previous tile's length. The tests check both
-against a brute-force extension-scan oracle, tile for tile.
+on each round's tile length instead, capped at the previous tile's length;
+it keys windows by its group's rank tables, grown to the levels it needs
+and kept for the group's later pairs. The tests check both against a
+brute-force extension-scan oracle, tile for tile.
 
 A group's matrix ranks its distinct streams and sorts their k-gram keys
 once; each distinct ordered pair then only joins presorted keys. Renamed
@@ -41,7 +42,6 @@ tiling asymmetric; the matrix is then the same as tiling every pair.
 import heapq
 import math
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -130,35 +130,32 @@ def _free_run_lengths(marked):
     return np.minimum.accumulate(stop[::-1])[::-1] - pos
 
 
-def _probe_tiles(a, b, min_match, ranks):
-    """Tiles found by binary-searching each round's tile length.
-
-    ``ranks`` holds the low levels of ``_rank_tables`` over ``a`` then
-    ``b``; the levels the probes need are added to it.
+def _probe_tiles(ka, kb, min_match):
+    """Tiles of two streams keyed by ``_keyed``, by binary search on each
+    round's tile length. Windows are keyed at their streams' offsets by the
+    group's rank tables, which gain in place the levels the probes need.
     """
-    la, lb = len(a), len(b)
-    n = la + lb
-    _rank_tables(ranks, min(la, lb).bit_length() - 1)
-    marked = np.zeros(n, dtype=bool)  # a's positions, then b's
+    a, ranks, offset_a = ka[0], ka[4], ka[5]
+    b, offset_b = kb[0], kb[5]
+    _rank_tables(ranks, min(len(a), len(b)).bit_length() - 1)
+    marked_a, marked_b = np.zeros(len(a), dtype=bool), np.zeros(len(b), dtype=bool)
     tiles = []
 
-    def first_hit(run, length):
-        # ``run`` holds each position's free-run length, so windows over
-        # marked tokens are left out.
-        ps = np.flatnonzero(run >= length)
-        keys = _window_keys(ranks, ps, length).tolist()
-        ps = ps.tolist()
-        split = bisect_left(ps, la)
-        first = dict(zip(reversed(keys[split:]), reversed(ps[split:])))
-        for key, i in zip(keys[:split], ps[:split]):
-            j = first.get(key)
-            if j is not None:
-                return i, j - la
-        return None
+    def first_hit(run_a, run_b, length):
+        # Windows over marked tokens are left out. The first window of a
+        # whose key b has wins; b's stable order puts its smallest j first.
+        ps_a, ps_b = np.flatnonzero(run_a >= length), np.flatnonzero(run_b >= length)
+        keys_a = _window_keys(ranks, offset_a + ps_a, length)
+        keys_b = _window_keys(ranks, offset_b + ps_b, length)
+        order = np.argsort(keys_b, kind="stable")
+        sorted_b = keys_b[order]
+        at = np.minimum(np.searchsorted(sorted_b, keys_a), len(order) - 1)
+        found = np.flatnonzero(sorted_b[at] == keys_a)
+        return (int(ps_a[found[0]]), int(ps_b[order[at[found[0]]]])) if found.size else None
 
     while True:
-        run = np.concatenate((_free_run_lengths(marked[:la]), _free_run_lengths(marked[la:])))
-        cap = min(int(run[:la].max()), int(run[la:].max()))
+        run_a, run_b = _free_run_lengths(marked_a), _free_run_lengths(marked_b)
+        cap = min(int(run_a.max()), int(run_b.max()))
         if tiles:
             cap = min(cap, tiles[-1][2])
         # The longest common unmarked run has a unique length L*; any common
@@ -168,7 +165,7 @@ def _probe_tiles(a, b, min_match, ranks):
         best = None
         while lo <= hi:
             mid = (lo + hi) // 2
-            hit = first_hit(run, mid)
+            hit = first_hit(run_a, run_b, mid)
             if hit is None:
                 hi = mid - 1
             else:
@@ -178,8 +175,7 @@ def _probe_tiles(a, b, min_match, ranks):
             break
         length, (i, j) = best
         tiles.append((i, j, length))
-        marked[i : i + length] = True
-        marked[la + j : la + j + length] = True
+        marked_a[i : i + length] = marked_b[j : j + length] = True
     return tiles
 
 
@@ -190,11 +186,13 @@ def _next(buf, value, start, stop):
 
 
 def _keyed(streams, k):
-    """Each stream's ``(ids, keys, order, sorted keys)`` of its k-grams.
+    """Each stream's ``(ids, keys, order, sorted keys)`` of its k-grams, the
+    group's rank tables and the stream's ``offset`` in those tables.
 
-    The group's streams are ranked once, concatenated. A k-gram inside one
-    stream reads only that stream's tokens, so its key is exact across the
-    whole group: equal keys mean equal k-grams, in any two streams.
+    The group's streams are ranked once, concatenated, into one shared list
+    of tables. A window inside one stream reads only that stream's tokens,
+    so its key is exact across the whole group: equal keys mean equal
+    windows, in any two streams.
     """
     ranks = _rank_tables([_ranks(np.concatenate(streams))], k.bit_length() - 1)
     keyed = []
@@ -202,7 +200,7 @@ def _keyed(streams, k):
     for ids in streams:
         keys = _window_keys(ranks, np.arange(offset, offset + len(ids) - k + 1), k)
         order = np.argsort(keys)
-        keyed.append((ids, keys, order, keys[order]))
+        keyed.append((ids, keys, order, keys[order], ranks, offset))
         offset += len(ids)
     return keyed
 
@@ -210,7 +208,7 @@ def _keyed(streams, k):
 def _tiles(ka, kb, k):
     """All tiles of the greedy string tiling of two streams keyed by ``_keyed``."""
     a, keys_a = ka[:2]
-    b, _, order, sorted_b = kb
+    b, _, order, sorted_b = kb[:4]
     la, lb = len(a), len(b)
     if min(la, lb) < k:
         return []
@@ -218,7 +216,7 @@ def _tiles(ka, kb, k):
     counts = np.searchsorted(sorted_b, keys_a, "right") - lo
     hits = int(counts.sum())
     if hits > PROBE_HITS_PER_TOKEN * (la + lb):
-        return _probe_tiles(a, b, k, [_ranks(np.concatenate((a, b)))])
+        return _probe_tiles(ka, kb, k)
     if hits == 0:
         return []
     # Every pair of equal k-grams, by its starts i in a and j in b, packed
@@ -264,7 +262,7 @@ def _tiles(ka, kb, k):
 
 
 def _check_min_match(min_match):
-    if not isinstance(min_match, (int, np.integer)) or min_match < 1:
+    if isinstance(min_match, bool) or not isinstance(min_match, (int, np.integer)) or min_match < 1:
         raise ValueError(f"min_match must be an integer >= 1, got {min_match!r}")
 
 

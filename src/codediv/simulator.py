@@ -204,6 +204,27 @@ def _evaluate(policy: CategoricalPolicy, world: TemplateWorld, k_list) -> dict:
     }
 
 
+def _fail(name, why):
+    raise ValueError(f"invalid config field {name!r}: {why}")
+
+
+def _check_reach(world, objective, params, steps, init_correct_bonus, temperature):
+    """Refuse a run unless, by a sufficient bound, no logit nor any value on
+    the way to it can overflow. A sample's credit is at most 2(1+|λ|) and T
+    times an entropy-gradient term at most 1 + ln M for M templates, so a
+    step moves a logit by at most |lr|·G/T, G = n·2(1+|λ|) + |β|·(1 + ln M),
+    and the softmax subtracts two logits over T. Python floats do not warn."""
+    t, bonus, p = temperature, init_correct_bonus, params
+    lam = abs(p.lambda_div) if objective == "combined" else 0.0
+    spread = 1.0 + math.log(world.n_templates) if objective == "entropy" else 0.0
+    gain = (p.group_size * 2.0 * (1.0 + lam) + abs(p.entropy_beta) * spread) / t
+    span = float(steps) if steps <= sys.float_info.max else math.inf
+    reach = 2.0 * ((abs(bonus) + span * abs(p.lr) * gain) / t)
+    if not all(map(math.isfinite, (gain, spread / t, reach))):
+        why = f"{bonus!r} / {t!r} with lr {p.lr!r} over {steps} steps of {objective!r} overflows the logits"
+        _fail("temperature", f"init_correct_bonus / temperature = {why}")
+
+
 def run(
     world: TemplateWorld,
     objective: str,
@@ -230,16 +251,13 @@ def run(
     train_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
     policy = initial_policy(world, correct_bonus=init_correct_bonus, temperature=temperature)
+    _check_reach(world, objective, params, steps, init_correct_bonus, temperature)
     trace = TrainingTrace(objective=objective, seed=seed)
     for t in range(steps + 1):
         if t > 0:
             policy = step(policy, world, objective, params, train_rng)
         trace.records.append({"step": t, **_evaluate(policy, world, k_list), "logits": policy.logits.tolist()})
     return trace
-
-
-def _fail(name, why):
-    raise ValueError(f"invalid config field {name!r}: {why}")
 
 
 def _check(name, value, kind, floor=None):
@@ -356,18 +374,5 @@ class SimulationConfig:
         return cls(world, objectives, seeds, tuple(k_list), **top)
 
     def __post_init__(self):
-        """Refuse a config unless, by a sufficient bound, no logit nor any value
-        on the way to it can overflow. A sample's credit is at most 2(1+|λ|) and
-        T times an entropy-gradient term at most 1 + ln M for M templates, so a
-        step moves a logit by at most |lr|·G/T, G = n·2(1+|λ|) + |β|·(1 + ln M),
-        and the softmax subtracts two logits over T. Python floats do not warn."""
-        t, bonus = self.temperature, self.init_correct_bonus
-        steps = float(self.steps) if self.steps <= sys.float_info.max else math.inf
-        for name, p in self.objectives:
-            lam = abs(p.lambda_div) if name == "combined" else 0.0
-            spread = 1.0 + math.log(self.world.n_templates) if name == "entropy" else 0.0
-            gain = (p.group_size * 2.0 * (1.0 + lam) + abs(p.entropy_beta) * spread) / t
-            reach = 2.0 * ((abs(bonus) + steps * abs(p.lr) * gain) / t)
-            if not all(map(math.isfinite, (gain, spread / t, reach))):
-                why = f"{bonus!r} / {t!r} with lr {p.lr!r} over {self.steps} steps of {name!r} overflows the logits"
-                _fail("temperature", f"init_correct_bonus / temperature = {why}")
+        for name, params in self.objectives:
+            _check_reach(self.world, name, params, self.steps, self.init_correct_bonus, self.temperature)

@@ -65,8 +65,10 @@ class TestGstMatch:
         assert {t[2] for t in match.tiles} == {5}
 
     def test_min_match_validation(self):
-        with pytest.raises(ValueError):
-            gst_match(as_ids([1, 2]), as_ids([1, 2]), min_match=0)
+        # A bool is refused like np.True_, not read as 1 or 0.
+        for min_match in (0, True, False):
+            with pytest.raises(ValueError, match=f"min_match must be an integer >= 1, got {min_match}"):
+                gst_match(as_ids([1, 2]), as_ids([1, 2]), min_match=min_match)
 
     def test_numpy_integer_min_match(self):
         a = as_ids([1, 2, 3, 4, 5, 6, 1, 2, 3])
@@ -171,9 +173,10 @@ def probe_calls(monkeypatch):
     calls = []
     probe = similarity._probe_tiles
 
-    def counting(a, b, min_match, ranks):
-        calls.append((len(a), len(b)))
-        return probe(a, b, min_match, ranks)
+    def counting(ka, kb, min_match):
+        # Each keyed stream starts with its ids.
+        calls.append((len(ka[0]), len(kb[0])))
+        return probe(ka, kb, min_match)
 
     monkeypatch.setattr(similarity, "_probe_tiles", counting)
     return calls
@@ -213,6 +216,40 @@ class TestTilingPaths:
                 sides[min_match, probed] += 1
         assert all(sides[min_match, probed] >= 5 for min_match in (1, 3, 8) for probed in (0, 1))
 
+    def test_group_probes_equal_bruteforce(self, rng, monkeypatch, probe_calls):
+        # Every pair of a group takes the probe path, keyed by the group's
+        # shared rank tables at each stream's offset. A short first stream
+        # keeps the first pairs' extension low, so a longer pair tiled later
+        # must grow the tables again. Two streams spell a k-gram across
+        # their boundary and a third holds it; empty streams and streams
+        # shorter than k sit among random ones.
+        monkeypatch.setattr(similarity, "PROBE_HITS_PER_TOKEN", 0)
+        regrown = 0
+        for _ in range(150):
+            min_match = int(rng.choice([1, 2, 3, 5, 8, 11]))
+            alphabet = int(rng.integers(1, 6))
+            gram = rng.integers(0, alphabet, size=min_match)
+            cut = int(rng.integers(0, min_match + 1))
+            group = [
+                random_id_stream(rng, max_len=16, alphabet=alphabet),
+                np.concatenate((random_id_stream(rng, 20, alphabet), gram[:cut])),
+                np.concatenate((gram[cut:], random_id_stream(rng, 20, alphabet))),
+                np.concatenate((random_id_stream(rng, 20, alphabet), gram, random_id_stream(rng, 20, alphabet))),
+            ]
+            for kind in rng.integers(0, 3, size=4):
+                max_len = (0, min_match - 1, 60)[kind]
+                group.append(random_id_stream(rng, max_len=max_len, alphabet=alphabet))
+            group = group[: int(rng.integers(3, 9))]
+            probe_calls.clear()
+            scores = pairwise_matrix(group, min_match).scores
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    brute = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], min_match))
+                    assert scores[i, j] == avg_similarity(brute, len(group[i]), len(group[j]))
+            levels = [min(pair).bit_length() for pair in probe_calls]
+            regrown += any(later > levels[0] for later in levels[1:])
+        assert regrown >= 30  # of 150 groups
+
     def test_corpus_pairs_never_probe_and_period3_pairs_always_do(self, rng, probe_calls):
         # Program-sized streams over a token-kind-sized alphabet, half of
         # them mutated copies of one another, as sampled generations are.
@@ -232,17 +269,18 @@ class TestTilingPaths:
 
 # The times were measured on the maximal-matches-first matcher: the slowest
 # of six processes' best of three runs (of one run for the 10,500-token
-# pair). Period-3 pairs go to the length probes; their memory bounds stay
+# pair). Period-3 pairs go to the length probes, whose times were measured
+# with the probes keyed by the group's rank tables; their memory bounds stay
 # from the earlier window-hash matcher, which used less (the probes peak at
-# 1.0-1.1 MB).
+# 1.0-1.2 MB).
 
 
 class TestHostileShapes:
     @pytest.mark.parametrize(
         "lines_a, lines_b, measured_s, measured_mb, expected",
         [
-            (1000, 1000, 0.0049, 0.59, ((0, 0, 3002),)),
-            (1000, 800, 0.0042, 0.53, ((0, 0, 2401),)),
+            (1000, 1000, 0.0041, 0.59, ((0, 0, 3002),)),
+            (1000, 800, 0.0041, 0.53, ((0, 0, 2401),)),
         ],
         ids=["1000x1000", "1000x800"],
     )
@@ -447,7 +485,7 @@ class TestPairwiseMatrix:
                     brute = MatchSet.from_tiles(brute_force_tiles(a, b, min_match))
                     assert scores[i, j] == direct == avg_similarity(brute, len(a), len(b))
 
-    @pytest.mark.parametrize("min_match", [0, -1, 2.5])
+    @pytest.mark.parametrize("min_match", [0, -1, 2.5, True, False])
     def test_min_match_checked_for_any_group(self, min_match):
         # A single stream has no pair to tile; min_match is checked anyway.
         for group in ([[1, 2, 3]], [[1, 2, 3], [1, 2, 3]]):

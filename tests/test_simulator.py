@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,18 @@ class TestRun:
             and json.loads(line)["logits"] == json.loads(lines[0])["logits"]
             for line in lines
         )
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"temperature": 1e-310, "init_correct_bonus": 0}, {"params": StepParams(lr=1e308)}],
+        ids=["denormal-temperature", "huge-lr"],
+    )
+    def test_overflowing_run_refused(self, values):
+        # run applies the bound a config does, before numpy can warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'temperature': init_correct_bonus / temperature = .* overflows"):
+                run(default_world(), "base", steps=2, **values)
 
     def test_deterministic_reruns(self):
         first = run(default_world(), "combined", steps=8, seed=3)
