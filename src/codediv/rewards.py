@@ -70,7 +70,7 @@ def base_advantages(outcome: GroupOutcome, centered=True) -> AdvantageVector:
     """Per-sample signed reward with the group mean as baseline."""
     a = outcome.r.astype(np.float64)
     if centered:
-        a = a - a.mean()
+        a = a - a.sum() / len(a)
     return AdvantageVector("base", a, {"centered": centered})
 
 
@@ -121,7 +121,7 @@ def diversity_advantages(matrix: SimMatrix) -> AdvantageVector:
     n = matrix.n
     if n < 3:
         raise ValueError("diversity LOO undefined for groups smaller than 3")
-    row = scores.sum(axis=1) - np.diag(scores)  # similarity mass of each sample
+    row = scores.sum(axis=1) - scores.diagonal()  # similarity mass of each sample
     total = row.sum() / 2.0
     jdiv_full = 1.0 - 2.0 * total / (n * (n - 1))
     jdiv_without = 1.0 - 2.0 * (total - row) / ((n - 1) * (n - 2))

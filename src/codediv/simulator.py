@@ -92,10 +92,18 @@ class CategoricalPolicy:
             raise ValueError("temperature must be positive")
 
     def probs(self) -> np.ndarray:
-        z = self.logits / self.temperature
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
+        """The softmax of ``logits / temperature``. It is computed on the
+        first call, where numpy warns of a non-finite logit, and every later
+        call returns the same read-only array."""
+        p = self.__dict__.get("_probs")
+        if p is None:
+            z = self.logits / self.temperature
+            z = z - z.max()
+            e = np.exp(z)
+            p = e / e.sum()
+            p.flags.writeable = False
+            object.__setattr__(self, "_probs", p)
+        return p
 
 
 def initial_policy(world: TemplateWorld, correct_bonus=1.0, temperature=1.0) -> CategoricalPolicy:
@@ -128,10 +136,19 @@ class StepParams:
 
 def sample_group(probs: np.ndarray, world: TemplateWorld, n: int, rng):
     """Draw n i.i.d. templates from ``probs``; read correctness and
-    similarity off the world."""
-    draws = rng.choice(world.n_templates, size=n, p=probs)
+    similarity off the world.
+
+    The draws are ``rng.choice(T, size=n, p=probs)``'s own inverse-CDF
+    lookup, so they consume the same random numbers and give the same
+    templates. Of ``choice``'s checks on ``p`` only the one a softmax can
+    fail is kept: a NaN, a +inf or all -inf logits make it NaN."""
+    cdf = probs.cumsum()
+    if math.isnan(cdf[-1]):
+        raise ValueError("Probabilities contain NaN")
+    cdf /= cdf[-1]
+    draws = cdf.searchsorted(rng.random(n), side="right")
     outcome = rewards.GroupOutcome.from_flags(world.correct[draws])
-    matrix = SimMatrix(world.similarity[np.ix_(draws, draws)])
+    matrix = SimMatrix(world.similarity[draws[:, None], draws])
     return draws, outcome, matrix
 
 
@@ -146,9 +163,8 @@ def _policy_gradient(probs: np.ndarray, draws, advantages, temperature: float) -
 
     The per-draw score function is (onehot(t_i) - pi)/temperature, so the
     result is linear in the advantages."""
-    grad = np.zeros_like(probs)
-    np.add.at(grad, draws, advantages)
-    grad -= float(np.sum(advantages)) * probs
+    grad = np.bincount(draws, weights=advantages, minlength=len(probs))
+    grad -= float(advantages.sum()) * probs
     return grad / temperature
 
 

@@ -4,6 +4,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,8 +188,14 @@ def strip_comments_oracle(source):
 
 def docstring_spans_oracle(source):
     """Reference docstring finder: parses and visits every node with ast.walk."""
+    with warnings.catch_warnings():
+        # As in ``tokenizer.parse``: generated sources such as ``1if x else 2``
+        # trip SyntaxWarning or DeprecationWarning, which are not a failure.
+        warnings.simplefilter("ignore", SyntaxWarning)
+        warnings.simplefilter("ignore", DeprecationWarning)
+        tree = ast.parse(source)
     spans = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         for stmt in node.body:

@@ -12,7 +12,6 @@ import contextlib
 import itertools
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -293,14 +292,7 @@ def _run_twice(tmp_path, name, argv_builder):
     out2 = tmp_path / f"{name}_2"
     assert main(argv_builder(str(out1))) == 0
     assert main(argv_builder(str(out2))) == 0
-    blobs = []
-    for out in (out1, out2):
-        blobs.append(
-            {
-                f: open(os.path.join(out, f), "rb").read()
-                for f in sorted(os.listdir(out))
-            }
-        )
+    blobs = [{path.name: path.read_bytes() for path in sorted(out.iterdir())} for out in (out1, out2)]
     assert blobs[0].keys() == blobs[1].keys()
     for fname in blobs[0]:
         if fname == "manifest.json":

@@ -52,7 +52,46 @@ class TestTemplateWorld:
         assert world.correct.any() and (~world.correct).any()
 
 
+@pytest.fixture
+def softmax_calls(monkeypatch):
+    """The length of each array that numpy exponentiates: one per softmax."""
+    calls = []
+    exp = np.exp
+
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return calls
+
+
 class TestCategoricalPolicy:
+    @pytest.mark.parametrize("objective", ["base", "combined", "entropy"])
+    def test_one_softmax_per_policy(self, softmax_calls, objective):
+        world = default_world()
+        run(world, objective, steps=7, seed=3)
+        assert softmax_calls == [world.n_templates] * 8
+
+    def test_probs_read_only(self):
+        policy = CategoricalPolicy(logits=np.array([0.0, 1.0, -2.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            policy.probs()[0] = 1.0
+        assert policy.probs() is policy.probs()
+
+    @pytest.mark.parametrize("logits", [[math.inf, 0.0], [-math.inf, -math.inf], [math.nan, 0.0]])
+    def test_non_finite_logits_fail_at_first_use(self, logits):
+        world = TemplateWorld(correct=[True, False], similarity=np.eye(2))
+        policy = CategoricalPolicy(logits=logits)
+        if not math.isnan(logits[0]):
+            # inf - inf: numpy's invalid-value warning, an error in this suite.
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                policy.probs()
+        # Where numpy only warns, the draw refuses the NaN softmax as
+        # Generator.choice did.
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^Probabilities contain NaN$"):
+            step(policy, world, "base", StepParams(), np.random.default_rng(0))
+
     def test_probs_normalize(self):
         policy = CategoricalPolicy(logits=np.array([0.0, 1.0, -2.0]))
         p = policy.probs()
@@ -117,6 +156,54 @@ class TestSampleGroup:
         assert np.array_equal(d1, d2)
         assert np.array_equal(o1.r, o2.r)
         assert m1 == m2
+
+    def test_draws_equal_generator_choice(self, rng):
+        # sample_group repeats Generator.choice's inverse-CDF lookup; every
+        # trace depends on the two drawing the same templates from the same
+        # stream, so a numpy change that breaks this must fail here.
+        worlds = {}
+        zero_mass = 0
+        for trial in range(2000):
+            t = int(rng.integers(2, 31))
+            if t not in worlds:
+                sim = rng.uniform(0.0, 1.0, size=(t, t))
+                sim = (sim + sim.T) / 2.0
+                np.fill_diagonal(sim, 1.0)
+                worlds[t] = TemplateWorld(correct=np.arange(t) % 2 == 0, similarity=sim)
+            world = worlds[t]
+            logits = rng.uniform(-1.0, 1.0, size=t) * rng.uniform(0.0, 30.0)
+            if trial % 4 == 0:
+                # Logits this far below the top underflow to exactly 0 mass.
+                logits[rng.permutation(t)[: int(rng.integers(1, t))]] = -1000.0
+            probs = CategoricalPolicy(logits=logits).probs()
+            zero_mass += bool((probs == 0.0).any())
+            n = int(rng.integers(1, 21))
+            seed = int(rng.integers(2**32))
+            ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                draws, outcome, matrix = sample_group(probs, world, n, ours)
+                expected = twin.choice(t, size=n, p=probs)
+                assert np.array_equal(draws, expected)
+                assert np.array_equal(outcome.r, np.where(world.correct[expected], 1.0, -1.0))
+                assert np.array_equal(matrix.scores, world.similarity[np.ix_(expected, expected)])
+        assert zero_mass >= 400
+
+    def test_policy_gradient_equals_add_at(self, rng):
+        def add_at_gradient(probs, draws, advantages, temperature):
+            grad = np.zeros_like(probs)
+            np.add.at(grad, draws, advantages)
+            grad -= float(np.sum(advantages)) * probs
+            return grad / temperature
+
+        for _ in range(500):
+            t = int(rng.integers(2, 13))
+            probs = CategoricalPolicy(logits=rng.normal(0.0, 3.0, size=t)).probs()
+            # Many more draws than templates, so most templates repeat.
+            draws = rng.integers(0, t, size=int(rng.integers(1, 41)))
+            advantages = rng.normal(0.0, 2.0, size=len(draws))
+            temperature = float(rng.uniform(0.1, 3.0))
+            got = _policy_gradient(probs, draws, advantages, temperature)
+            assert got.tobytes() == add_at_gradient(probs, draws, advantages, temperature).tobytes()
 
 
 class TestStep:
