@@ -19,24 +19,32 @@ stream's tokens, so equal keys mean equal windows in any two streams;
 there is nothing to verify and any integer ids work.
 
 A pair is tiled maximal matches first, as in RKR-GST (Wise 1993), on which
-JPlag is built. Its equal k-grams (k = ``min_match``) are found by
-searching the first stream's keys among the second's, sorted beforehand,
-and join along their diagonals into the maximal common runs, which a heap
-hands out longest first, in tie-break order; a run that overlaps an
-earlier tile goes back as its unmarked pieces. Long repetitive pairs have
-millions of k-gram hits but few runs. A pair with more than
-``PROBE_HITS_PER_TOKEN`` hits per token is therefore tiled by binary search
-on each round's tile length instead, capped at the previous tile's length;
-it keys windows by its group's rank tables, grown to the levels it needs
-and kept for the group's later pairs. The tests check both against a
-brute-force extension-scan oracle, tile for tile.
+JPlag is built. Its equal k-grams (k = ``min_match``) join along their
+diagonals into the maximal common runs, which a heap hands out longest
+first, in tie-break order; a run that overlaps an earlier tile goes back as
+its unmarked pieces. Long repetitive pairs have millions of k-gram hits but
+few runs. A pair with more than ``PROBE_HITS_PER_TOKEN`` hits per token is
+therefore tiled by binary search on each round's tile length instead,
+capped at the previous tile's length; it keys windows by its group's rank
+tables, grown to the levels it needs and kept for the group's later pairs.
+The tests check both against a brute-force extension-scan oracle, tile for
+tile.
 
-A group's matrix ranks its distinct streams and sorts their k-gram keys
-once; each distinct ordered pair then only joins presorted keys. Renamed
-copies, the redundancy this package measures, share one structural stream,
-so their cells reuse a score instead of tiling again. The pair is keyed in
-order (lower sample index first), not as a set, because the tie break makes
-tiling asymmetric; the matrix is then the same as tiling every pair.
+A group is tiled row by row. Its distinct streams are ranked once and
+their k-gram windows sorted once by key and stream; each stream then joins
+its keys with those of all later streams in one pass. The pass counts
+every pair's hits from per-(key, stream) window counts before expanding
+any, so a pair above the hit bound goes to the probes unexpanded and a row
+never holds more hits than the bound allows. ``gst_match`` is a group of
+two. Renamed copies, the redundancy this package measures, share one
+structural stream, so their cells reuse a score instead of tiling again.
+A pair is tiled in its order (lower sample index first) because the tie
+break makes tiling asymmetric; a pair that also occurs reversed is tiled
+again from the same runs, so the matrix is the same as tiling every pair.
+
+The 1-gram metric maps a group's lexical tokens to one vocabulary and
+counts them per source, so a pair's multiset overlap is the sum of the
+smaller of its two count rows.
 """
 
 import heapq
@@ -131,12 +139,13 @@ def _free_run_lengths(marked):
 
 
 def _probe_tiles(ka, kb, min_match):
-    """Tiles of two streams keyed by ``_keyed``, by binary search on each
-    round's tile length. Windows are keyed at their streams' offsets by the
-    group's rank tables, which gain in place the levels the probes need.
+    """Tiles of two streams, each given as ``(ids, rank tables, offset)``, by
+    binary search on each round's tile length. Windows are keyed at their
+    streams' offsets by the group's rank tables, which gain in place the
+    levels the probes need.
     """
-    a, ranks, offset_a = ka[0], ka[4], ka[5]
-    b, offset_b = kb[0], kb[5]
+    a, ranks, offset_a = ka
+    b, _, offset_b = kb
     _rank_tables(ranks, min(len(a), len(b)).bit_length() - 1)
     marked_a, marked_b = np.zeros(len(a), dtype=bool), np.zeros(len(b), dtype=bool)
     tiles = []
@@ -185,60 +194,20 @@ def _next(buf, value, start, stop):
     return stop if pos < 0 else pos
 
 
-def _keyed(streams, k):
-    """Each stream's ``(ids, keys, order, sorted keys)`` of its k-grams, the
-    group's rank tables and the stream's ``offset`` in those tables.
+def _tile_runs(a, b, heap, k):
+    """Tiles of streams ``a`` and ``b`` from a list of their maximal common
+    runs of at least k tokens, each ``(-length, i, j)``, i in a and j in b.
 
-    The group's streams are ranked once, concatenated, into one shared list
-    of tables. A window inside one stream reads only that stream's tokens,
-    so its key is exact across the whole group: equal keys mean equal
-    windows, in any two streams.
+    Maximal matches first. Each maximal unmarked common run of at least k
+    tokens lies inside one heap entry, and entries pop longest first, so a
+    popped entry with no marked token is a longest unmarked run; equal
+    lengths pop by (i, j), the tie break. An entry that overlaps a tile goes
+    back as its unmarked pieces of at least k tokens.
     """
-    ranks = _rank_tables([_ranks(np.concatenate(streams))], k.bit_length() - 1)
-    keyed = []
-    offset = 0
-    for ids in streams:
-        keys = _window_keys(ranks, np.arange(offset, offset + len(ids) - k + 1), k)
-        order = np.argsort(keys)
-        keyed.append((ids, keys, order, keys[order], ranks, offset))
-        offset += len(ids)
-    return keyed
-
-
-def _tiles(ka, kb, k):
-    """All tiles of the greedy string tiling of two streams keyed by ``_keyed``."""
-    a, keys_a = ka[:2]
-    b, _, order, sorted_b = kb[:4]
-    la, lb = len(a), len(b)
-    if min(la, lb) < k:
+    if not heap:
         return []
-    lo = np.searchsorted(sorted_b, keys_a, "left")
-    counts = np.searchsorted(sorted_b, keys_a, "right") - lo
-    hits = int(counts.sum())
-    if hits > PROBE_HITS_PER_TOKEN * (la + lb):
-        return _probe_tiles(ka, kb, k)
-    if hits == 0:
-        return []
-    # Every pair of equal k-grams, by its starts i in a and j in b, packed
-    # as (i - j + lb) * (la + 1) + i and sorted: by diagonal, then by i.
-    # Consecutive hits of one diagonal's run differ by exactly 1, and hits
-    # on two diagonals by at least k + 1.
-    in_a = np.repeat(np.arange(la - k + 1), counts)
-    in_b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(hits)]
-    packed = np.sort((in_a - in_b + lb) * (la + 1) + in_a)
-    gap = np.diff(packed, prepend=-2, append=packed[-1] + 2) != 1
-    first, last = packed[gap[:-1]], packed[gap[1:]]
-    diagonal, i = np.divmod(first, la + 1)
-    lengths = last - first + k
-    heap = list(zip((-lengths).tolist(), i.tolist(), (i - diagonal + lb).tolist()))
     heapq.heapify(heap)
-
-    # Maximal matches first. Each maximal unmarked common run of at least k
-    # tokens lies inside one heap entry, and entries pop longest first, so a
-    # popped entry with no marked token is a longest unmarked run; equal
-    # lengths pop by (i, j), the tie break. An entry that overlaps a tile
-    # goes back as its unmarked pieces of at least k tokens.
-    marked_a, marked_b = bytearray(la), bytearray(lb)
+    marked_a, marked_b = bytearray(len(a)), bytearray(len(b))
     tiles = []
     while heap:
         neg, i, j = heapq.heappop(heap)
@@ -261,6 +230,93 @@ def _tiles(ka, kb, k):
     return tiles
 
 
+def _group_tiles(streams, k, reverse=frozenset()):
+    """The tiles of each pair ``(s, t)``, s < t, of a group's token id
+    arrays, and of ``(t, s)`` for each ``(s, t)`` in ``reverse``, by pair.
+
+    The streams are ranked once, concatenated, and the group's k-gram
+    windows are sorted once by key, then by stream. The windows of one key
+    in one stream form a (key, stream) group. Row s joins its groups with
+    the later streams' groups of the same keys, all at once. It counts each
+    pair's hits exactly from the group sizes before expanding any, leaves
+    the pairs above the hit bound to the length probes, and cuts the other
+    pairs' hits into their maximal common runs. So a row holds at most
+    ``PROBE_HITS_PER_TOKEN`` hits per token of its pairs, never the hits of
+    the whole group.
+    """
+    m = len(streams)
+    lengths = np.array([len(ids) for ids in streams])
+    windows = [max(n - k + 1, 0) for n in lengths.tolist()]  # a stream shorter than k keys nothing
+    offsets = np.cumsum(lengths) - lengths
+    # Ranking stops at the level that keys a k-gram, or at level 0 if no
+    # stream holds one.
+    ranks = _rank_tables([_ranks(np.concatenate(streams))], k.bit_length() - 1 if any(windows) else 0)
+    keyed = [(ids, ranks, int(offset)) for ids, offset in zip(streams, offsets)]
+
+    owner = np.repeat(np.arange(m), windows)
+    starts = np.arange(len(owner)) - np.repeat(np.cumsum(windows) - windows, windows)
+    keys = _window_keys(ranks, offsets[owner] + starts, k) if len(owner) else owner
+    order = np.argsort(keys, kind="stable")
+    keys, owner, starts = keys[order], owner[order], starts[order]
+    new_key = np.diff(keys, prepend=-1) != 0
+    first = np.flatnonzero(new_key | (np.diff(owner, prepend=-1) != 0))
+    size = np.diff(first, append=len(keys))  # windows of each (key, stream) group
+    owner = owner[first]
+    # A key's groups are contiguous, by stream; key_end[g] is one past them.
+    new_key = new_key[first]
+    key_end = np.append(np.flatnonzero(new_key), len(first))[np.cumsum(new_key)]
+    by_owner = np.argsort(owner, kind="stable")
+    row_groups = np.searchsorted(owner[by_owner], np.arange(m + 1))
+    width = int(lengths.max()) + 1
+
+    def row(s):
+        """Which later streams s leaves to the probes, and the runs of s
+        against the others: per stream t, ``bounds[t]:bounds[t + 1]`` of
+        the run lists (-length, start in s, start in t)."""
+        la = int(lengths[s])
+        ga = by_owner[row_groups[s] : row_groups[s + 1]]
+        later = key_end[ga] - ga - 1  # groups of later streams with ga's key
+        gb = np.repeat(ga + 1 - np.cumsum(later) + later, later) + np.arange(later.sum())
+        ga = np.repeat(ga, later)
+        pair_hits = size[ga] * size[gb]
+        hits = np.bincount(owner[gb], weights=pair_hits, minlength=m)  # exact below 2^53
+        probed = hits > PROBE_HITS_PER_TOKEN * (la + lengths)
+        join = ~probed[owner[gb]]
+        ga, gb, pair_hits = ga[join], gb[join], pair_hits[join]
+        # Hit h of group pair p pairs window q of ga's group with window r
+        # of gb's. Hits in s and t are packed as (t * (la + width) + i - j
+        # + width) * (la + 1) + i and sorted: by pair, diagonal, then i.
+        # Consecutive hits of one diagonal's run differ by exactly 1, and
+        # hits on two diagonals or pairs by at least k + 1.
+        p = np.repeat(np.arange(len(pair_hits)), pair_hits)
+        q, r = np.divmod(np.arange(len(p)) - (np.cumsum(pair_hits) - pair_hits)[p], size[gb][p])
+        i, j = starts[first[ga][p] + q], starts[first[gb][p] + r]
+        packed = np.sort((owner[gb][p] * (la + width) + i - j + width) * (la + 1) + i)
+        gap = np.diff(packed, prepend=-2, append=packed[-1:] + 2) != 1
+        head, tail = packed[gap[:-1]], packed[gap[1:]]
+        diagonal, i = np.divmod(head, la + 1)
+        t, diagonal = np.divmod(diagonal, la + width)
+        bounds = np.searchsorted(t, np.arange(m + 1))
+        return probed, bounds, (head - tail - k).tolist(), i.tolist(), (i - diagonal + width).tolist()
+
+    no_runs = np.zeros(m, dtype=bool), np.zeros(m + 1, dtype=np.int64), [], [], []
+    tiles = {}
+    for s in range(m):
+        probed, bounds, neg, in_s, in_t = row(s) if windows[s] else no_runs
+        for t in range(s + 1, m):
+            runs = slice(bounds[t], bounds[t + 1])
+            orders = [(s, t, in_s, in_t)]
+            if (s, t) in reverse:  # the same runs, with i and j swapped
+                orders.append((t, s, in_t, in_s))
+            for x, y, at_x, at_y in orders:
+                if probed[t]:
+                    tiles[x, y] = _probe_tiles(keyed[x], keyed[y], k)
+                else:
+                    heap = list(zip(neg[runs], at_x[runs], at_y[runs]))
+                    tiles[x, y] = _tile_runs(streams[x], streams[y], heap, k)
+    return tiles
+
+
 def _check_min_match(min_match):
     if isinstance(min_match, bool) or not isinstance(min_match, (int, np.integer)) or min_match < 1:
         raise ValueError(f"min_match must be an integer >= 1, got {min_match!r}")
@@ -274,8 +330,7 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     in ``b``. Deterministic for fixed inputs.
     """
     _check_min_match(min_match)
-    k = int(min_match)
-    return MatchSet.from_tiles(_tiles(*_keyed([_as_ids(a), _as_ids(b)], k), k))
+    return MatchSet.from_tiles(_group_tiles([_as_ids(a), _as_ids(b)], int(min_match))[0, 1])
 
 
 def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:
@@ -334,35 +389,34 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
 
     Streams with the same ids are represented by the first of them, and each
     distinct ordered pair of representatives is tiled once; every cell that
-    repeats the pair gets the same score. The pair keeps its order (lower
-    index first) because the tie break makes tiling asymmetric:
-    ``gst_match([0,0,1,0], [1,0,0,0], 2)`` matches 2 tokens, the reversed
-    call 4. So the matrix equals tiling every pair (i, j), i < j, directly.
+    repeats the pair gets the same score. A stream paired with itself is not
+    tiled: it matches as one tile of its length, or none if it is shorter
+    than ``min_match``. The pair keeps its order (lower index first) because
+    the tie break makes tiling asymmetric: ``gst_match([0,0,1,0],
+    [1,0,0,0], 2)`` matches 2 tokens, the reversed call 4. So the matrix
+    equals tiling every pair (i, j), i < j, directly.
     """
     _check_min_match(min_match)
     ids = [_as_ids(s) for s in group]
     n = len(ids)
     if n < 1:
         raise ValueError("pairwise_matrix needs at least one stream")
-    # _as_ids returns C-contiguous int64 arrays, so equal bytes mean equal ids.
+    # _as_ids returns C-contiguous int64 arrays, so equal bytes mean equal
+    # ids. rep numbers the distinct streams in order of first appearance.
     first = {}
-    rep = [first.setdefault(a.tobytes(), i) for i, a in enumerate(ids)]
+    rep = [first.setdefault(a.tobytes(), len(first)) for a in ids]
+    streams = list(dict(zip(rep, ids)).values())
+    # (s, t), s < t, is also tiled as (t, s) if some cell has them in that order.
+    reverse = {(rep[j], rep[i]) for i in range(n) for j in range(i + 1, n) if rep[j] < rep[i]}
     k = int(min_match)
-    keyed = dict(zip(first.values(), _keyed([ids[i] for i in first.values()], k)))
-    scored = {}  # (rep[i], rep[j]) -> score
-    scores = np.eye(n, dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            key = (rep[i], rep[j])
-            s = scored.get(key)
-            if s is None:
-                a, b = keyed[key[0]], keyed[key[1]]
-                match = MatchSet.from_tiles(_tiles(a, b, k))
-                s = avg_similarity(match, len(a[0]), len(b[0]))
-                scored[key] = s
-            scores[i, j] = s
-            scores[j, i] = s
-    return SimMatrix(scores)
+    scored = np.zeros((len(streams), len(streams)))
+    for (s, t), tiles in _group_tiles(streams, k, reverse).items():
+        scored[s, t] = avg_similarity(MatchSet.from_tiles(tiles), len(streams[s]), len(streams[t]))
+    for s, a in enumerate(streams):
+        # A stream tiles itself as one tile, if it has k tokens.
+        scored[s, s] = avg_similarity(MatchSet.from_tiles([(0, 0, len(a))] * (len(a) >= k)), len(a), len(a))
+    upper = np.triu(scored[np.ix_(rep, rep)], 1)
+    return SimMatrix(upper + upper.T + np.eye(n))
 
 
 def jdiv(matrix: SimMatrix) -> float:
@@ -436,33 +490,29 @@ def lex_tokens(text: str):
     return _LEX_RE.findall(text)
 
 
-def _lex_counts(text):
-    tokens = lex_tokens(text)
-    return Counter(tokens), len(tokens)
-
-
-def _dice(a, b):
-    (ca, la), (cb, lb) = a, b
-    if la == 0 and lb == 0:
-        return 1.0
-    if la == 0 or lb == 0:
-        return 0.0
-    common = sum((ca & cb).values())
-    return 2.0 * common / (la + lb)
-
-
 def one_gram_matrix(sources) -> SimMatrix:
-    """Sorensen-Dice overlap of the lexical token multisets of every pair."""
+    """Sorensen-Dice overlap of the lexical token multisets of every pair.
+
+    Tokens map to one vocabulary for the group, so a pair's multiset
+    intersection is the sum of the smaller of its two count rows. Two
+    empty sources score 1.0; one empty source scores 0.
+    """
     n = len(sources)
     if n < 1:
         raise ValueError("one_gram_matrix needs at least one source")
-    counts = [_lex_counts(src) for src in sources]
+    counted = [Counter(lex_tokens(src)) for src in sources]
+    vocab = {tok: v for v, tok in enumerate(set().union(*counted))}
+    counts = np.zeros((n, len(vocab)), dtype=np.int64)
+    for row, tokens in zip(counts, counted):
+        row[[vocab[tok] for tok in tokens]] = list(tokens.values())
+    sizes = counts.sum(1)
     scores = np.eye(n, dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = _dice(counts[i], counts[j])
-            scores[i, j] = s
-            scores[j, i] = s
+    for i in range(n - 1):
+        common = np.minimum(counts[i], counts[i + 1 :]).sum(1)
+        total = sizes[i] + sizes[i + 1 :]
+        # 2 * common / total, as Python floats compute it; a pair of empty
+        # sources has total 0 and counts as duplicates.
+        scores[i, i + 1 :] = scores[i + 1 :, i] = np.where(total > 0, 2.0 * common / np.maximum(total, 1), 1.0)
     return SimMatrix(scores)
 
 

@@ -179,6 +179,17 @@ class TestSimilarityCommand:
         assert "--min-match" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_huge_min_match_tiles_nothing(self, mixed_corpus, tmp_path):
+        # A min_match past every stream's length keys no k-gram, however
+        # large it is, so the matrices equal those of any such value.
+        outs = {}
+        for value in ("1000", "100000000000000000000"):
+            outs[value] = out = tmp_path / value
+            argv = ["similarity", "--corpus", str(mixed_corpus), "--min-match", value, "--out", str(out)]
+            assert main(argv) == 0
+        for name in ("p1.simmatrix.txt", "p2.simmatrix.txt"):
+            assert (outs["1000"] / name).read_text() == (outs["100000000000000000000"] / name).read_text()
+
     def test_empty_corpus_manifest_only(self, tmp_path):
         corpus = tmp_path / "empty.jsonl"
         corpus.write_text("")

@@ -169,7 +169,7 @@ def kgram_hits(a, b, k):
 
 @pytest.fixture
 def probe_calls(monkeypatch):
-    """The pairs that ``_tiles`` leaves to its length-probe tiler."""
+    """The pairs that are left to the length-probe tiler."""
     calls = []
     probe = similarity._probe_tiles
 
@@ -265,6 +265,27 @@ class TestTilingPaths:
         for la, lb in sizes:
             gst_match(period3_stream(la), period3_stream(lb))
         assert probe_calls == [(3 * la + 2, 3 * lb + 2) for la, lb in sizes]
+
+    def test_both_paths_in_one_group(self, rng, probe_calls):
+        # Period-3 streams are above the hit bound against one another and
+        # random streams below it against anything, so one row of the group
+        # join sends some of its pairs to the probes and joins the rest.
+        for _ in range(8):
+            lines = rng.choice(np.arange(25, 31), size=3, replace=False)
+            streams = [(period3_stream(int(n)).ids, True) for n in lines]
+            for _ in range(3):
+                streams.append((rng.integers(0, 44, size=int(rng.integers(60, 100))), False))
+            group, periodic = zip(*(streams[int(i)] for i in rng.permutation(len(streams))))
+            probe_calls.clear()
+            scores = pairwise_matrix(group).scores
+            expected = []
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    brute = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], 5))
+                    assert scores[i, j] == avg_similarity(brute, len(group[i]), len(group[j]))
+                    if periodic[i] and periodic[j]:
+                        expected.append((len(group[i]), len(group[j])))
+            assert sorted(probe_calls) == sorted(expected)
 
 
 # The times were measured on the maximal-matches-first matcher: the slowest
@@ -432,28 +453,55 @@ class TestPairwiseMatrix:
             assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
 
     def test_tiles_each_distinct_ordered_pair_once(self, rng, monkeypatch):
+        # Every pair of distinct streams is tiled by the heap, once per
+        # order it occurs in; a stream paired with itself is not tiled.
         calls = []
-        tiles = similarity._tiles
+        tile_runs = similarity._tile_runs
 
-        def counting(ka, kb, min_match):
-            # Each keyed stream starts with its ids.
-            calls.append((tuple(ka[0].tolist()), tuple(kb[0].tolist())))
-            return tiles(ka, kb, min_match)
+        def counting(a, b, heap, min_match):
+            calls.append((tuple(a.tolist()), tuple(b.tolist())))
+            return tile_runs(a, b, heap, min_match)
 
-        monkeypatch.setattr(similarity, "_tiles", counting)
+        monkeypatch.setattr(similarity, "_tile_runs", counting)
         for _ in range(100):
             pool = [random_id_stream(rng, max_len=10, alphabet=3) for _ in range(3)]
             n = int(rng.integers(1, 9))
             group = [pool[int(k)] for k in rng.integers(0, len(pool), size=n)]
             calls.clear()
-            pairwise_matrix(group, min_match=2)
-            keys = {
-                (tuple(group[i].tolist()), tuple(group[j].tolist()))
+            scores = pairwise_matrix(group, min_match=2).scores
+            cells = [
+                (i, j, tuple(group[i].tolist()), tuple(group[j].tolist()))
                 for i in range(n)
                 for j in range(i + 1, n)
-            }
+            ]
+            keys = {(a, b) for _, _, a, b in cells if a != b}
             assert len(calls) == len(keys)
             assert set(calls) == keys
+            for i, j, a, b in cells:
+                if a == b:  # one tile of the whole stream, or none under k
+                    assert scores[i, j] == (1.0 if len(a) >= 2 or not a else 0.0)
+
+    def test_near_duplicate_group_memory_is_bounded(self):
+        # Collapsed sampling: 64 copies of one 150-token program over 44
+        # kinds, 2% of each copy's tokens mutated, so every pair shares
+        # most of its k-grams. The group join expands one row's hits at a
+        # time and peaks at 1.9 MB; a variant that kept every row's hits
+        # alive peaked at 10.6 MB. The bounds were measured like
+        # TestHostileShapes' below.
+        rng = np.random.default_rng(0)
+        base = rng.integers(0, 44, size=150)
+        group = []
+        for _ in range(64):
+            copy = base.copy()
+            mutated = rng.random(150) < 0.02
+            copy[mutated] = rng.integers(0, 44, size=int(mutated.sum()))
+            group.append(copy)
+        matrix = bounded_call(lambda: pairwise_matrix(group), measured_s=0.070, measured_mb=1.90)
+        for i, j in rng.choice(64, size=(40, 2)):
+            if i != j:
+                i, j = min(i, j), max(i, j)
+                brute = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], 5))
+                assert matrix.scores[i, j] == avg_similarity(brute, 150, 150)
 
     def test_keys_never_match_across_stream_boundaries(self, rng):
         # The group's distinct streams are ranked as one concatenation. Here
@@ -484,6 +532,18 @@ class TestPairwiseMatrix:
                     direct = avg_similarity(gst_match(a, b, min_match), len(a), len(b))
                     brute = MatchSet.from_tiles(brute_force_tiles(a, b, min_match))
                     assert scores[i, j] == direct == avg_similarity(brute, len(a), len(b))
+
+    def test_huge_min_match_equals_one_past_longest(self, rng):
+        # A stream shorter than k keys nothing and ranking stops at the
+        # longest keyed stream, so no k is too large to index or rank.
+        for _ in range(20):
+            pool = [random_id_stream(rng, max_len=30, alphabet=3) for _ in range(4)]
+            group = [pool[int(k)] for k in rng.integers(0, len(pool), size=6)]
+            past = max(len(s) for s in group) + 1
+            expected = pairwise_matrix(group, past).scores
+            for min_match in (10**20, 2**63):
+                assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
+                assert gst_match(group[0], group[1], min_match).tiles == ()
 
     @pytest.mark.parametrize("min_match", [0, -1, 2.5, True, False])
     def test_min_match_checked_for_any_group(self, min_match):
@@ -644,6 +704,34 @@ class TestOneGram:
         sources = [f"x{i} = f(y, {i})" for i in range(6)]
         one_gram_div(sources)
         assert sorted(calls) == sorted(sources)
+
+    def test_matrix_equals_counter_oracle(self, rng):
+        # The Dice overlap of each pair's token multisets, by Counter
+        # intersection. Sources draw from a small pool of words, so tokens
+        # repeat within and across them; some are empty or only spaces.
+        words = ["x", "x1", "é", "größe", "变量", "_", "0", "+", "(", ")", ":", "ab", "λ"]
+
+        def dice(a, b):
+            ca, cb = Counter(lex_tokens(a)), Counter(lex_tokens(b))
+            la, lb = sum(ca.values()), sum(cb.values())
+            if la == 0 and lb == 0:
+                return 1.0
+            if la == 0 or lb == 0:
+                return 0.0
+            return 2.0 * sum((ca & cb).values()) / (la + lb)
+
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            sources = [
+                " ".join(rng.choice(words, size=int(rng.integers(0, 20))))
+                for _ in range(n)
+            ]
+            sources[int(rng.integers(0, n))] = rng.choice(["", "  \n"])
+            expected = np.eye(n)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    expected[i, j] = expected[j, i] = dice(sources[i], sources[j])
+            assert np.array_equal(one_gram_matrix(sources).scores, expected)
 
     def test_rename_sensitivity_vs_structural(self):
         # The lexical metric sees renamed programs as different while the
