@@ -14,7 +14,7 @@ import re
 import statistics
 from dataclasses import dataclass, field
 
-from .similarity import lex_tokens
+from .similarity import count_lex_tokens
 from .tokenizer import NOT_PARSED, parse
 
 
@@ -376,6 +376,6 @@ def length_stats(corpus: Corpus) -> LengthGroup:
     return LengthGroup(
         raw_chars=LengthSummary.of([len(t) for t in raw]),
         code_chars=LengthSummary.of([len(t) for t in code]),
-        raw_tokens=LengthSummary.of([len(lex_tokens(t)) for t in raw]),
-        code_tokens=LengthSummary.of([len(lex_tokens(t)) for t in code]),
+        raw_tokens=LengthSummary.of([count_lex_tokens(t) for t in raw]),
+        code_tokens=LengthSummary.of([count_lex_tokens(t) for t in code]),
     )

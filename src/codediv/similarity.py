@@ -409,12 +409,15 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     # (s, t), s < t, is also tiled as (t, s) if some cell has them in that order.
     reverse = {(rep[j], rep[i]) for i in range(n) for j in range(i + 1, n) if rep[j] < rep[i]}
     k = int(min_match)
-    scored = np.zeros((len(streams), len(streams)))
+    lengths = np.array([len(a) for a in streams])
+    # A stream tiles itself as one tile, if it has k tokens.
+    matched = np.diag(np.where(lengths >= k, lengths, 0))
     for (s, t), tiles in _group_tiles(streams, k, reverse).items():
-        scored[s, t] = avg_similarity(MatchSet.from_tiles(tiles), len(streams[s]), len(streams[t]))
-    for s, a in enumerate(streams):
-        # A stream tiles itself as one tile, if it has k tokens.
-        scored[s, s] = avg_similarity(MatchSet.from_tiles([(0, 0, len(a))] * (len(a) >= k)), len(a), len(a))
+        matched[s, t] = sum(tile[2] for tile in tiles)
+    # avg_similarity of every cell at once: a stream paired with an empty
+    # one matches nothing and scores 0, and two empty streams score 1.
+    total = lengths[:, None] + lengths
+    scored = np.clip(np.where(total > 0, 2.0 * matched / np.maximum(total, 1), 1.0), 0.0, 1.0)
     upper = np.triu(scored[np.ix_(rep, rep)], 1)
     return SimMatrix(upper + upper.T + np.eye(n))
 
@@ -488,6 +491,26 @@ _LEX_RE = re.compile(r"\w+|[^\w\s]")
 
 def lex_tokens(text: str):
     return _LEX_RE.findall(text)
+
+
+# Each ASCII character's class under _LEX_RE's \w and \s: "w" word, " "
+# space, "p" any other character, which is a token by itself. count_lex_tokens
+# translates only ASCII text, so the upper half of the table is never read.
+_LEX_CLASSES = bytes(
+    ord("w" if re.match(r"\w", chr(c)) else " " if re.match(r"\s", chr(c)) else "p") for c in range(128)
+).ljust(256)
+
+
+def count_lex_tokens(text: str) -> int:
+    """``len(lex_tokens(text))`` without building the tokens.
+
+    For ASCII text one byte per character gives its class; a token is a
+    punctuation byte or the start of a word run.
+    """
+    if not text.isascii():
+        return len(lex_tokens(text))
+    classes = text.encode("ascii").translate(_LEX_CLASSES)
+    return classes.count(b"p") + classes.startswith(b"w") + classes.count(b" w") + classes.count(b"pw")
 
 
 def one_gram_matrix(sources) -> SimMatrix:

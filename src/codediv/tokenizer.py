@@ -20,7 +20,9 @@ none of the block begin/end kinds, and the resulting stream is flagged
 
 Streams are stored as three ``array('i')`` buffers (kind ids, lines,
 columns); no per-token object exists unless ``TokenStream.tokens`` is asked
-for.
+for. The emitter appends each token's three ints to one flat list and splits
+it into the buffers at the end, which costs less than half as much per token
+as three bound ``append`` calls (CPython 3.11).
 """
 
 import ast
@@ -200,20 +202,51 @@ def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
     if tree is NOT_PARSED:
         tree = parse(source)
     if tree is not None:
-        emitter = _StructuralEmitter()
         try:
-            emitter.emit_module(tree, source)
+            arrays = _StructuralEmitter().emit_module(tree, source)
         except RecursionError:
             pass
         else:
-            return TokenStream._from_arrays(emitter.kind_ids, emitter.lines, emitter.cols, False)
+            return TokenStream._from_arrays(*arrays, False)
     return TokenStream._from_arrays(*_lex_fallback(source), True)
+
+
+# The kind ids the emitter appends, resolved once.
+(
+    _MODULE_BEGIN, _MODULE_END, _DEF_BEGIN, _DEF_END, _CLASS_BEGIN, _CLASS_END,
+    _IF_BEGIN, _ELIF, _ELSE, _IF_END, _FOR_BEGIN, _FOR_END, _WHILE_BEGIN, _WHILE_END,
+    _TRY_BEGIN, _EXCEPT, _FINALLY, _TRY_END, _WITH_BEGIN, _WITH_END, _COMP_BEGIN, _COMP_END,
+    _ASSIGN, _APPLY, _IMPORT, _LAMBDA, _BINOP, _SUBSCRIPT, _ATTR,
+    _LIT_NUM, _LIT_STR, _LIT_BOOLNONE, _IDENT,
+) = (KIND_IDS[kind] for kind in """
+    MODULE_BEGIN MODULE_END DEF_BEGIN DEF_END CLASS_BEGIN CLASS_END
+    IF_BEGIN ELIF ELSE IF_END FOR_BEGIN FOR_END WHILE_BEGIN WHILE_END
+    TRY_BEGIN EXCEPT FINALLY TRY_END WITH_BEGIN WITH_END COMP_BEGIN COMP_END
+    ASSIGN APPLY IMPORT LAMBDA BINOP SUBSCRIPT ATTR
+    LIT_NUM LIT_STR LIT_BOOLNONE IDENT
+""".split())
+
+# A Constant's kind by the type of its value; str and bytes are LIT_STR.
+_CONSTANT_KINDS = {
+    bool: _LIT_BOOLNONE,
+    type(None): _LIT_BOOLNONE,
+    type(Ellipsis): _LIT_BOOLNONE,
+    int: _LIT_NUM,
+    float: _LIT_NUM,
+    complex: _LIT_NUM,
+}
+
+# The child nodes the emitter walks; operators, contexts and the like emit nothing.
+_WALKED = (ast.expr, ast.stmt)
 
 
 class _StructuralEmitter:
     """Walk an ast in source order, appending kind ids and positions.
 
-    ``walk`` dispatches on the node's type through two module tables:
+    Every token is three ints appended to one flat list, ``buf``: its kind
+    id, line and column. ``walk`` emits ``Name`` and ``Constant`` leaves,
+    the most frequent nodes, itself, and dispatches every other node on its
+    type through two module tables:
 
     * ``_HANDLERS`` maps the types that need their own order or kinds (block
       begin/end pairs, flattened annotations, the iterative BinOp and postfix
@@ -223,214 +256,221 @@ class _StructuralEmitter:
 
     Any other node (``Expr``, ``Await``, ``Starred``, ``Slice``, ``Tuple``,
     ...) emits nothing itself and walks its expression and statement
-    children. ``Name``, the most frequent node, keeps a handler rather than
-    a ``_KINDS`` entry: the child walk that an entry implies made tokenizing
-    about 30% slower. A ``_KINDS`` node costs one Python frame per nesting
-    level, so 600 nested ``not`` or ``-`` stay under the recursion limit.
+    children. A ``_KINDS`` node costs one Python frame per nesting level, so
+    600 nested ``not`` or ``-`` stay under the recursion limit; a handler
+    node costs two.
     """
 
     def __init__(self):
-        self.kind_ids, self.lines, self.cols = array("i"), array("i"), array("i")
-
-    def add(self, kind, line, col):
-        self.kind_ids.append(KIND_IDS[kind])
-        self.lines.append(line)
-        self.cols.append(col)
-
-    def tok(self, kind, node, end=False):
-        if end:
-            line = getattr(node, "end_lineno", None) or node.lineno
-            col = getattr(node, "end_col_offset", None) or node.col_offset
-        else:
-            line, col = node.lineno, node.col_offset
-        self.add(kind, line, col)
+        self.buf = []
 
     def emit_module(self, tree, source):
-        self.add("MODULE_BEGIN", 1, 0)
+        """The ``(kind_ids, lines, cols)`` arrays of the module ``tree``."""
+        buf = self.buf
+        buf += (_MODULE_BEGIN, 1, 0)
         self.suite(tree.body)
-        n_lines = source.count("\n") + 1
-        self.add("MODULE_END", n_lines, len(source.rsplit("\n", 1)[-1]))
+        buf += (_MODULE_END, source.count("\n") + 1, len(source.rsplit("\n", 1)[-1]))
+        flat = array("i", buf)
+        return flat[0::3], flat[1::3], flat[2::3]
 
     def walk(self, node):
-        handler = _HANDLERS.get(type(node))
+        cls = type(node)
+        if cls is ast.Name:
+            self.buf += (_IDENT, node.lineno, node.col_offset)
+            return
+        if cls is ast.Constant:
+            self.buf += (_CONSTANT_KINDS.get(type(node.value), _LIT_STR), node.lineno, node.col_offset)
+            return
+        handler = _HANDLERS.get(cls)
         if handler is not None:
             handler(self, node)
             return
-        kind = _KINDS.get(type(node))
+        kind = _KINDS.get(cls)
         if kind is not None:
-            self.tok(kind, node)
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.expr, ast.stmt)):
+            self.buf += (kind, node.lineno, node.col_offset)
+        for field in cls._fields:
+            child = getattr(node, field)
+            if type(child) is list:
+                for item in child:
+                    if isinstance(item, _WALKED):
+                        self.walk(item)
+            elif isinstance(child, _WALKED):
                 self.walk(child)
 
     def suite(self, body):
         for stmt in body:
             self.walk(stmt)
 
+    def begin(self, kind, node):
+        self.buf += (kind, node.lineno, node.col_offset)
+
+    def end(self, kind, node):
+        self.buf += (
+            kind,
+            getattr(node, "end_lineno", None) or node.lineno,
+            getattr(node, "end_col_offset", None) or node.col_offset,
+        )
+
     # -- statements ---------------------------------------------------
 
     def stmt_FunctionDef(self, node):
         for dec in node.decorator_list:
             self.walk(dec)
-        self.tok("DEF_BEGIN", node)
+        self.begin(_DEF_BEGIN, node)
         self.arguments(node.args)
         self.suite(node.body)
-        self.tok("DEF_END", node, end=True)
+        self.end(_DEF_END, node)
 
     stmt_AsyncFunctionDef = stmt_FunctionDef
 
     def stmt_ClassDef(self, node):
         for dec in node.decorator_list:
             self.walk(dec)
-        self.tok("CLASS_BEGIN", node)
+        self.begin(_CLASS_BEGIN, node)
         for base in self._in_source_order(node.bases, [kw.value for kw in node.keywords]):
             self.walk(base)
         self.suite(node.body)
-        self.tok("CLASS_END", node, end=True)
+        self.end(_CLASS_END, node)
 
     def stmt_If(self, node):
-        self.tok("IF_BEGIN", node)
+        self.begin(_IF_BEGIN, node)
         self.walk(node.test)
         self.suite(node.body)
         # `elif` parses as a nested If aligned with its parent keyword; an
         # indented `if` under a real `else:` sits at a deeper column. The
         # chain is walked with a loop: it can be thousands of branches long.
+        buf = self.buf
         branch = node
         while branch.orelse:
             orelse = branch.orelse
-            if (
-                len(orelse) == 1
-                and isinstance(orelse[0], ast.If)
-                and orelse[0].col_offset == branch.col_offset
-            ):
-                branch = orelse[0]
-                self.tok("ELIF", branch)
+            first = orelse[0]
+            if len(orelse) == 1 and type(first) is ast.If and first.col_offset == branch.col_offset:
+                branch = first
+                buf += (_ELIF, branch.lineno, branch.col_offset)
                 self.walk(branch.test)
                 self.suite(branch.body)
             else:
-                self.tok("ELSE", orelse[0])
+                buf += (_ELSE, first.lineno, first.col_offset)
                 self.suite(orelse)
                 break
-        self.tok("IF_END", node, end=True)
+        self.end(_IF_END, node)
 
     def stmt_For(self, node):
-        self._loop(node, "FOR_BEGIN", "FOR_END", node.target, node.iter)
+        self._loop(node, _FOR_BEGIN, _FOR_END, node.target, node.iter)
 
     stmt_AsyncFor = stmt_For
 
     def stmt_While(self, node):
-        self._loop(node, "WHILE_BEGIN", "WHILE_END", node.test)
+        self._loop(node, _WHILE_BEGIN, _WHILE_END, node.test)
 
-    def _loop(self, node, begin, end, *heads):
-        self.tok(begin, node)
+    def _loop(self, node, begin_kind, end_kind, *heads):
+        self.begin(begin_kind, node)
         for head in heads:
             self.walk(head)
         self.suite(node.body)
         if node.orelse:
-            self.tok("ELSE", node.orelse[0])
+            self.begin(_ELSE, node.orelse[0])
             self.suite(node.orelse)
-        self.tok(end, node, end=True)
+        self.end(end_kind, node)
 
     def stmt_Try(self, node):
-        self.tok("TRY_BEGIN", node)
+        self.begin(_TRY_BEGIN, node)
         self.suite(node.body)
         for handler in node.handlers:
-            self.tok("EXCEPT", handler)
+            self.begin(_EXCEPT, handler)
             if handler.type is not None:
                 self.walk(handler.type)
             self.suite(handler.body)
         if node.orelse:
-            self.tok("ELSE", node.orelse[0])
+            self.begin(_ELSE, node.orelse[0])
             self.suite(node.orelse)
         if node.finalbody:
-            self.tok("FINALLY", node.finalbody[0])
+            self.begin(_FINALLY, node.finalbody[0])
             self.suite(node.finalbody)
-        self.tok("TRY_END", node, end=True)
+        self.end(_TRY_END, node)
+
+    if hasattr(ast, "TryStar"):  # `except*`, Python 3.11+
+        stmt_TryStar = stmt_Try
 
     def stmt_With(self, node):
-        self.tok("WITH_BEGIN", node)
+        self.begin(_WITH_BEGIN, node)
         for item in node.items:
             self.walk(item.context_expr)
             if item.optional_vars is not None:
                 self.walk(item.optional_vars)
         self.suite(node.body)
-        self.tok("WITH_END", node, end=True)
+        self.end(_WITH_END, node)
 
     stmt_AsyncWith = stmt_With
 
     def stmt_AnnAssign(self, node):
         # Annotations are flattened away; a bare declaration keeps its target.
         if node.value is not None:
-            self.tok("ASSIGN", node)
+            self.begin(_ASSIGN, node)
             self.walk(node.target)
             self.walk(node.value)
         else:
             self.walk(node.target)
 
     def stmt_Import(self, node):
-        self.tok("IMPORT", node)
+        self.begin(_IMPORT, node)
         for alias in node.names:
-            self.tok("IDENT", alias)
+            self.begin(_IDENT, alias)
 
     stmt_ImportFrom = stmt_Import
 
     def stmt_Match(self, node):
         # match/case is folded onto the if/elif kinds: each case arm is a
         # guarded branch. Pattern internals are not tokenized.
-        self.tok("IF_BEGIN", node)
+        self.begin(_IF_BEGIN, node)
         self.walk(node.subject)
         for case in node.cases:
-            self.tok("ELIF", case.pattern)
+            self.begin(_ELIF, case.pattern)
             if case.guard is not None:
                 self.walk(case.guard)
             self.suite(case.body)
-        self.tok("IF_END", node, end=True)
+        self.end(_IF_END, node)
 
     # -- expressions --------------------------------------------------
-
-    def expr_Name(self, node):
-        self.tok("IDENT", node)
-
-    def expr_Constant(self, node):
-        value = node.value
-        if value is True or value is False or value is None or value is Ellipsis:
-            self.tok("LIT_BOOLNONE", node)
-        elif isinstance(value, (int, float, complex)):
-            self.tok("LIT_NUM", node)
-        else:
-            self.tok("LIT_STR", node)
 
     def expr_JoinedStr(self, node):
         # f-strings are opaque string literals; pre-3.12 subexpression
         # positions are unreliable and would break position monotonicity.
-        self.tok("LIT_STR", node)
+        self.begin(_LIT_STR, node)
 
     def _postfix_spine(self, node):
         # Walk `a.b()[0]...` down its func/value spine iteratively, like
         # expr_BinOp. Token order is the recursive pre-order: every spine
         # APPLY/ATTR/SUBSCRIPT, the base, then the call arguments and
         # slices innermost first.
+        buf = self.buf
         deferred = []
-        while isinstance(node, (ast.Attribute, ast.Call, ast.Subscript)):
-            if isinstance(node, ast.Attribute):
-                self.tok("ATTR", node)
+        while True:
+            cls = type(node)
+            if cls is ast.Attribute:
+                buf += (_ATTR, node.lineno, node.col_offset)
                 node = node.value
-            elif isinstance(node, ast.Subscript):
-                self.tok("SUBSCRIPT", node)
-                deferred.append(node)
-                node = node.value
-            else:
-                self.tok("APPLY", node)
+            elif cls is ast.Call:
+                buf += (_APPLY, node.lineno, node.col_offset)
                 deferred.append(node)
                 node = node.func
+            elif cls is ast.Subscript:
+                buf += (_SUBSCRIPT, node.lineno, node.col_offset)
+                deferred.append(node)
+                node = node.value
+            else:
+                break
         self.walk(node)
         for outer in reversed(deferred):
-            if isinstance(outer, ast.Subscript):
+            if type(outer) is ast.Subscript:
                 self.walk(outer.slice)
-            else:
+            elif outer.keywords:
                 # `f(x=1, *y)` is legal: merge positional and keyword
                 # arguments by source position to keep the stream monotone.
                 for arg in self._in_source_order(outer.args, [kw.value for kw in outer.keywords]):
+                    self.walk(arg)
+            else:
+                for arg in outer.args:
                     self.walk(arg)
 
     expr_Attribute = expr_Call = expr_Subscript = _postfix_spine
@@ -440,9 +480,10 @@ class _StructuralEmitter:
         # would otherwise recurse once per operator. Token order is the
         # recursive pre-order: every spine BINOP, the leftmost operand, then
         # the right operands innermost first.
+        buf = self.buf
         spine = []
-        while isinstance(node, ast.BinOp):
-            self.tok("BINOP", node)
+        while type(node) is ast.BinOp:
+            buf += (_BINOP, node.lineno, node.col_offset)
             spine.append(node)
             node = node.left
         self.walk(node)
@@ -450,7 +491,7 @@ class _StructuralEmitter:
             self.walk(binop.right)
 
     def expr_Lambda(self, node):
-        self.tok("LAMBDA", node)
+        self.begin(_LAMBDA, node)
         self.arguments(node.args)
         self.walk(node.body)
 
@@ -467,8 +508,8 @@ class _StructuralEmitter:
             self.walk(value)
 
     def _comprehension(self, node):
-        self.tok("COMP_BEGIN", node)
-        if isinstance(node, ast.DictComp):
+        self.begin(_COMP_BEGIN, node)
+        if type(node) is ast.DictComp:
             self.walk(node.key)
             self.walk(node.value)
         else:
@@ -478,7 +519,7 @@ class _StructuralEmitter:
             self.walk(gen.iter)
             for cond in gen.ifs:
                 self.walk(cond)
-        self.tok("COMP_END", node, end=True)
+        self.end(_COMP_END, node)
 
     expr_ListComp = expr_SetComp = expr_GeneratorExp = expr_DictComp = _comprehension
 
@@ -491,46 +532,50 @@ class _StructuralEmitter:
         return merged
 
     def arguments(self, args):
-        positional = list(args.posonlyargs) + list(args.args)
-        defaults = list(args.defaults)
+        buf = self.buf
+        positional = args.posonlyargs + args.args
+        defaults = args.defaults
         # Defaults right-align with the positional tail; interleave to keep
         # token positions in source order.
         pad = [None] * (len(positional) - len(defaults))
         for arg, default in zip(positional, pad + defaults):
-            self.tok("IDENT", arg)
+            buf += (_IDENT, arg.lineno, arg.col_offset)
             if default is not None:
                 self.walk(default)
         if args.vararg is not None:
-            self.tok("IDENT", args.vararg)
+            buf += (_IDENT, args.vararg.lineno, args.vararg.col_offset)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            self.tok("IDENT", arg)
+            buf += (_IDENT, arg.lineno, arg.col_offset)
             if default is not None:
                 self.walk(default)
         if args.kwarg is not None:
-            self.tok("IDENT", args.kwarg)
+            buf += (_IDENT, args.kwarg.lineno, args.kwarg.col_offset)
 
 
 # Node types whose tokens are one kind at the node, then the children in
 # field order. Expr, Await, Starred and Slice need no entry: the generic
 # walk of their children is all they emit.
 _KINDS = {
-    ast.Assign: "ASSIGN",
-    ast.AugAssign: "AUG_ASSIGN",
-    ast.Return: "RETURN",
-    ast.Raise: "RAISE",
-    ast.Assert: "ASSERT",
-    ast.Delete: "DEL",
-    ast.Global: "SCOPE",
-    ast.Nonlocal: "SCOPE",
-    ast.Pass: "PASS",
-    ast.Break: "BREAK_CONT",
-    ast.Continue: "BREAK_CONT",
-    ast.BoolOp: "BINOP",
-    ast.UnaryOp: "UNARYOP",
-    ast.Compare: "COMPARE",
-    ast.Yield: "YIELD",
-    ast.YieldFrom: "YIELD",
-    ast.NamedExpr: "ASSIGN",
+    node_type: KIND_IDS[kind]
+    for node_type, kind in {
+        ast.Assign: "ASSIGN",
+        ast.AugAssign: "AUG_ASSIGN",
+        ast.Return: "RETURN",
+        ast.Raise: "RAISE",
+        ast.Assert: "ASSERT",
+        ast.Delete: "DEL",
+        ast.Global: "SCOPE",
+        ast.Nonlocal: "SCOPE",
+        ast.Pass: "PASS",
+        ast.Break: "BREAK_CONT",
+        ast.Continue: "BREAK_CONT",
+        ast.BoolOp: "BINOP",
+        ast.UnaryOp: "UNARYOP",
+        ast.Compare: "COMPARE",
+        ast.Yield: "YIELD",
+        ast.YieldFrom: "YIELD",
+        ast.NamedExpr: "ASSIGN",
+    }.items()
 }
 
 # Node type -> the emitter method named ``stmt_<type>`` or ``expr_<type>``.

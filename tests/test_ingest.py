@@ -406,18 +406,25 @@ def _broken(line, edit):
     return "\n".join(lines) + "\n"
 
 
+def _long_module(copies):
+    """``copies`` renamed copies of _PROGRAM, 61 structural tokens each."""
+    return "\n\n".join("\n".join(_PROGRAM).replace("solve", f"solve{i}") for i in range(copies)) + "\n"
+
+
 def _fenced(code, fallback):
     completion = f"Here is a solution.\n\n```python\n{code}```\n\nThe function runs in linear time."
     return completion, code, fallback
 
 
 # The source shapes of the benchmark's hostile cases, as raw completions:
-# 90-deep nesting, a 600-term chain, three malformed programs (a missing
-# colon, an unclosed parenthesis, a bad indent), an empty fence and no fence.
+# 90-deep nesting, a 600-term chain, a module of about 12,000 tokens, three
+# malformed programs (a missing colon, an unclosed parenthesis, a bad
+# indent), an empty fence and no fence.
 # Each maps to (completion, extracted source, falls back to the lexer).
 HOSTILE_SOURCES = {
     "nested90": _fenced(_nested(90), False),
     "chain600": _fenced(DEEP_EXPRESSIONS["binop_chain"], False),
+    "long_module": _fenced(_long_module(197), False),
     "missing_colon": _fenced(_broken(0, lambda s: s.rstrip(":")), True),
     "open_paren": _fenced(_broken(9, lambda s: s + " + (1"), True),
     "bad_indent": _fenced(_broken(7, lambda s: "  " + s), True),
@@ -433,8 +440,9 @@ class TestHostileSources:
     @pytest.mark.parametrize(
         "shape, extract_bound, tokenize_bound, strip_bound",
         [
-            ("nested90", (5e-5, 0.084), (1.0e-3, 0.30), (1.0e-3, 0.36)),
-            ("chain600", (3e-6, 0.0030), (1.4e-3, 0.62), (9e-4, 0.62)),
+            ("nested90", (5e-5, 0.084), (8.2e-4, 0.30), (1.0e-3, 0.36)),
+            ("chain600", (3e-6, 0.0030), (1.2e-3, 0.62), (9e-4, 0.62)),
+            ("long_module", (5.8e-4, 0.44), (2.9e-2, 10.2), (2.5e-2, 10.5)),
             ("missing_colon", (5e-6, 0.0028), (2.6e-4, 0.013), (3.1e-5, 0.015)),
             ("open_paren", (8e-6, 0.0028), (5.1e-4, 0.069), (1.5e-4, 0.071)),
             ("bad_indent", (7e-6, 0.0028), (1.3e-4, 0.018), (6.3e-5, 0.019)),

@@ -12,6 +12,7 @@ from codediv.similarity import (
     SimMatrix,
     avg_similarity,
     clusters,
+    count_lex_tokens,
     effective_clusters,
     gst_match,
     jdiv,
@@ -739,6 +740,26 @@ class TestOneGram:
         lexical = one_gram_matrix(list(RENAMED_PAIR)).scores[0, 1]
         structural = pairwise_matrix([tokenize(s) for s in RENAMED_PAIR]).scores[0, 1]
         assert lexical < structural == 1.0
+
+
+# Text for the lexical token count. ASCII text is counted from a byte
+# class table and other text by the regex, so a third of the examples are
+# ASCII only: word, space and punctuation characters, the controls \s also
+# matches (\x1c-\x1f), NUL and a lone \r. Another third adds non-ASCII
+# letters, digits and spaces; the last is any text.
+LEX_ASCII = list("ab_Z09 \t\n\r\v\f\x00\x1c\x1d\x1e\x1f+.(#'\"\\")
+LEX_TEXT = st.one_of(
+    st.text(alphabet=st.sampled_from(LEX_ASCII)),
+    st.text(alphabet=st.sampled_from(LEX_ASCII + ["é", "变", "٣", "²", "\u00a0", "\u2028", "\u3000"])),
+    st.text(),
+)
+
+
+class TestCountLexTokens:
+    @given(text=LEX_TEXT)
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_equals_regex_count(self, text):
+        assert count_lex_tokens(text) == len(lex_tokens(text))
 
 
 class TestSerialization:

@@ -1,7 +1,9 @@
 import ast
 import keyword
+import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +220,21 @@ class TestDeepExpressions:
             assert stream.kinds == (
                 ("MODULE_BEGIN", "ASSIGN", "IDENT") + ("UNARYOP",) * 600 + ("IDENT", "MODULE_END")
             ), name
+
+    def test_deeper_chains_fall_back(self):
+        # A handler node (Lambda, IfExp, BinOp's right operand) costs two
+        # frames per nesting level and a table node one, so these pass the
+        # recursion limit and degrade to the lexer. Where exactly depends on
+        # the caller's stack depth.
+        deeper = {
+            "not_chain": "x = " + "not " * 1500 + "y\n",
+            "lambda_chain": "x = " + "lambda: " * 600 + "y\n",
+            "ternary_chain": "x = " + "a if b else " * 600 + "c\n",
+            "power_chain": "x = " + "**".join(["a"] * 600) + "\n",
+        }
+        for name, source in deeper.items():
+            assert parse(source) is not None, name
+            assert tokenize(source).fallback, name
 
     def test_postfix_token_order_is_preorder(self):
         # Spine nodes outermost first, then the base, then call arguments
@@ -480,6 +497,34 @@ ALL_NODES_DEBUG = (
 )
 
 
+# ``except*`` (Python 3.11+), which ALL_NODES_PROGRAM cannot hold while
+# Python 3.10 is supported, and its pinned format_debug.
+EXCEPT_STAR_PROGRAM = """\
+try:
+    f()
+except* E:
+    g(x)
+except* (A, B) as group:
+    raise
+else:
+    pass
+finally:
+    h()
+"""
+
+EXCEPT_STAR_DEBUG = (
+    "MODULE_BEGIN 1:0\nTRY_BEGIN 1:0\n"
+    "APPLY 2:4\nIDENT 2:4\n"
+    "EXCEPT 3:0\nIDENT 3:8\n"
+    "APPLY 4:4\nIDENT 4:4\nIDENT 4:6\n"
+    "EXCEPT 5:0\nIDENT 5:9\nIDENT 5:12\n"
+    "RAISE 6:4\n"
+    "ELSE 8:4\nPASS 8:4\n"
+    "FINALLY 10:4\nAPPLY 10:4\nIDENT 10:4\nTRY_END 10:7\n"
+    "MODULE_END 11:0"
+)
+
+
 class TestDebugFormat:
     def test_golden_lines(self):
         out = format_debug(tokenize("x = f(1)\n"))
@@ -498,8 +543,16 @@ class TestDebugFormat:
         assert not stream.fallback
         assert format_debug(stream) == ALL_NODES_DEBUG
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="except* is Python 3.11+")
+    def test_except_star_pinned(self):
+        # A TryStar has the kinds of the Try it would be without the stars.
+        stream = tokenize(EXCEPT_STAR_PROGRAM)
+        assert format_debug(stream) == EXCEPT_STAR_DEBUG
+        assert stream.kinds == tokenize(EXCEPT_STAR_PROGRAM.replace("except*", "except")).kinds
+
     def test_program_covers_every_table_entry(self):
-        present = {type(node) for node in ast.walk(parse(ALL_NODES_PROGRAM))}
+        programs = [ALL_NODES_PROGRAM] + [EXCEPT_STAR_PROGRAM] * (sys.version_info >= (3, 11))
+        present = {type(node) for src in programs for node in ast.walk(parse(src))}
         assert set(_KINDS) | set(_HANDLERS) <= present
 
 
