@@ -442,12 +442,12 @@ class TestHostileSources:
         [
             ("nested90", (5e-5, 0.084), (8.2e-4, 0.30), (1.0e-3, 0.36)),
             ("chain600", (3e-6, 0.0030), (1.2e-3, 0.62), (9e-4, 0.62)),
-            ("long_module", (5.8e-4, 0.44), (2.9e-2, 10.2), (2.5e-2, 10.5)),
             ("missing_colon", (5e-6, 0.0028), (2.6e-4, 0.013), (3.1e-5, 0.015)),
             ("open_paren", (8e-6, 0.0028), (5.1e-4, 0.069), (1.5e-4, 0.071)),
             ("bad_indent", (7e-6, 0.0028), (1.3e-4, 0.018), (6.3e-5, 0.019)),
             ("empty_fence", (3e-6, 0.0005), (1.2e-5, 0.012), (1.1e-5, 0.012)),
             ("no_fence", (1e-6, 0.0002), (1.1e-5, 0.012), (1.2e-5, 0.012)),
+            ("long_module", (5.8e-4, 0.44), (2.9e-2, 10.2), (2.5e-2, 10.5)),
         ],
     )
     def test_time_and_memory_bounds(self, shape, extract_bound, tokenize_bound, strip_bound):
