@@ -291,8 +291,6 @@ def cmd_report(args):
         # The dataset means would be NaN, which is not valid JSON.
         raise CliError("input", f"corpus has no samples: {args.corpus}")
     k_list = args.k
-    if not k_list:
-        raise CliError("param", "at least one k is required")
     max_k = max(k_list)
     for group in corpus:
         if group.n < max_k:
@@ -512,7 +510,7 @@ def _non_negative_float(text):
 
 def _k_list(text):
     values = [_positive_int(part) for part in text.split(",") if part]
-    if not values:
+    if not values or len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"bad k list {text!r}")
     return values
 

@@ -81,18 +81,10 @@ def passk_loo_advantages(outcome: GroupOutcome, centered=True) -> AdvantageVecto
     exactly for a uniquely-correct sample. A single-sample group has no
     leave-one-out contrast and scores 0 by convention.
     """
-    r = outcome.r.astype(np.float64)
-    n = len(r)
-    if n == 1:
-        a = np.zeros(1)
-    else:
-        order = np.sort(r)
-        top, second = order[-1], order[-2]
-        # max over the others drops to the runner-up only for a unique max
-        # holder; all other samples leave the group max untouched.
-        unique_top = (r == top) & (np.count_nonzero(r == top) == 1)
-        others_max = np.where(unique_top, second, top)
-        a = top - others_max
+    # On signed rewards the max over the others drops (from +1 to -1) only
+    # when i is the one correct sample of a group of two or more.
+    pivotal = outcome.m == 1 and outcome.n > 1
+    a = np.where(outcome.correct & pivotal, 2.0, 0.0)
     if centered:
         a = a - a.mean()
     return AdvantageVector("passk_loo", a, {"centered": centered})

@@ -431,43 +431,32 @@ def jdiv(matrix: SimMatrix) -> float:
     return float(1.0 - matrix.scores[iu].mean())
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:  # path compression
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-
 def clusters(matrix: SimMatrix, tau=DEFAULT_TAU) -> tuple:
     """Cluster id of each sample, linking samples whose similarity exceeds ``tau``.
 
-    Two samples are linked only when their score is strictly above ``tau``;
-    a score equal to ``tau`` does not link them. Clusters are the connected
-    components, numbered 0, 1, ... in order of each one's smallest member
-    index, so there are ``max(ids) + 1`` of them.
+    Two samples are linked only when their score is strictly above ``tau``
+    (a NaN score never links); a score equal to ``tau`` does not link them.
+    Clusters are the connected components, numbered 0, 1, ... in order of
+    each one's smallest member index, so there are ``max(ids) + 1`` of them.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must be in [0, 1]")
-    scores = matrix.scores
-    n = matrix.n
-    uf = _UnionFind(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if scores[i, j] > tau:
-                uf.union(i, j)
-    cluster_id = {}  # root -> id, numbered in order of first member
-    return tuple(cluster_id.setdefault(uf.find(i), len(cluster_id)) for i in range(n))
+    linked = (matrix.scores > tau).tolist()
+    ids = [-1] * len(linked)
+    next_id = 0
+    for start in range(len(ids)):
+        if ids[start] < 0:
+            # start is the smallest member of its cluster: number everything
+            # reachable from it.
+            ids[start] = next_id
+            reached = [start]
+            for i in reached:
+                for j, link in enumerate(linked[i]):
+                    if link and ids[j] < 0:
+                        ids[j] = next_id
+                        reached.append(j)
+            next_id += 1
+    return tuple(ids)
 
 
 def effective_clusters(ids) -> float:

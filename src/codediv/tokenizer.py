@@ -305,11 +305,7 @@ class _StructuralEmitter:
         self.buf += (kind, node.lineno, node.col_offset)
 
     def end(self, kind, node):
-        self.buf += (
-            kind,
-            getattr(node, "end_lineno", None) or node.lineno,
-            getattr(node, "end_col_offset", None) or node.col_offset,
-        )
+        self.buf += (kind, node.end_lineno, node.end_col_offset)
 
     # -- statements ---------------------------------------------------
 

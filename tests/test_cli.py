@@ -351,6 +351,17 @@ class TestReportCommand:
         assert "--tau" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["", ",", "1,1,2", "2,1,2"])
+    def test_k_list_must_be_non_empty_and_distinct(self, duplicate_corpus, tmp_path, capsys, value):
+        # A repeated k would write its p@k column twice.
+        out = tmp_path / "out"
+        argv = ["report", "--corpus", str(duplicate_corpus), "--k", value, "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument --k: bad k list {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vendi_with_embeddings(self, duplicate_corpus, tmp_path):
         emb = tmp_path / "emb.jsonl"
         emb.write_text(

@@ -89,6 +89,15 @@ class TestPassKLoo:
                 centered = passk_loo_advantages(out).a
                 assert abs(centered.sum()) < 1e-9
 
+    def test_literal_definition_exhaustive(self):
+        # max_j r_j - max_{j != i} r_j, computed as written on the signed scale.
+        for n in range(2, 11):
+            for flags in all_flag_vectors(n):
+                r = [1.0 if flag else -1.0 for flag in flags]
+                literal = np.array([max(r) - max(r[:i] + r[i + 1 :]) for i in range(n)])
+                raw = passk_loo_advantages(outcome(*flags), centered=False).a
+                assert raw.dtype == literal.dtype and raw.tobytes() == literal.tobytes(), flags
+
 
 class TestPkpo:
     def test_closed_form_example(self):

@@ -611,6 +611,21 @@ class TestJDiv:
         assert jdiv(SimMatrix(grown)) > base
 
 
+def closure_cluster_ids(scores, tau):
+    """Cluster ids from the transitive closure of ``scores > tau``, computed by
+    repeated boolean squaring and numbered by each cluster's first member."""
+    n = len(scores)
+    reach = (scores > tau) | np.eye(n, dtype=bool)
+    while True:
+        squared = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(squared, reach):
+            break
+        reach = squared
+    first_member = [int(np.flatnonzero(row)[0]) for row in reach]
+    numbering = {}
+    return tuple(numbering.setdefault(f, len(numbering)) for f in first_member)
+
+
 class TestClusters:
     def test_all_similar_single_cluster(self):
         assert clusters(SimMatrix(np.ones((5, 5))), tau=0.7) == (0,) * 5
@@ -641,6 +656,32 @@ class TestClusters:
         assert effective_clusters(original) == pytest.approx(
             effective_clusters(shuffled), abs=1e-12
         )
+
+    def test_ids_equal_transitive_closure(self):
+        rng = np.random.default_rng(20261019)
+        cluster_counts = set()
+        for trial in range(500):
+            n = int(rng.integers(0, 41))
+            tau = (0.0, 1.0, 0.7, float(rng.uniform(0, 1)))[trial % 4]
+            shape = trial % 10
+            if shape == 0:
+                scores = np.ones((n, n))  # all duplicates
+            elif shape == 1:
+                scores = np.eye(n)
+            else:
+                # Mostly low scores, so the components vary in size.
+                scores = rng.uniform(0, 1, size=(n, n)) ** rng.uniform(1, 30)
+                scores[rng.uniform(0, 1, size=(n, n)) < 0.2] = tau
+                if shape == 2:
+                    scores[rng.uniform(0, 1, size=(n, n)) < 0.1] = np.nan
+                scores = np.triu(scores, 1)
+                scores = scores + scores.T
+                np.fill_diagonal(scores, 1.0)
+            expected = closure_cluster_ids(scores, tau)
+            assert clusters(SimMatrix(scores), tau=tau) == expected, (trial, n, tau)
+            cluster_counts.add(len(set(expected)))
+        # The trials cover empty groups, one cluster and many-cluster splits.
+        assert {0, 1}.issubset(cluster_counts) and len(cluster_counts) > 20
 
 
 class TestEffectiveClusters:
