@@ -16,7 +16,6 @@ files are written atomically.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -287,7 +286,7 @@ def _report_text(report):
 
 def cmd_report(args):
     corpus = _load_corpus(args.corpus)
-    if not len(corpus):
+    if not corpus:
         # The dataset means would be NaN, which is not valid JSON.
         raise CliError("input", f"corpus has no samples: {args.corpus}")
     k_list = args.k
@@ -316,7 +315,7 @@ def cmd_report(args):
         },
         "prompts": prompt_reports,
         "dataset": _dataset_rollup(prompt_reports, k_list),
-        "lengths": dataclasses.asdict(length_stats(corpus)),
+        "lengths": length_stats(corpus),
     }
     files = [("report.json", _json_text(report)), ("report.txt", _report_text(report))]
     _write_outputs(args.out, "report", inputs, report["params"], files)
@@ -412,7 +411,7 @@ def cmd_compare(args):
         b_vals = np.array([values_b[pid][label] for pid in shared])
         change = stats.aggregate_changes(a_vals, b_vals)
         p_value = stats.paired_bootstrap(a_vals, b_vals, resamples=args.resamples, seed=args.seed)
-        comparison[label] = {**dataclasses.asdict(change), "p_value": p_value}
+        comparison[label] = {**change, "p_value": p_value}
     result = {
         "params": {"resamples": args.resamples, "seed": args.seed},
         "prompts": len(prompt_ids),
@@ -458,8 +457,10 @@ def cmd_simulate(args):
                     temperature=config.temperature,
                     k_list=config.k_list,
                 )
-                lines = trace.to_jsonl_lines()
-                yield f"trace_{index:02d}_{name}_s{seed}.jsonl", "".join(line + "\n" for line in lines)
+                # String keys, so that pass@k keys sort as text, as JSON reads them.
+                rows = ({**row, "pass_at": {str(k): v for k, v in row["pass_at"].items()}} for row in trace)
+                text = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+                yield f"trace_{index:02d}_{name}_s{seed}.jsonl", text
 
     params = {"objectives": [name for name, _ in config.objectives], "seeds": config.seeds, "steps": config.steps}
     _write_outputs(args.out, "simulate", {"config": args.config}, params, traces())

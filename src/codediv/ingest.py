@@ -5,14 +5,16 @@ A corpus is one JSON record per line with fields ``prompt_id`` (str),
 (bool). ``text`` is a raw model completion from which executable code is
 extracted; a record carrying ``source`` is treated as pre-extracted and
 skips extraction. Records group by prompt into SampleGroup, the unit every
-downstream metric operates on.
+downstream metric operates on; a corpus is the list of its groups in
+``prompt_id`` order. ``length_stats`` summarizes it as the plain dict that
+``report.json`` stores under ``lengths``.
 """
 
 import ast
 import json
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .similarity import count_lex_tokens
 from .tokenizer import NOT_PARSED, parse
@@ -53,26 +55,8 @@ class SampleGroup:
         return [s.correct for s in self.samples]
 
 
-@dataclass
-class Corpus:
-    groups: dict = field(default_factory=dict)  # prompt_id -> SampleGroup
-
-    def prompt_ids(self):
-        return sorted(self.groups)
-
-    def __len__(self):
-        return len(self.groups)
-
-    def __iter__(self):
-        for pid in self.prompt_ids():
-            yield self.groups[pid]
-
-    def __getitem__(self, prompt_id):
-        return self.groups[prompt_id]
-
-
-def parse_corpus(lines) -> Corpus:
-    """Parse line-delimited records into a Corpus.
+def parse_corpus(lines) -> list:
+    """Parse line-delimited records into SampleGroups sorted by prompt_id.
 
     Raises CorpusError naming the offending line for malformed JSON, missing
     or mistyped fields, and duplicate (prompt_id, sample_id) keys.
@@ -124,14 +108,13 @@ def parse_corpus(lines) -> Corpus:
         sample = Sample(sample_id=sample_id, text=text, source=source, correct=correct)
         groups.setdefault(prompt_id, []).append(sample)
 
-    assembled = {
-        pid: SampleGroup(prompt_id=pid, samples=sorted(samples, key=lambda s: s.sample_id))
-        for pid, samples in groups.items()
-    }
-    return Corpus(groups=assembled)
+    return [
+        SampleGroup(prompt_id=pid, samples=sorted(samples, key=lambda s: s.sample_id))
+        for pid, samples in sorted(groups.items())
+    ]
 
 
-def load_corpus(path) -> Corpus:
+def load_corpus(path) -> list:
     with open(path, encoding="utf-8") as fh:
         return parse_corpus(fh)
 
@@ -332,50 +315,35 @@ def strip_comments_docstrings(source: str, tree=NOT_PARSED) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class LengthSummary:
-    count: int
-    mean: float
-    median: float
-    p90: float
-    max: int
-
-    @classmethod
-    def of(cls, values):
-        values = sorted(values)
-        if not values:
-            return cls(count=0, mean=0.0, median=0.0, p90=0.0, max=0)
-        n = len(values)
-        # p90 by linear interpolation between order statistics.
-        pos = 0.9 * (n - 1)
-        lo = int(pos)
-        hi = min(lo + 1, n - 1)
-        p90 = values[lo] + (pos - lo) * (values[hi] - values[lo])
-        return cls(
-            count=n,
-            mean=sum(values) / n,
-            median=float(statistics.median(values)),
-            p90=float(p90),
-            max=values[-1],
-        )
+def _length_summary(values) -> dict:
+    values = sorted(values)
+    if not values:
+        return {"count": 0, "mean": 0.0, "median": 0.0, "p90": 0.0, "max": 0}
+    n = len(values)
+    # p90 by linear interpolation between order statistics.
+    pos = 0.9 * (n - 1)
+    lo = int(pos)
+    hi = min(lo + 1, n - 1)
+    return {
+        "count": n,
+        "mean": sum(values) / n,
+        "median": float(statistics.median(values)),
+        "p90": float(values[lo] + (pos - lo) * (values[hi] - values[lo])),
+        "max": values[-1],
+    }
 
 
-@dataclass(frozen=True)
-class LengthGroup:
-    raw_chars: LengthSummary
-    code_chars: LengthSummary
-    raw_tokens: LengthSummary
-    code_tokens: LengthSummary
+def length_stats(corpus) -> dict:
+    """Raw-completion and extracted-code length summaries over the corpus.
 
-
-def length_stats(corpus: Corpus) -> LengthGroup:
-    """Raw-completion and extracted-code length summaries over the corpus."""
-    samples = [s for group in corpus for s in group.samples]
-    raw = [s.text for s in samples]
-    code = [s.source if s.source is not None else "" for s in samples]
-    return LengthGroup(
-        raw_chars=LengthSummary.of([len(t) for t in raw]),
-        code_chars=LengthSummary.of([len(t) for t in code]),
-        raw_tokens=LengthSummary.of([count_lex_tokens(t) for t in raw]),
-        code_tokens=LengthSummary.of([count_lex_tokens(t) for t in code]),
-    )
+    Keys ``raw_chars``, ``code_chars``, ``raw_tokens`` and ``code_tokens``,
+    each a dict of ``count``, ``mean``, ``median``, ``p90`` and ``max``.
+    """
+    raw = [s.text for group in corpus for s in group.samples]
+    code = [source for group in corpus for source in group.sources()]
+    return {
+        "raw_chars": _length_summary([len(t) for t in raw]),
+        "code_chars": _length_summary([len(t) for t in code]),
+        "raw_tokens": _length_summary([count_lex_tokens(t) for t in raw]),
+        "code_tokens": _length_summary([count_lex_tokens(t) for t in code]),
+    }

@@ -345,6 +345,12 @@ def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:
     return min(1.0, max(0.0, 2.0 * match.matched_tokens / (len_a + len_b)))
 
 
+def _dice(common, total):
+    """``2 * common / total`` elementwise, as Python floats compute it; a
+    total of 0, a pair of empty inputs, counts as duplicates and scores 1."""
+    return np.where(total > 0, 2.0 * common / np.maximum(total, 1), 1.0)
+
+
 @dataclass
 class SimMatrix:
     """Symmetric pairwise similarity scores for one sampled group."""
@@ -415,9 +421,10 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     for (s, t), tiles in _group_tiles(streams, k, reverse).items():
         matched[s, t] = sum(tile[2] for tile in tiles)
     # avg_similarity of every cell at once: a stream paired with an empty
-    # one matches nothing and scores 0, and two empty streams score 1.
-    total = lengths[:, None] + lengths
-    scored = np.clip(np.where(total > 0, 2.0 * matched / np.maximum(total, 1), 1.0), 0.0, 1.0)
+    # one matches nothing and scores 0, and two empty streams score 1. Tiles
+    # are disjoint in both streams, so 2 * matched <= total and no score
+    # exceeds 1.
+    scored = _dice(matched, lengths[:, None] + lengths)
     upper = np.triu(scored[np.ix_(rep, rep)], 1)
     return SimMatrix(upper + upper.T + np.eye(n))
 
@@ -521,10 +528,7 @@ def one_gram_matrix(sources) -> SimMatrix:
     scores = np.eye(n, dtype=np.float64)
     for i in range(n - 1):
         common = np.minimum(counts[i], counts[i + 1 :]).sum(1)
-        total = sizes[i] + sizes[i + 1 :]
-        # 2 * common / total, as Python floats compute it; a pair of empty
-        # sources has total 0 and counts as duplicates.
-        scores[i, i + 1 :] = scores[i + 1 :, i] = np.where(total > 0, 2.0 * common / np.maximum(total, 1), 1.0)
+        scores[i, i + 1 :] = scores[i + 1 :, i] = _dice(common, sizes[i] + sizes[i + 1 :])
     return SimMatrix(scores)
 
 

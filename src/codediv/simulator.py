@@ -21,7 +21,6 @@ diversity, is ``1 - pᵀSp`` for the template similarity matrix ``S``, and
 """
 
 import inspect
-import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -173,7 +172,7 @@ def _group_advantages(objective: str, params: StepParams, outcome, matrix):
         objective,
         outcome=outcome,
         matrix=matrix,
-        k=params.k if params.k is not None else params.group_size,
+        k=params.k,
         lambda_div=params.lambda_div,
     )
 
@@ -192,18 +191,6 @@ def step(policy: CategoricalPolicy, world: TemplateWorld, objective: str, params
     if objective == "entropy":
         grad += params.entropy_beta * _entropy_gradient(probs, policy.temperature)
     return CategoricalPolicy(logits=policy.logits + params.lr * grad, temperature=policy.temperature)
-
-
-@dataclass
-class TrainingTrace:
-    objective: str
-    seed: int
-    records: list = field(default_factory=list)  # one dict per traced step
-
-    def to_jsonl_lines(self):
-        # String keys, so that pass@k keys sort as text, as JSON reads them.
-        for r in self.records:
-            yield json.dumps({**r, "pass_at": {str(k): v for k, v in r["pass_at"].items()}}, sort_keys=True)
 
 
 def _evaluate(policy: CategoricalPolicy, world: TemplateWorld, k_list) -> dict:
@@ -251,11 +238,9 @@ def run(
     init_correct_bonus: float = 1.0,
     temperature: float = 1.0,
     k_list: tuple = DEFAULT_K_LIST,
-) -> TrainingTrace:
-    """Train one policy and trace metrics at step 0 and after every update.
-
-    Each record is a dict with keys ``step``, ``pass_at`` (k -> value),
-    ``jdiv``, ``entropy`` and ``logits`` (a list of floats). Deterministic
+) -> list:
+    """Train one policy; return its trace, the rows that the module
+    docstring describes at step 0 and after every update. Deterministic
     for a fixed seed: every objective sees identical training draws under
     the same seed.
     """
@@ -268,11 +253,11 @@ def run(
 
     policy = initial_policy(world, correct_bonus=init_correct_bonus, temperature=temperature)
     _check_reach(world, objective, params, steps, init_correct_bonus, temperature)
-    trace = TrainingTrace(objective=objective, seed=seed)
+    trace = []
     for t in range(steps + 1):
         if t > 0:
             policy = step(policy, world, objective, params, train_rng)
-        trace.records.append({"step": t, **_evaluate(policy, world, k_list), "logits": policy.logits.tolist()})
+        trace.append({"step": t, **_evaluate(policy, world, k_list), "logits": policy.logits.tolist()})
     return trace
 
 

@@ -7,8 +7,6 @@ with replacement and reports the one-sided p-value for "B better than A"
 per-prompt improvements and regressions; ties belong to neither side.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_RESAMPLES = 10_000
@@ -23,14 +21,6 @@ def _paired_diffs(a, b) -> np.ndarray:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("paired series must be 1-D and of equal length")
     return b - a
-
-
-@dataclass(frozen=True)
-class ChangeReport:
-    up_pct: float
-    down_pct: float
-    mean_delta: float
-    n: int
 
 
 def paired_bootstrap(a, b, resamples=DEFAULT_RESAMPLES, seed=0) -> float:
@@ -57,18 +47,19 @@ def paired_bootstrap(a, b, resamples=DEFAULT_RESAMPLES, seed=0) -> float:
     return at_or_below_zero / resamples
 
 
-def aggregate_changes(a, b) -> ChangeReport:
-    """Fractions of strict per-prompt improvements/regressions and mean delta."""
+def aggregate_changes(a, b) -> dict:
+    """Percentages of strict per-prompt improvements and regressions and the
+    mean delta, keyed ``up_pct``, ``down_pct``, ``mean_delta`` and ``n``."""
     delta = _paired_diffs(a, b)
     n = len(delta)
     if n == 0:
         raise ValueError("aggregate_changes needs at least one pair")
     up = int((delta > 0).sum())
     down = int((delta < 0).sum())
-    return ChangeReport(
-        up_pct=100.0 * up / n,
-        down_pct=100.0 * down / n,
-        mean_delta=float(delta.mean()),
-        n=n,
-    )
+    return {
+        "up_pct": 100.0 * up / n,
+        "down_pct": 100.0 * down / n,
+        "mean_delta": float(delta.mean()),
+        "n": n,
+    }
 

@@ -89,6 +89,11 @@ def bounded_call(call, measured_s, measured_mb, runs=3):
     return result
 
 
+def group_of(corpus, prompt_id):
+    """The SampleGroup of ``prompt_id`` in a parsed corpus."""
+    return {group.prompt_id: group for group in corpus}[prompt_id]
+
+
 def brute_force_tiles(a, b, min_match):
     """Independent greedy-tiling oracle: direct extension scan, no DP.
 

@@ -826,6 +826,20 @@ class TestSimulateCommand:
         digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
         assert digests == self.GOLDEN_SHA256
 
+    def test_pkpo_k_defaults_to_group_size(self, tmp_path):
+        # The golden config sets pkpo's k, so it does not pin the default.
+        traces = {}
+        for k in (None, 6, 3):
+            entry = {"name": "pkpo"} if k is None else {"name": "pkpo", "k": k}
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"objectives": [entry], "group_size": 6, "seeds": [0, 3], "steps": 30}))
+            out = tmp_path / f"out_{k}"
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+            traces[k] = read_all_outputs(out)
+            del traces[k]["manifest.json"]
+        assert traces[None] == traces[6]
+        assert traces[None] != traces[3]
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         config = self._config(tmp_path, steps=-2)
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
@@ -924,6 +938,93 @@ class TestSimulateCommand:
                 assert main(["simulate", "--config", str(config), "--out", str(past_out)]) == 1
                 assert capsys.readouterr().err.startswith("error: config: invalid config field")
                 assert not past_out.exists()
+
+
+class TestGoldenOutputs:
+    """Digests of every non-trace output on two small fixed corpora. A rerun
+    comparison cannot see a change that both runs share; these can.
+    ``--embeddings`` is left out: the Vendi score's last bits depend on the
+    LAPACK build."""
+
+    SOURCES = {
+        "sq": "def f(xs):\n    return [x * x for x in xs]\n",
+        "sq2": 'def f(items):\n    """Square each item."""\n    # one pass\n    return [y * y for y in items]\n',
+        "loop": "def f(xs):\n    out = []\n    for x in xs:\n        out.append(x * x)  # keep order\n    return out\n",
+        "while": "def g(n):\n    while n > 1:\n        n -= 1\n    return n\n",
+        "cls": "class Box:\n    def __init__(self, v):\n        self.v = v\n\n    def get(self):\n        return self.v\n",
+    }
+    # (prompt_id, [(source key, correct)]); a None key is a completion with
+    # no fenced block, and a key ending in "!" a pre-extracted source.
+    CORPUS_A = [
+        ("p1", [("sq", True), ("sq2", True), ("loop", False), ("while", False)]),
+        ("task/2", [("cls", True), ("cls", True), (None, False), ("sq", False)]),
+        ("p3", [("while", True), ("loop", False), ("sq2", True), ("cls!", False)]),
+    ]
+    CORPUS_B = [
+        ("p1", [("sq", True), ("sq", True), ("sq2", True), ("loop", False)]),
+        ("task/2", [("cls", True), ("sq2", True), ("loop", True), (None, False)]),
+        ("p3", [("while", False), ("while", True), ("loop", True), ("cls", True)]),
+    ]
+    GOLDEN_SHA256 = {
+        "advantages_base/advantages.jsonl": "c5373ffc06a8c9005ce7317ae13373c6ae002643e7e3bc42864083a3f61727d7",
+        "advantages_combined/advantages.jsonl": "1a0c8d6af4c715975da948b775dab596a1990ddad3cfa503c34f40ace68d3427",
+        "advantages_diversity/advantages.jsonl": "de7e992179714991cd4597c6aca48759cb82fea02f8fe0ae43ce58a40ee93be1",
+        "advantages_diversity_only/advantages.jsonl": "de7e992179714991cd4597c6aca48759cb82fea02f8fe0ae43ce58a40ee93be1",
+        "advantages_entropy/advantages.jsonl": "ff96b9d982c7ab959c3a786d35bad95cc462f720a6c9be3133f516a4e1eb6514",
+        "advantages_passk_loo/advantages.jsonl": "db0f858a8f3807fc3a5da95a39c2fe37c84d3577b2541fd849faa3aef5ff3638",
+        "advantages_pkpo/advantages.jsonl": "c1b35870ff67c75fbf7feafbb5c0ad761d4f1ca789b5b2e09046ada48c83ab9e",
+        "compare/comparison.json": "459537d19e244f854359c0a1b2902cb04d04f46c71c2115711cca9444277925f",
+        "compare/comparison.txt": "ef263d4a7d1db32602e6fd4b55498e3dc79a697a3ca293e28668cdbb925c997e",
+        "report_a/report.json": "7a5c10ff516d4fcf9e880d309042dc6c1b18414bfd3bebd85c30c973c737be73",
+        "report_a/report.txt": "37cf19cfa952642c03d137d7920e5068ca54d2c6716f443929b0e60ff34d7ab1",
+        "report_b/report.json": "cd269265930c57bb4cf6f28ce29be3d0bd4efc3559713b8a9325246b8039e1cd",
+        "report_b/report.txt": "70683fc89bb34f1f160fda1b0a56d94baaca54710236b94beaae1936f4070d99",
+        "report_tau/report.json": "02c652dff04702828c824d6cf8406874d2858e99ade7a97cb1ebb8ccc822244e",
+        "report_tau/report.txt": "14e8fc3a19575b538f89f622c1df9a0669b4d036b3eea2f9d00b5984517b1792",
+        "similarity/p1.simmatrix.txt": "3ed6163b48a4a7aa7addab70dbd3e07b4a0593edf6a876ece8c99c23971450e5",
+        "similarity/p3.simmatrix.txt": "749f87fd65051a1ac6ae76a20013b2c6761291f23656ac364ac72e9ac0f3d22f",
+        "similarity/task_2-6795f9fa.simmatrix.txt": "467e79eedb8e2a70db15c094c1a53ec19981bbdb2ba81e66de1ee4c95435d4c1",
+    }
+
+    def _write(self, path, groups):
+        lines = []
+        for pid, samples in groups:
+            for sid, (key, correct) in enumerate(samples):
+                record = {"prompt_id": pid, "sample_id": sid, "correct": correct}
+                if key is None:
+                    record["text"] = "I could not solve this one."
+                elif key.endswith("!"):
+                    record["source"] = self.SOURCES[key[:-1]]
+                else:
+                    record["text"] = f"Here is my answer.\n```python\n{self.SOURCES[key]}```\nDone.\n"
+                lines.append(json.dumps(record))
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_golden_output_bytes(self, tmp_path):
+        a = self._write(tmp_path / "a.jsonl", self.CORPUS_A)
+        b = self._write(tmp_path / "b.jsonl", self.CORPUS_B)
+        runs = {
+            "similarity": ["similarity", "--corpus", a],
+            "report_a": ["report", "--corpus", a, "--k", "1,2"],
+            "report_b": ["report", "--corpus", b, "--k", "1,2"],
+            "report_tau": ["report", "--corpus", a, "--k", "3", "--tau", "0.5"],
+        }
+        for objective in OBJECTIVES:
+            runs[f"advantages_{objective}"] = [
+                "advantages", "--corpus", a, "--objective", objective, "--k", "2", "--lambda-div", "1.5",
+            ]
+        for name, argv in runs.items():
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0, name
+        reports = [str(tmp_path / name / "report.json") for name in ("report_a", "report_b")]
+        compare = ["compare", "--report-a", reports[0], "--report-b", reports[1], "--resamples", "1000", "--seed", "3"]
+        assert main([*compare, "--out", str(tmp_path / "compare")]) == 0
+        digests = {}
+        for name in [*runs, "compare"]:
+            for file, blob in read_all_outputs(tmp_path / name).items():
+                if file != "manifest.json":
+                    digests[f"{name}/{file}"] = hashlib.sha256(blob).hexdigest()
+        assert digests == self.GOLDEN_SHA256
 
 
 class TestUnreadableInputs:

@@ -22,6 +22,7 @@ from conftest import (
     LONG_ELIF_CHAIN,
     bounded_call,
     docstring_spans_oracle,
+    group_of,
     strip_comments_docstrings_oracle,
     strip_comments_oracle,
 )
@@ -41,7 +42,7 @@ class TestParseCorpus:
             record("p1", 1, "```python\nx = 2\n```", False),
         ]
         corpus = parse_corpus(lines)
-        group = corpus["p1"]
+        group = group_of(corpus, "p1")
         assert group.n == 3
         assert group.m == 2
         assert [s.sample_id for s in group.samples] == [0, 1, 2]
@@ -65,7 +66,7 @@ class TestParseCorpus:
 
     def test_source_wins_over_text(self):
         line = record("p1", 0, "```python\nfrom_text = 1\n```", True, source="explicit = 2\n")
-        group = parse_corpus([line])["p1"]
+        group = group_of(parse_corpus([line]), "p1")
         assert group.samples[0].source == "explicit = 2\n"
 
     def test_sample_order_and_unfenced_source(self):
@@ -76,16 +77,17 @@ class TestParseCorpus:
         ]
         corpus = parse_corpus(lines)
         assert [g.prompt_id for g in corpus] == ["pA", "pB"]
-        samples = corpus["pB"].samples
+        samples = group_of(corpus, "pB").samples
         assert [s.sample_id for s in samples] == [0, 1]
         assert (samples[0].text, samples[0].source, samples[0].correct) == ("no fence here", None, False)
         assert samples[1].source == "def f():\n    return 1\n"
-        assert (corpus["pA"].samples[0].text, corpus["pA"].samples[0].source) == ("", "x = 1\n")
+        first = group_of(corpus, "pA").samples[0]
+        assert (first.text, first.source) == ("", "x = 1\n")
 
     def test_load_corpus_from_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(record("p", 0, "```\nz = 0\n```", True) + "\n")
-        assert load_corpus(path)["p"].samples[0].source == "z = 0\n"
+        assert group_of(load_corpus(path), "p").samples[0].source == "z = 0\n"
 
 
 class TestExtractCode:
@@ -464,23 +466,23 @@ class TestLengthStats:
     def test_single_sample(self):
         corpus = parse_corpus([record("p", 0, "0123456789", True)])
         report = length_stats(corpus)
-        summary = report.raw_chars
-        assert summary.mean == summary.median == summary.max == 10
+        summary = report["raw_chars"]
+        assert summary["mean"] == summary["median"] == summary["max"] == 10
 
     def test_three_lengths(self):
         lines = [record("p", i, "x" * n, True) for i, n in enumerate((10, 20, 30))]
         report = length_stats(parse_corpus(lines))
-        assert report.raw_chars.mean == 20
-        assert report.raw_chars.median == 20
+        assert report["raw_chars"]["mean"] == 20
+        assert report["raw_chars"]["median"] == 20
 
     def test_code_lengths_use_extracted_source(self):
         # 12 chars of prose around a fence holding exactly "y = 1\n".
         text = "words\n```python\ny = 1\n```\nmore"
         corpus = parse_corpus([record("p", 0, text, True)])
         report = length_stats(corpus)
-        assert report.code_chars.max == len("y = 1\n")
-        assert report.raw_chars.max == len(text)
-        assert report.code_chars.max <= report.raw_chars.max
+        assert report["code_chars"]["max"] == len("y = 1\n")
+        assert report["raw_chars"]["max"] == len(text)
+        assert report["code_chars"]["max"] <= report["raw_chars"]["max"]
 
     def test_extracted_never_longer_than_raw(self):
         lines = [
@@ -489,6 +491,4 @@ class TestLengthStats:
         ]
         report = length_stats(parse_corpus(lines))
         for field in ("max", "mean"):
-            assert getattr(report.code_chars, field) <= getattr(
-                report.raw_chars, field
-            )
+            assert report["code_chars"][field] <= report["raw_chars"][field]

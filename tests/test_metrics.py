@@ -16,6 +16,8 @@ from codediv.metrics import (
 )
 from codediv.similarity import SimMatrix, jdiv
 
+from conftest import group_of
+
 
 def pass_at_k_enumeration(n, m, k):
     """Oracle: fraction of k-subsets of n samples hitting >= 1 correct.
@@ -188,7 +190,7 @@ class TestCorrectOnlyView:
             )
             for i, flag in enumerate(flags)
         ]
-        return parse_corpus(lines)["p"]
+        return group_of(parse_corpus(lines), "p")
 
     def test_all_correct_identity(self):
         group = self._group([True, True, True])
@@ -222,12 +224,13 @@ class TestEmbeddingIO:
             json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [1.0, 0.0]}),
         ]
         table = load_embeddings(lines)
-        group = parse_corpus(
+        corpus = parse_corpus(
             [
                 json.dumps({"prompt_id": "p", "sample_id": 0, "source": "a", "correct": True}),
                 json.dumps({"prompt_id": "p", "sample_id": 1, "source": "b", "correct": True}),
             ]
-        )["p"]
+        )
+        group = group_of(corpus, "p")
         emb = embeddings_for_group(table, group)
         assert emb.dtype == np.float64 and emb.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -276,8 +279,7 @@ class TestEmbeddingIO:
             load_embeddings(lines)
 
     def test_missing_sample_named(self):
-        group = parse_corpus(
-            [json.dumps({"prompt_id": "p", "sample_id": 5, "source": "a", "correct": True})]
-        )["p"]
+        corpus = parse_corpus([json.dumps({"prompt_id": "p", "sample_id": 5, "source": "a", "correct": True})])
+        group = group_of(corpus, "p")
         with pytest.raises(ValueError, match="sample 5"):
             embeddings_for_group({}, group)

@@ -1,0 +1,59 @@
+"""The benchmark's use of the package, checked without running the benchmark.
+
+``perfbench/`` imports codediv, wraps its functions by the names their
+callers look them up by, and reads what they return. A change to one of
+those names or return shapes would otherwise show only when someone runs
+the benchmark.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+
+from codediv import cli
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _recorder():
+    # Loaded by path: the module's name clashes with the stdlib's ``trace``.
+    spec = importlib.util.spec_from_file_location("perfbench_trace", os.path.join(PERFBENCH, "trace.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Recorder()
+
+
+def test_selftest_passes():
+    result = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "selftest.py")], capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_recorder_resolves_every_target():
+    rec = _recorder()
+    try:
+        assert rec.install() == []
+    finally:
+        rec.uninstall()
+
+
+def test_traced_report_counts_records(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    rows = [("p1", 0, True), ("p1", 1, False), ("p1", 2, True), ("p2", 0, False), ("p2", 1, True)]
+    corpus.write_text(
+        "".join(
+            json.dumps({"prompt_id": pid, "sample_id": sid, "source": f"x = {sid}\n", "correct": ok}) + "\n"
+            for pid, sid, ok in rows
+        )
+    )
+    rec = _recorder()
+    try:
+        assert rec.install() == []
+        assert cli.main(["report", "--corpus", str(corpus), "--k", "1", "--out", str(tmp_path / "out")]) == 0
+    finally:
+        rec.uninstall()
+    assert rec.counts["ingest.records"] == len(rows)
+    assert {"cli.report", "ingest.load_corpus", "ingest.length_stats"} <= {span[0] for span in rec.spans}

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import warnings
 from fractions import Fraction
@@ -282,17 +281,16 @@ class TestStep:
 class TestRun:
     def test_trace_length_and_initial_record(self):
         trace = run(default_world(), "base", steps=5, seed=0)
-        assert len(trace.records) == 6
-        assert trace.records[0]["step"] == 0
+        assert len(trace) == 6
+        assert trace[0]["step"] == 0
 
     def test_zero_lr_constant_trace(self):
         trace = run(default_world(), "base", steps=4, seed=1, params=StepParams(lr=0.0))
-        lines = list(trace.to_jsonl_lines())
         assert all(
-            json.loads(line)["jdiv"] == json.loads(lines[0])["jdiv"]
-            and json.loads(line)["pass_at"] == json.loads(lines[0])["pass_at"]
-            and json.loads(line)["logits"] == json.loads(lines[0])["logits"]
-            for line in lines
+            row["jdiv"] == trace[0]["jdiv"]
+            and row["pass_at"] == trace[0]["pass_at"]
+            and row["logits"] == trace[0]["logits"]
+            for row in trace
         )
 
     @pytest.mark.parametrize(
@@ -310,32 +308,32 @@ class TestRun:
     def test_deterministic_reruns(self):
         first = run(default_world(), "combined", steps=8, seed=3)
         second = run(default_world(), "combined", steps=8, seed=3)
-        assert list(first.to_jsonl_lines()) == list(second.to_jsonl_lines())
+        assert first == second
 
     def test_lambda_zero_combined_matches_base(self):
         base = run(default_world(), "base", steps=10, seed=5)
         combined = run(
             default_world(), "combined", steps=10, seed=5, params=StepParams(lambda_div=0.0)
         )
-        for rb, rc in zip(base.records, combined.records):
+        for rb, rc in zip(base, combined):
             assert rb["logits"] == rc["logits"]
 
     def test_policy_stays_normalized(self):
         trace = run(default_world(), "passk_loo", steps=20, seed=2)
-        for record in trace.records:
+        for record in trace:
             p = CategoricalPolicy(logits=np.array(record["logits"])).probs()
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_pkpo_objective_runs(self):
         trace = run(default_world(), "pkpo", steps=10, seed=0, params=StepParams(k=4))
-        assert len(trace.records) == 11
+        assert len(trace) == 11
 
     def test_entropy_objective_raises_entropy_vs_base(self):
         base = run(default_world(), "base", steps=60, seed=4)
         reg = run(
             default_world(), "entropy", steps=60, seed=4, params=StepParams(entropy_beta=2.0)
         )
-        assert reg.records[-1]["entropy"] > base.records[-1]["entropy"]
+        assert reg[-1]["entropy"] > base[-1]["entropy"]
 
     def test_directional_smoke(self):
         # Three-seed smoke version of the 20-seed acceptance run.
@@ -344,9 +342,9 @@ class TestRun:
             base = run(world, "base", steps=300, seed=seed)
             combined = run(world, "combined", steps=300, seed=seed)
             diversity = run(world, "diversity_only", steps=300, seed=seed)
-            assert base.records[-1]["jdiv"] < base.records[0]["jdiv"]
-            assert combined.records[-1]["jdiv"] > base.records[-1]["jdiv"]
-            assert diversity.records[-1]["pass_at"][1] < diversity.records[0]["pass_at"][1]
+            assert base[-1]["jdiv"] < base[0]["jdiv"]
+            assert combined[-1]["jdiv"] > base[-1]["jdiv"]
+            assert diversity[-1]["pass_at"][1] < diversity[0]["pass_at"][1]
 
 
 class TestSimulationConfig:
@@ -379,7 +377,7 @@ class TestSimulationConfig:
         config = SimulationConfig.from_dict({"objectives": list(OBJECTIVES)})
         assert [name for name, _ in config.objectives] == list(OBJECTIVES)
         for name, params in config.objectives:
-            assert len(run(config.world, name, steps=2, params=params).records) == 3
+            assert len(run(config.world, name, steps=2, params=params)) == 3
 
     def test_errors_name_field(self):
         with pytest.raises(ValueError, match="'objectives'"):
@@ -636,14 +634,14 @@ class TestSimulationConfig:
             init_correct_bonus=config.init_correct_bonus,
             temperature=config.temperature,
         )
-        assert all(math.isfinite(x) for row in trace.records for x in row["logits"])
+        assert all(math.isfinite(x) for row in trace for x in row["logits"])
 
     def test_k_list(self):
         assert SimulationConfig.from_dict({"objectives": ["base"]}).k_list == (1, 10)
         config = SimulationConfig.from_dict({"objectives": ["base"], "eval": {"k_list": [4, 1]}})
         assert config.k_list == (4, 1)
         trace = run(config.world, "base", steps=1, k_list=config.k_list)
-        assert sorted(trace.records[-1]["pass_at"]) == [1, 4]
+        assert sorted(trace[-1]["pass_at"]) == [1, 4]
 
 
 def _exact_pass_at_k(n, m, k):
@@ -806,8 +804,8 @@ class TestMeanFieldFloor:
     def test_sampled_base_collapses_below_the_floor_and_combined_does_not(self):
         world = default_world()
         floor = self._floor(world)
-        base = [run(world, "base", seed=seed).records[-1]["jdiv"] for seed in self.SEEDS]
-        combined = [run(world, "combined", seed=seed).records[-1]["jdiv"] for seed in self.SEEDS]
+        base = [run(world, "base", seed=seed)[-1]["jdiv"] for seed in self.SEEDS]
+        combined = [run(world, "combined", seed=seed)[-1]["jdiv"] for seed in self.SEEDS]
         assert max(base) < floor, base
         assert np.mean(base) <= floor - 0.2, base
         assert abs(np.mean(combined) - floor) <= 0.02, combined

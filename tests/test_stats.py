@@ -73,18 +73,18 @@ class TestPairedBootstrap:
 class TestAggregateChanges:
     def test_identical(self):
         report = aggregate_changes([1.0, 2.0], [1.0, 2.0])
-        assert (report.up_pct, report.down_pct, report.mean_delta) == (0.0, 0.0, 0.0)
+        assert (report["up_pct"], report["down_pct"], report["mean_delta"]) == (0.0, 0.0, 0.0)
 
     def test_uniform_improvement(self):
         report = aggregate_changes([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
-        assert report.up_pct == 100.0
-        assert report.mean_delta == 1.0
+        assert report["up_pct"] == 100.0
+        assert report["mean_delta"] == 1.0
 
     def test_mixed_with_tie(self):
         report = aggregate_changes([0.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 2.0])
-        assert report.up_pct == 50.0
-        assert report.down_pct == 25.0
-        assert report.mean_delta == 0.5
+        assert report["up_pct"] == 50.0
+        assert report["down_pct"] == 25.0
+        assert report["mean_delta"] == 0.5
 
     def test_percentages_partition(self):
         rng = np.random.default_rng(2)
@@ -92,5 +92,5 @@ class TestAggregateChanges:
         b = rng.integers(0, 3, size=60).astype(float)
         report = aggregate_changes(a, b)
         tie_pct = 100.0 * np.mean(a == b)
-        assert report.up_pct + report.down_pct + tie_pct == pytest.approx(100.0)
+        assert report["up_pct"] + report["down_pct"] + tie_pct == pytest.approx(100.0)
 
