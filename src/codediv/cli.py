@@ -38,7 +38,7 @@ from .similarity import (
     one_gram_div,
     pairwise_matrix,
 )
-from .tokenizer import TokenStream, format_debug, parse, tokenize
+from .tokenizer import format_debug, parse, tokenize
 
 
 class CliError(Exception):
@@ -151,12 +151,6 @@ def _load_corpus(path):
     return _read_input(path, "corpus", load_corpus)
 
 
-def _group_streams(group):
-    """Token streams for a group; absent or empty extractions become empty
-    streams, so two failed extractions compare as duplicates (score 1)."""
-    return [tokenize(s) if s.strip() else TokenStream([]) for s in group.sources()]
-
-
 # -- tokens ------------------------------------------------------------
 
 
@@ -176,7 +170,7 @@ def cmd_similarity(args):
 
     def matrices():
         for group in corpus:
-            matrix = pairwise_matrix(_group_streams(group), min_match=args.min_match)
+            matrix = pairwise_matrix([tokenize(s) for s in group.sources()], min_match=args.min_match)
             yield f"{_slug(group.prompt_id)}.simmatrix.txt", matrix.to_text()
 
     params = {"min_match": args.min_match, "gst_backend": GST_BACKEND}
@@ -194,7 +188,7 @@ def cmd_similarity(args):
 
 
 def _streams_and_stripped(group):
-    """Like _group_streams, plus each source without comments and docstrings.
+    """A group's token streams and each source without comments and docstrings.
 
     Each sample is parsed once and its tree shared by both views; it is
     dropped before the next sample is parsed, because a long module's tree
@@ -203,7 +197,7 @@ def _streams_and_stripped(group):
     streams, stripped = [], []
     for source in group.sources():
         tree = parse(source)
-        streams.append(tokenize(source, tree) if source.strip() else TokenStream([]))
+        streams.append(tokenize(source, tree))
         stripped.append(strip_comments_docstrings(source, tree))
         tree = None
     return streams, stripped
@@ -334,7 +328,7 @@ def cmd_advantages(args):
         outcome = rewards.GroupOutcome.from_flags(group.correct_flags())
         matrix = None
         if needs_matrix:
-            matrix = pairwise_matrix(_group_streams(group), min_match=args.min_match)
+            matrix = pairwise_matrix([tokenize(s) for s in group.sources()], min_match=args.min_match)
         try:
             vec = rewards.advantages(
                 objective,

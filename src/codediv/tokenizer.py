@@ -16,7 +16,8 @@ comment and docstring stripper in ``ingest``, parses once and hands the
 same tree to ``tokenize``. Generated code is frequently malformed; in that
 case a plain lexer pass still normalizes identifiers and literals but emits
 none of the block begin/end kinds, and the resulting stream is flagged
-``fallback`` so reports can count degraded inputs.
+``fallback`` so reports can count degraded inputs. Blank source (such as a
+sample with no code) is the empty stream, with no module to begin or end.
 
 Streams are stored as three ``array('i')`` buffers (kind ids, lines,
 columns); no per-token object exists unless ``TokenStream.tokens`` is asked
@@ -194,11 +195,15 @@ NOT_PARSED = object()
 def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
     """Tokenize Python source into a structural TokenStream.
 
-    ``tree`` is ``parse(source)`` when the caller already has it; by default
-    the source is parsed here. Never raises on bad input: source that does
-    not parse (``tree`` is None), or nests too deeply for the emitter's
-    recursion, degrades to the lexer fallback and the stream is flagged.
+    Blank source (``not source.strip()``) is the empty, unflagged stream,
+    so two samples with no code score 1.0 against each other. ``tree`` is
+    ``parse(source)`` when the caller already has it; by default the source
+    is parsed here. Never raises on bad input: source that does not parse
+    (``tree`` is None), or nests too deeply for the emitter's recursion,
+    degrades to the lexer fallback and the stream is flagged.
     """
+    if not source.strip():
+        return TokenStream(())
     if tree is NOT_PARSED:
         tree = parse(source)
     if tree is not None:

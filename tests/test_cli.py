@@ -116,6 +116,13 @@ class TestTokens:
             "DEF_END 7:19\nMODULE_END 8:0\n"
         )
 
+    def test_pinned_blank_output(self, tmp_path, capsys):
+        # A blank file is the empty stream, as a blank sample is in a matrix.
+        file = tmp_path / "blank.py"
+        file.write_text(" \n\n")
+        assert main(["tokens", str(file)]) == 0
+        assert capsys.readouterr() == ("\n", "")
+
     def test_pinned_fallback_output(self, tmp_path, capsys):
         file = tmp_path / "broken.py"
         file.write_text('def f(:\n    x = [1, 2\n    return x.y + "s" ** 3\n')
@@ -208,7 +215,8 @@ class TestSimilarityCommand:
 
     def test_missing_extractions_compare_as_duplicates(self, tmp_path):
         # Completions with no fenced block yield empty streams, which score
-        # 1.0 against each other and 0.0 against real code.
+        # 1.0 against each other and 0.0 against real code, in every command
+        # that builds a matrix. One test id covers all three commands.
         lines = [
             json.dumps({"prompt_id": "p", "sample_id": 0, "text": "no code", "correct": False}),
             json.dumps({"prompt_id": "p", "sample_id": 1, "text": "also none", "correct": False}),
@@ -216,11 +224,23 @@ class TestSimilarityCommand:
         ]
         corpus = tmp_path / "c.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        assert main(["similarity", "--corpus", str(corpus), "--out", str(out)]) == 0
-        matrix = SimMatrix.from_text((out / "p.simmatrix.txt").read_text())
+        for command, extra in [
+            ("similarity", []),
+            ("report", ["--k", "1"]),
+            ("advantages", ["--objective", "diversity"]),
+        ]:
+            out = tmp_path / command
+            assert main([command, "--corpus", str(corpus), "--out", str(out)] + extra) == 0, command
+        matrix = SimMatrix.from_text((tmp_path / "similarity" / "p.simmatrix.txt").read_text())
         assert matrix.scores[0, 1] == 1.0
         assert matrix.scores[0, 2] == 0.0
+        prompt = read_json(tmp_path / "report" / "report.json")["prompts"]["p"]
+        assert (prompt["empty_sources"], prompt["clusters"]) == (2, 2)
+        assert prompt["jdiv"] == pytest.approx(1 - 1 / 3)
+        # Scores (1, 0, 0): dropping a blank sample leaves a pair at 0.0,
+        # dropping the code leaves the duplicate pair at 1.0.
+        adv = json.loads((tmp_path / "advantages" / "advantages.jsonl").read_text())["advantages"]
+        assert adv == pytest.approx([-1 / 3, -1 / 3, 2 / 3])
 
     def test_rerun_removes_stale_matrices(self, tmp_path):
         src = "def f(x):\n    return x + 1\n"

@@ -174,6 +174,23 @@ class TestFallback:
         assert not tokenize("x = 1\n").fallback
 
 
+class TestBlankSource:
+    # The predicate is exactly ``not source.strip()``: report.json's
+    # ``empty_sources`` and the hostile benchmark's expectations count it.
+    @pytest.mark.parametrize("source", ["", "\n", " \t\r\n", "\x0c\n"])
+    def test_blank_is_the_empty_stream(self, source):
+        for stream in (tokenize(source), tokenize(source, parse(source)), tokenize(source, None)):
+            assert stream == TokenStream([])
+            assert not stream.fallback
+
+    @pytest.mark.parametrize("source", ["# c\n", "pass\n"])
+    def test_comment_or_code_is_not_blank(self, source):
+        stream = tokenize(source)
+        assert stream.kinds[0] == "MODULE_BEGIN" and stream.kinds[-1] == "MODULE_END"
+        assert not stream.fallback
+        assert tokenize(source, parse(source)) == stream
+
+
 class TestDeepExpressions:
     def test_binop_chain_is_structural(self):
         stream = tokenize(DEEP_EXPRESSIONS["binop_chain"])
