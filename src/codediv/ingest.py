@@ -13,7 +13,6 @@ downstream metric operates on; a corpus is the list of its groups in
 import ast
 import json
 import re
-import statistics
 from dataclasses import dataclass
 
 from .similarity import count_lex_tokens
@@ -327,7 +326,7 @@ def _length_summary(values) -> dict:
     return {
         "count": n,
         "mean": sum(values) / n,
-        "median": float(statistics.median(values)),
+        "median": (values[(n - 1) // 2] + values[n // 2]) / 2,
         "p90": float(values[lo] + (pos - lo) * (values[hi] - values[lo])),
         "max": values[-1],
     }

@@ -1,10 +1,12 @@
 """Synthetic policy-gradient simulator for group-sampling objectives.
 
 A prompt is modeled as a finite set of implementation templates with fixed
-correctness and a fixed template-to-template similarity matrix; the policy
-is a categorical distribution over templates (softmax of logits). Each
-training step samples a group of templates, scores it with the rewards
-module, and applies the exact score-function gradient of the categorical
+correctness and a fixed template-to-template similarity matrix. The policy
+is its logits, one per template: a categorical distribution over templates,
+the softmax of ``logits / temperature``, which ``run`` computes once per
+step for both the next update and the trace row. Each training step
+samples a group of templates, scores it with the rewards module, and
+returns the exact score-function gradient step of the categorical
 log-likelihood. That strips away everything about real RLVR except credit
 assignment, which is the mechanism under study: correctness-only credit
 concentrates the policy on one template family and drains group diversity,
@@ -81,38 +83,6 @@ def default_world() -> TemplateWorld:
 
 
 @dataclass(frozen=True)
-class CategoricalPolicy:
-    logits: np.ndarray
-    temperature: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "logits", np.asarray(self.logits, dtype=np.float64))
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-
-    def probs(self) -> np.ndarray:
-        """The softmax of ``logits / temperature``. It is computed on the
-        first call, where numpy warns of a non-finite logit, and every later
-        call returns the same read-only array."""
-        p = self.__dict__.get("_probs")
-        if p is None:
-            z = self.logits / self.temperature
-            z = z - z.max()
-            e = np.exp(z)
-            p = e / e.sum()
-            p.flags.writeable = False
-            object.__setattr__(self, "_probs", p)
-        return p
-
-
-def initial_policy(world: TemplateWorld, correct_bonus=1.0, temperature=1.0) -> CategoricalPolicy:
-    """Pretrained-model stand-in: correct templates start with a logit bonus,
-    so the initial policy already prefers (but is not locked to) correct code."""
-    logits = np.where(world.correct, correct_bonus, 0.0)
-    return CategoricalPolicy(logits=logits, temperature=temperature)
-
-
-@dataclass(frozen=True)
 class StepParams:
     """The settings of one training step. A config sets each field by its
     name, at the top level or per objective; an integer field's
@@ -177,25 +147,35 @@ def _group_advantages(objective: str, params: StepParams, outcome, matrix):
     )
 
 
-def step(policy: CategoricalPolicy, world: TemplateWorld, objective: str, params: StepParams, rng) -> CategoricalPolicy:
-    """One policy-gradient update from one sampled group.
+def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    """The policy's probabilities: the softmax of ``logits / temperature``.
+    numpy warns here of a non-finite logit."""
+    z = logits / temperature
+    z = z - z.max()
+    e = np.exp(z)
+    return e / e.sum()
 
-    theta <- theta + lr * sum_i A_i * grad log pi(t_i). The entropy
-    objective adds beta times the analytic entropy gradient to the same
-    update.
+
+def step(
+    probs: np.ndarray, world: TemplateWorld, objective: str, params: StepParams, rng, temperature: float
+) -> np.ndarray:
+    """One policy-gradient update from one sampled group. The policy is its
+    logits, and ``probs`` is their softmax at ``temperature``.
+
+    Returns the change to the logits, lr * sum_i A_i * grad log pi(t_i).
+    The entropy objective adds beta times the analytic entropy gradient to
+    the same update.
     """
-    probs = policy.probs()
     draws, outcome, matrix = sample_group(probs, world, params.group_size, rng)
     vec = _group_advantages(objective, params, outcome, matrix)
-    grad = _policy_gradient(probs, draws, vec.a, policy.temperature)
+    grad = _policy_gradient(probs, draws, vec.a, temperature)
     if objective == "entropy":
-        grad += params.entropy_beta * _entropy_gradient(probs, policy.temperature)
-    return CategoricalPolicy(logits=policy.logits + params.lr * grad, temperature=policy.temperature)
+        grad += params.entropy_beta * _entropy_gradient(probs, temperature)
+    return params.lr * grad
 
 
-def _evaluate(policy: CategoricalPolicy, world: TemplateWorld, k_list) -> dict:
+def _evaluate(probs: np.ndarray, world: TemplateWorld, k_list) -> dict:
     """Exact expected pass@k, group diversity and entropy of the policy."""
-    probs = policy.probs()
     q = float(probs[world.correct].sum())
     nz = probs[probs > 0]
     # Expected pairwise similarity of two i.i.d. draws is pᵀSp, whatever
@@ -249,15 +229,20 @@ def run(
     params = params or StepParams()
     if params.group_size < 2:
         raise ValueError("run needs group_size >= 2 to trace group diversity")
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
     train_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-    policy = initial_policy(world, correct_bonus=init_correct_bonus, temperature=temperature)
     _check_reach(world, objective, params, steps, init_correct_bonus, temperature)
+    # Pretrained-model stand-in: correct templates start with a logit bonus,
+    # so the policy already prefers (but is not locked to) correct code.
+    logits = np.where(world.correct, init_correct_bonus, 0.0)
     trace = []
     for t in range(steps + 1):
         if t > 0:
-            policy = step(policy, world, objective, params, train_rng)
-        trace.append({"step": t, **_evaluate(policy, world, k_list), "logits": policy.logits.tolist()})
+            logits = logits + step(probs, world, objective, params, train_rng, temperature)
+        probs = _softmax(logits, temperature)
+        trace.append({"step": t, **_evaluate(probs, world, k_list), "logits": logits.tolist()})
     return trace
 
 

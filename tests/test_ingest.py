@@ -1,5 +1,7 @@
 import ast
 import json
+import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from codediv.ingest import (
     CorpusError,
     _docstring_spans,
+    _length_summary,
     _strip_comments,
     extract_code,
     length_stats,
@@ -483,6 +486,19 @@ class TestLengthStats:
         assert report["code_chars"]["max"] == len("y = 1\n")
         assert report["raw_chars"]["max"] == len(text)
         assert report["code_chars"]["max"] <= report["raw_chars"]["max"]
+
+    def test_median_matches_statistics(self):
+        rng = random.Random(20261020)
+        cases = [[7], [3, 8], [2**52, 2**52 - 1]]
+        cases += [[rng.randint(0, 2**52) for _ in range(rng.randint(1, 60))] for _ in range(2000)]
+        assert {len(v) % 2 for v in cases} == {0, 1}
+        for values in cases:
+            median = _length_summary(values)["median"]
+            assert repr(median) == repr(float(statistics.median(values))), values
+
+    def test_empty_corpus(self):
+        zero = {"count": 0, "mean": 0.0, "median": 0.0, "p90": 0.0, "max": 0}
+        assert length_stats([]) == {key: zero for key in ("raw_chars", "code_chars", "raw_tokens", "code_tokens")}
 
     def test_extracted_never_longer_than_raw(self):
         lines = [

@@ -57,3 +57,22 @@ def test_traced_report_counts_records(tmp_path):
         rec.uninstall()
     assert rec.counts["ingest.records"] == len(rows)
     assert {"cli.report", "ingest.load_corpus", "ingest.length_stats"} <= {span[0] for span in rec.spans}
+
+
+def test_traced_simulate_counts_one_step_per_step(tmp_path):
+    # A run that stopped calling simulator.step by its module name would
+    # read 0 steps here, not fail.
+    config = tmp_path / "simulate.json"
+    config.write_text(json.dumps({"objectives": ["base", "combined"], "seeds": [0], "steps": 3}))
+    rec = _recorder()
+    try:
+        assert rec.install() == []
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        rec.uninstall()
+    # Six steps, and one config check per objective.
+    assert rec.counts["simulator.steps"] == 6
+    assert rec.counts["rewards.calls"] == 8
+    names = [span[0] for span in rec.spans]
+    assert names.count("simulator.run") == 2
+    assert names.count("simulator.step") == 6

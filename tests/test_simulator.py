@@ -9,16 +9,15 @@ import pytest
 from codediv.metrics import pass_at_k
 from codediv.rewards import OBJECTIVES
 from codediv.simulator import (
-    CategoricalPolicy,
     SimulationConfig,
     StepParams,
     TemplateWorld,
     _entropy_gradient,
     _evaluate,
     _policy_gradient,
+    _softmax,
     default_world,
     family_world,
-    initial_policy,
     run,
     sample_group,
     step,
@@ -72,39 +71,32 @@ class TestCategoricalPolicy:
         run(world, objective, steps=7, seed=3)
         assert softmax_calls == [world.n_templates] * 8
 
-    def test_probs_read_only(self):
-        policy = CategoricalPolicy(logits=np.array([0.0, 1.0, -2.0]))
-        with pytest.raises(ValueError, match="read-only"):
-            policy.probs()[0] = 1.0
-        assert policy.probs() is policy.probs()
-
     @pytest.mark.parametrize("logits", [[math.inf, 0.0], [-math.inf, -math.inf], [math.nan, 0.0]])
     def test_non_finite_logits_fail_at_first_use(self, logits):
         world = TemplateWorld(correct=[True, False], similarity=np.eye(2))
-        policy = CategoricalPolicy(logits=logits)
+        logits = np.array(logits)
         if not math.isnan(logits[0]):
             # inf - inf: numpy's invalid-value warning, an error in this suite.
             with pytest.raises(RuntimeWarning, match="invalid value"):
-                policy.probs()
+                _softmax(logits, 1.0)
         # Where numpy only warns, the draw refuses the NaN softmax as
         # Generator.choice did.
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^Probabilities contain NaN$"):
-            step(policy, world, "base", StepParams(), np.random.default_rng(0))
+            step(_softmax(logits, 1.0), world, "base", StepParams(), np.random.default_rng(0), 1.0)
 
     def test_probs_normalize(self):
-        policy = CategoricalPolicy(logits=np.array([0.0, 1.0, -2.0]))
-        p = policy.probs()
+        p = _softmax(np.array([0.0, 1.0, -2.0]), 1.0)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert (p > 0).all()
 
     def test_temperature_flattens(self):
         logits = np.array([2.0, 0.0])
-        hot = CategoricalPolicy(logits=logits, temperature=5.0).probs()
-        cold = CategoricalPolicy(logits=logits, temperature=0.5).probs()
+        hot = _softmax(logits, 5.0)
+        cold = _softmax(logits, 0.5)
         assert hot[0] < cold[0]
 
     def test_entropy_uniform_max(self):
-        uniform = CategoricalPolicy(logits=np.zeros(4))
+        uniform = _softmax(np.zeros(4), 1.0)
         world = TemplateWorld(correct=[True, False, False, False], similarity=np.eye(4))
         assert _evaluate(uniform, world, (1,))["entropy"] == pytest.approx(np.log(4.0), abs=1e-12)
 
@@ -114,14 +106,12 @@ class TestCategoricalPolicy:
         world = default_world()
         logits = np.zeros(world.n_templates)
         logits[0] = 1e6
-        entropy = _evaluate(CategoricalPolicy(logits=logits), world, (1,))["entropy"]
+        entropy = _evaluate(_softmax(logits, 1.0), world, (1,))["entropy"]
         assert entropy == 0.0 and math.copysign(1.0, entropy) == -1.0
 
     def test_initial_policy_prefers_correct(self):
-        world = default_world()
-        policy = initial_policy(world, correct_bonus=1.0)
-        p = policy.probs()
-        assert p[world.correct].sum() > 0.5
+        first = run(default_world(), "base", steps=0, init_correct_bonus=1.0)[0]
+        assert first["pass_at"][1] > 0.5
 
 
 class TestSampleGroup:
@@ -129,8 +119,7 @@ class TestSampleGroup:
         world = default_world()
         logits = np.full(world.n_templates, -30.0)
         logits[0] = 30.0
-        policy = CategoricalPolicy(logits=logits)
-        draws, outcome, matrix = sample_group(policy.probs(), world, 6, np.random.default_rng(0))
+        draws, outcome, matrix = sample_group(_softmax(logits, 1.0), world, 6, np.random.default_rng(0))
         assert set(draws.tolist()) == {0}
         assert outcome.m == 6
         assert np.array_equal(matrix.scores, np.ones((6, 6)))
@@ -140,8 +129,7 @@ class TestSampleGroup:
             correct=[True, False],
             similarity=np.array([[1.0, 0.3], [0.3, 1.0]]),
         )
-        policy = CategoricalPolicy(logits=np.zeros(2))
-        draws, _, matrix = sample_group(policy.probs(), world, 50, np.random.default_rng(1))
+        draws, _, matrix = sample_group(_softmax(np.zeros(2), 1.0), world, 50, np.random.default_rng(1))
         for a in range(50):
             for b in range(50):
                 expected = 1.0 if draws[a] == draws[b] else 0.3
@@ -149,9 +137,9 @@ class TestSampleGroup:
 
     def test_seeded_determinism(self):
         world = default_world()
-        policy = initial_policy(world)
-        d1, o1, m1 = sample_group(policy.probs(), world, 8, np.random.default_rng(7))
-        d2, o2, m2 = sample_group(policy.probs(), world, 8, np.random.default_rng(7))
+        probs = _softmax(np.where(world.correct, 1.0, 0.0), 1.0)
+        d1, o1, m1 = sample_group(probs, world, 8, np.random.default_rng(7))
+        d2, o2, m2 = sample_group(probs, world, 8, np.random.default_rng(7))
         assert np.array_equal(d1, d2)
         assert np.array_equal(o1.r, o2.r)
         assert m1 == m2
@@ -174,7 +162,7 @@ class TestSampleGroup:
             if trial % 4 == 0:
                 # Logits this far below the top underflow to exactly 0 mass.
                 logits[rng.permutation(t)[: int(rng.integers(1, t))]] = -1000.0
-            probs = CategoricalPolicy(logits=logits).probs()
+            probs = _softmax(logits, 1.0)
             zero_mass += bool((probs == 0.0).any())
             n = int(rng.integers(1, 21))
             seed = int(rng.integers(2**32))
@@ -196,7 +184,7 @@ class TestSampleGroup:
 
         for _ in range(500):
             t = int(rng.integers(2, 13))
-            probs = CategoricalPolicy(logits=rng.normal(0.0, 3.0, size=t)).probs()
+            probs = _softmax(rng.normal(0.0, 3.0, size=t), 1.0)
             # Many more draws than templates, so most templates repeat.
             draws = rng.integers(0, t, size=int(rng.integers(1, 41)))
             advantages = rng.normal(0.0, 2.0, size=len(draws))
@@ -213,9 +201,9 @@ class TestStep:
             correct=[True, False], similarity=np.array([[1.0, 0.0], [0.0, 1.0]])
         )
         logits = np.array([40.0, -40.0])
-        policy = CategoricalPolicy(logits=logits)
-        updated = step(policy, world, "base", StepParams(group_size=4, lr=0.5), np.random.default_rng(0))
-        assert np.array_equal(updated.logits, logits)
+        params = StepParams(group_size=4, lr=0.5)
+        delta = step(_softmax(logits, 1.0), world, "base", params, np.random.default_rng(0), 1.0)
+        assert not delta.any()
 
     def test_hand_gradient_single_sample(self):
         # Uniform policy over two templates, one drawn sample with advantage
@@ -224,20 +212,19 @@ class TestStep:
         world = TemplateWorld(
             correct=[True, False], similarity=np.array([[1.0, 0.0], [0.0, 1.0]])
         )
-        policy = CategoricalPolicy(logits=np.zeros(2))
         lr = 0.3
         rng = np.random.default_rng(3)
         probe = np.random.default_rng(3)
         drawn = int(probe.choice(2, size=1, p=[0.5, 0.5])[0])
-        updated = step(policy, world, "pkpo", StepParams(group_size=1, lr=lr, k=1), rng)
+        delta = step(_softmax(np.zeros(2), 1.0), world, "pkpo", StepParams(group_size=1, lr=lr, k=1), rng, 1.0)
         advantage = 1.0 if drawn == 0 else 0.0
         expected = np.zeros(2)
         expected[drawn] += lr * advantage * 0.5
         expected[1 - drawn] -= lr * advantage * 0.5
-        assert np.allclose(updated.logits, expected, atol=1e-12)
+        assert np.allclose(delta, expected, atol=1e-12)
 
     def test_gradient_linearity_in_advantages(self):
-        probs = CategoricalPolicy(logits=np.array([0.3, -0.2, 0.1])).probs()
+        probs = _softmax(np.array([0.3, -0.2, 0.1]), 1.0)
         draws = np.array([0, 2, 2, 1])
         a = np.array([0.5, -1.0, 0.25, 2.0])
         g1 = _policy_gradient(probs, draws, a, 1.0)
@@ -247,13 +234,11 @@ class TestStep:
     def test_entropy_gradient_matches_finite_differences(self):
         logits = np.array([0.4, -0.3, 0.9, 0.0])
         temperature = 1.3
-        analytic = _entropy_gradient(
-            CategoricalPolicy(logits=logits, temperature=temperature).probs(), temperature
-        )
+        analytic = _entropy_gradient(_softmax(logits, temperature), temperature)
         world = TemplateWorld(correct=[True, False, False, False], similarity=np.eye(4))
 
         def entropy(z):
-            return _evaluate(CategoricalPolicy(logits=z, temperature=temperature), world, (1,))["entropy"]
+            return _evaluate(_softmax(z, temperature), world, (1,))["entropy"]
 
         eps = 1e-6
         numeric = np.zeros_like(logits)
@@ -270,11 +255,12 @@ class TestStep:
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="unknown objective"):
             step(
-                initial_policy(default_world()),
+                _softmax(np.zeros(default_world().n_templates), 1.0),
                 default_world(),
                 "sgd",
                 StepParams(),
                 np.random.default_rng(0),
+                1.0,
             )
 
 
@@ -305,6 +291,11 @@ class TestRun:
             with pytest.raises(ValueError, match="'temperature': init_correct_bonus / temperature = .* overflows"):
                 run(default_world(), "base", steps=2, **values)
 
+    @pytest.mark.parametrize("temperature", [0.0, -1.0])
+    def test_non_positive_temperature_refused(self, temperature):
+        with pytest.raises(ValueError, match="^temperature must be positive$"):
+            run(default_world(), "base", steps=1, temperature=temperature)
+
     def test_deterministic_reruns(self):
         first = run(default_world(), "combined", steps=8, seed=3)
         second = run(default_world(), "combined", steps=8, seed=3)
@@ -321,7 +312,7 @@ class TestRun:
     def test_policy_stays_normalized(self):
         trace = run(default_world(), "passk_loo", steps=20, seed=2)
         for record in trace:
-            p = CategoricalPolicy(logits=np.array(record["logits"])).probs()
+            p = _softmax(np.array(record["logits"]), 1.0)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_pkpo_objective_runs(self):
@@ -649,14 +640,13 @@ def _exact_pass_at_k(n, m, k):
     return 1 - Fraction(math.comb(n - m, k), math.comb(n, k))
 
 
-def _monte_carlo_evaluate(policy, world, group_size, k_list, rng, groups=20_000, n=50):
+def _monte_carlo_evaluate(probs, world, group_size, k_list, rng, groups=20_000, n=50):
     """Sampling estimate of what _evaluate computes in closed form.
 
     Returns {name: (mean, standard error)} for each pass@k (k >= 2), from
     the unbiased estimator on i.i.d. groups of n draws, and for jdiv, the
     mean pairwise dissimilarity of i.i.d. groups of group_size draws.
     """
-    probs = policy.probs()
     out = {}
     draws = rng.choice(world.n_templates, size=(groups, n), p=probs)
     m_per_group = world.correct[draws].sum(axis=1)
@@ -709,8 +699,7 @@ class TestClosedFormEvaluation:
         assert expected == closed
 
         world = TemplateWorld(correct=[True, False, True], similarity=np.array(s, dtype=float))
-        policy = CategoricalPolicy(logits=np.log(np.array(p, dtype=float)))
-        metrics = _evaluate(policy, world, (1, 2))
+        metrics = _evaluate(_softmax(np.log(np.array(p, dtype=float)), 1.0), world, (1, 2))
         assert metrics["jdiv"] == pytest.approx(float(closed), abs=1e-12)
         q = p[0] + p[2]
         assert metrics["pass_at"][1] == pytest.approx(float(q), abs=1e-12)
@@ -718,9 +707,8 @@ class TestClosedFormEvaluation:
 
     def test_pass_at_1_is_correct_mass(self):
         world = default_world()
-        policy = CategoricalPolicy(logits=np.linspace(-1.0, 2.0, world.n_templates))
-        probs = policy.probs()
-        assert _evaluate(policy, world, (1,))["pass_at"][1] == float(probs[world.correct].sum())
+        probs = _softmax(np.linspace(-1.0, 2.0, world.n_templates), 1.0)
+        assert _evaluate(probs, world, (1,))["pass_at"][1] == float(probs[world.correct].sum())
 
     def test_monte_carlo_agrees_within_four_standard_errors(self):
         world = default_world()
@@ -728,9 +716,9 @@ class TestClosedFormEvaluation:
         k_list = (1, 4, 10)
         group_size = 8
         for _ in range(3):
-            policy = CategoricalPolicy(logits=rng.normal(0.0, 1.5, size=world.n_templates))
-            exact = _evaluate(policy, world, k_list)
-            sampled = _monte_carlo_evaluate(policy, world, group_size, k_list, rng)
+            probs = _softmax(rng.normal(0.0, 1.5, size=world.n_templates), 1.0)
+            exact = _evaluate(probs, world, k_list)
+            sampled = _monte_carlo_evaluate(probs, world, group_size, k_list, rng)
             for k in k_list[1:]:
                 mean, se = sampled[f"pass@{k}"]
                 assert abs(mean - exact["pass_at"][k]) <= 4 * se, (k, mean, se)
@@ -748,15 +736,13 @@ class TestExpectedCredit:
         world = default_world()
         # entropy_beta well above its default, so the entropy term shows above the noise.
         params = StepParams(group_size=8, k=4, lambda_div=2.0, entropy_beta=1.0)
-        policy = CategoricalPolicy(logits=np.random.default_rng(7).normal(0.0, 1.0, size=world.n_templates))
+        probs = _softmax(np.random.default_rng(7).normal(0.0, 1.0, size=world.n_templates), 1.0)
         rng = np.random.default_rng(2026)
         # Each update is one independent sample; draws within a group are not.
-        deltas = np.array(
-            [step(policy, world, objective, params, rng).logits - policy.logits for _ in range(self.UPDATES)]
-        )
+        deltas = np.array([step(probs, world, objective, params, rng, 1.0) for _ in range(self.UPDATES)])
         exact = expected_logit_step(
             objective,
-            policy.probs(),
+            probs,
             world.correct,
             world.similarity,
             params.group_size,
@@ -785,21 +771,21 @@ class TestMeanFieldFloor:
     def test_expected_updates_settle_at_the_floor(self, objective):
         world = default_world()
         params = StepParams()
-        policy = initial_policy(world)
+        logits = np.where(world.correct, 1.0, 0.0)
         for _ in range(400):
             delta = expected_logit_step(
                 objective,
-                policy.probs(),
+                _softmax(logits, 1.0),
                 world.correct,
                 world.similarity,
                 params.group_size,
                 params.lr,
                 lambda_div=params.lambda_div,
             )
-            policy = CategoricalPolicy(logits=policy.logits + delta)
+            logits = logits + delta
         floor = self._floor(world)
         assert floor == pytest.approx(0.6167, abs=1e-4)
-        assert _evaluate(policy, world, (1,))["jdiv"] == pytest.approx(floor, abs=0.005)
+        assert _evaluate(_softmax(logits, 1.0), world, (1,))["jdiv"] == pytest.approx(floor, abs=0.005)
 
     def test_sampled_base_collapses_below_the_floor_and_combined_does_not(self):
         world = default_world()
