@@ -16,6 +16,7 @@ files are written atomically.
 """
 
 import argparse
+import fnmatch
 import hashlib
 import itertools
 import json
@@ -76,12 +77,16 @@ def _json_text(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_outputs(out_dir, command, inputs, params, files):
+def _write_outputs(out_dir, command, inputs, params, files, sweep=None):
     """Write each ``(name, text)`` of ``files`` into ``out_dir``, then
-    ``manifest.json`` (command, params, tool version, input hashes), and
-    return the names written. ``files`` may be a generator: each output is
-    then written as soon as it is computed. A path that cannot be written
-    is an ``output`` error."""
+    ``manifest.json`` (command, params, tool version, input hashes).
+    ``files`` may be a generator: each output is then written as soon as it
+    is computed. ``sweep`` is the pattern of a command whose output names
+    vary from run to run: after the manifest, each regular file in
+    ``out_dir`` that matches it and that this run did not write is removed,
+    so no output of an earlier run sits beside a manifest that does not
+    describe it. A path that cannot be written or removed is an ``output``
+    error."""
     manifest = {
         "command": command,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
@@ -96,7 +101,7 @@ def _write_outputs(out_dir, command, inputs, params, files):
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise failed(out_dir, err) from err
-    written = []
+    written = set()
     # Only the writes are guarded: an error while computing an output is not
     # an output error.
     for name, text in itertools.chain(files, [("manifest.json", _json_text(manifest))]):
@@ -105,8 +110,16 @@ def _write_outputs(out_dir, command, inputs, params, files):
             _atomic_write(path, text)
         except OSError as err:
             raise failed(path, err) from err
-        written.append(name)
-    return written
+        written.add(name)
+    if sweep is None:
+        return
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if fnmatch.fnmatchcase(name, sweep) and name not in written and os.path.isfile(path):
+            try:
+                os.remove(path)
+            except OSError as err:
+                raise failed(path, err) from err
 
 
 def _slug(prompt_id):
@@ -174,13 +187,7 @@ def cmd_similarity(args):
             yield f"{_slug(group.prompt_id)}.simmatrix.txt", matrix.to_text()
 
     params = {"min_match": args.min_match, "gst_backend": GST_BACKEND}
-    written = _write_outputs(args.out, "similarity", {"corpus": args.corpus}, params, matrices())
-    # Matrices of an earlier run into the same directory would otherwise sit
-    # beside a manifest that does not describe them.
-    for name in os.listdir(args.out):
-        path = os.path.join(args.out, name)
-        if name.endswith(".simmatrix.txt") and name not in written and os.path.isfile(path):
-            os.remove(path)
+    _write_outputs(args.out, "similarity", {"corpus": args.corpus}, params, matrices(), sweep="*.simmatrix.txt")
     return 0
 
 
@@ -457,7 +464,7 @@ def cmd_simulate(args):
                 yield f"trace_{index:02d}_{name}_s{seed}.jsonl", text
 
     params = {"objectives": [name for name, _ in config.objectives], "seeds": config.seeds, "steps": config.steps}
-    _write_outputs(args.out, "simulate", {"config": args.config}, params, traces())
+    _write_outputs(args.out, "simulate", {"config": args.config}, params, traces(), sweep="trace_*.jsonl")
     return 0
 
 

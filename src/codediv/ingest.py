@@ -8,6 +8,10 @@ skips extraction. Records group by prompt into SampleGroup, the unit every
 downstream metric operates on; a corpus is the list of its groups in
 ``prompt_id`` order. ``length_stats`` summarizes it as the plain dict that
 ``report.json`` stores under ``lengths``.
+
+Both keyed inputs, the corpus and the embeddings file that ``metrics``
+reads, go through ``keyed_records``: one reader of the line, JSON and key
+rules, so the two files refuse the same malformed lines with the same texts.
 """
 
 import ast
@@ -54,51 +58,67 @@ class SampleGroup:
         return [s.correct for s in self.samples]
 
 
-def parse_corpus(lines) -> list:
-    """Parse line-delimited records into SampleGroups sorted by prompt_id.
+def keyed_records(lines, where="line"):
+    """Yield ``(label, record, key)`` for each non-blank line of ``lines``.
 
-    Raises CorpusError naming the offending line for malformed JSON, missing
-    or mistyped fields, and duplicate (prompt_id, sample_id) keys.
+    Each line is one JSON object keyed by ``prompt_id``, a string of valid
+    Unicode text, and ``sample_id``, an integer >= 0; ``key`` is the pair
+    and ``label`` is ``"<where> <line number>"``. Raises CorpusError naming
+    the line for invalid JSON, a record that is not an object, a mistyped
+    key and a key seen on an earlier line.
     """
-    groups: dict = {}
     seen = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        label = f"{where} {lineno}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as err:
-            raise CorpusError(f"line {lineno}: invalid JSON record: {err}") from err
+            raise CorpusError(f"{label}: invalid JSON record: {err}") from err
         if not isinstance(record, dict):
-            raise CorpusError(f"line {lineno}: record must be an object")
-
+            raise CorpusError(f"{label}: record must be an object")
         prompt_id = record.get("prompt_id")
         if not isinstance(prompt_id, str):
-            raise CorpusError(f"line {lineno}: missing or non-string field 'prompt_id'")
+            raise CorpusError(f"{label}: field 'prompt_id' must be a string")
+        try:
+            # JSON allows a lone surrogate, which no output file can encode.
+            prompt_id.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise CorpusError(f"{label}: field 'prompt_id' must be valid Unicode text ({err.reason})") from err
         sample_id = record.get("sample_id")
         if isinstance(sample_id, bool) or not isinstance(sample_id, int) or sample_id < 0:
-            raise CorpusError(f"line {lineno}: missing or invalid field 'sample_id'")
+            raise CorpusError(f"{label}: field 'sample_id' must be an integer >= 0")
+        key = (prompt_id, sample_id)
+        if key in seen:
+            raise CorpusError(f"{label}: duplicate sample (prompt_id={prompt_id!r}, sample_id={sample_id})")
+        seen.add(key)
+        yield label, record, key
+
+
+def parse_corpus(lines) -> list:
+    """Parse line-delimited records into SampleGroups sorted by prompt_id.
+
+    Lines are read by ``keyed_records``. Raises CorpusError naming the
+    offending line for a missing or mistyped ``correct``, ``text`` or
+    ``source``.
+    """
+    groups: dict = {}
+    for label, record, (prompt_id, sample_id) in keyed_records(lines):
         if "correct" not in record:
-            raise CorpusError(f"line {lineno}: missing field 'correct'")
+            raise CorpusError(f"{label}: missing field 'correct'")
         correct = record["correct"]
         if not isinstance(correct, bool):
-            raise CorpusError(f"line {lineno}: field 'correct' must be a boolean")
+            raise CorpusError(f"{label}: field 'correct' must be a boolean")
 
         text = record.get("text")
         source = record.get("source")
         if source is not None and not isinstance(source, str):
-            raise CorpusError(f"line {lineno}: field 'source' must be a string")
+            raise CorpusError(f"{label}: field 'source' must be a string")
         if text is not None and not isinstance(text, str):
-            raise CorpusError(f"line {lineno}: field 'text' must be a string")
+            raise CorpusError(f"{label}: field 'text' must be a string")
         if text is None and source is None:
-            raise CorpusError(f"line {lineno}: record needs 'text' or 'source'")
-
-        key = (prompt_id, sample_id)
-        if key in seen:
-            raise CorpusError(
-                f"line {lineno}: duplicate sample (prompt_id={prompt_id!r}, sample_id={sample_id})"
-            )
-        seen.add(key)
+            raise CorpusError(f"{label}: record needs 'text' or 'source'")
 
         if source is None:
             source = extract_code(text)

@@ -8,10 +8,9 @@ of the cosine-kernel spectrum over sample embeddings: 1 for n identical
 vectors, n for n orthonormal ones.
 """
 
-import json
-
 import numpy as np
 
+from .ingest import keyed_records
 from .similarity import SimMatrix
 
 EIGENVALUE_TOLERANCE = 1e-10
@@ -30,14 +29,22 @@ def pass_at_k(n: int, m: int, k: int) -> float:
     return float(1.0 - np.prod(1.0 - k / np.arange(n - m + 1, n + 1)))
 
 
+def _norms(vectors):
+    """L2 norms along the last axis; one that underflows reads 0, one that
+    overflows inf, with no numpy warning."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.linalg.norm(vectors, axis=-1)
+
+
 def vendi_score(vectors) -> float:
     """Effective number of distinct samples in embedding space.
 
     ``vectors`` is an (n, d) array-like of finite values, one row per
-    sample, n >= 1 and no zero row. The score is exp of the Shannon entropy
-    of the eigenvalues of K/n, K the cosine similarity kernel of the
-    L2-normalized rows. Tiny or negative eigenvalues (floating-point
-    residue) are clamped to zero.
+    sample, n >= 1, and each row's float64 norm a positive finite number
+    (so no zero row, and none whose norm underflows or overflows). The
+    score is exp of the Shannon entropy of the eigenvalues of K/n, K the
+    cosine similarity kernel of the L2-normalized rows. Tiny or negative
+    eigenvalues (floating-point residue) are clamped to zero.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2:
@@ -47,10 +54,11 @@ def vendi_score(vectors) -> float:
     n = vectors.shape[0]
     if n < 1:
         raise ValueError("vendi score needs at least one embedding")
-    norms = np.linalg.norm(vectors, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm embedding for sample {int(zero[0])}")
+    norms = _norms(vectors)
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"embedding of sample {i} has norm {norms[i]}, not a positive finite number")
     unit = vectors / norms[:, None]
     kernel = unit @ unit.T
     eigvals = np.linalg.eigvalsh(kernel / n)
@@ -74,47 +82,34 @@ def load_embeddings(lines):
     """Parse line-delimited embedding records {prompt_id, sample_id, vector}.
 
     Returns {prompt_id: {sample_id: vector}}, each vector a flat finite
-    ``float64`` array. The keys are typed as in a corpus record: a string
-    and an integer >= 0. The dimension must be uniform across the whole
-    stream. Every bad record is a ValueError naming its line.
+    ``float64`` array whose norm is a positive finite number. Lines are read
+    by ``ingest.keyed_records``, so the keys are typed and unique as in a
+    corpus. The dimension must be uniform across the whole stream. Every
+    bad record is a ValueError naming its line.
     """
     table: dict = {}
     dim = None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"embeddings line {lineno}: invalid JSON: {err}") from err
-        try:
-            prompt_id = record["prompt_id"]
-            sample_id = record["sample_id"]
-            vector = record["vector"]
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"embeddings line {lineno}: missing field: {err}") from err
-        if not isinstance(prompt_id, str):
-            raise ValueError(f"embeddings line {lineno}: field 'prompt_id' must be a string")
-        if isinstance(sample_id, bool) or not isinstance(sample_id, int) or sample_id < 0:
-            raise ValueError(f"embeddings line {lineno}: field 'sample_id' must be an integer >= 0")
+    for label, record, (prompt_id, sample_id) in keyed_records(lines, where="embeddings line"):
+        if "vector" not in record:
+            raise ValueError(f"{label}: missing field 'vector'")
+        vector = record["vector"]
         if isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
-            raise ValueError(
-                f"embeddings line {lineno}: vector must be a list of numbers, not booleans"
-            )
+            raise ValueError(f"{label}: vector must be a list of numbers, not booleans")
         try:
             vector = np.asarray(vector, dtype=np.float64)
         except (TypeError, ValueError) as err:
-            raise ValueError(f"embeddings line {lineno}: vector must be a list of numbers: {err}") from err
+            raise ValueError(f"{label}: vector must be a list of numbers: {err}") from err
         if vector.ndim != 1:
-            raise ValueError(f"embeddings line {lineno}: vector must be flat")
+            raise ValueError(f"{label}: vector must be flat")
         if not np.isfinite(vector).all():
-            raise ValueError(f"embeddings line {lineno}: vector contains NaN or Inf")
+            raise ValueError(f"{label}: vector contains NaN or Inf")
+        norm = float(_norms(vector))
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"{label}: vector norm is {norm}, not a positive finite number")
         if dim is None:
             dim = vector.size
         elif vector.size != dim:
-            raise ValueError(
-                f"embeddings line {lineno}: dimension {vector.size} != corpus dimension {dim}"
-            )
+            raise ValueError(f"{label}: dimension {vector.size} != corpus dimension {dim}")
         table.setdefault(prompt_id, {})[sample_id] = vector
     return table
 

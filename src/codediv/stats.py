@@ -26,8 +26,9 @@ def _paired_diffs(a, b) -> np.ndarray:
 def paired_bootstrap(a, b, resamples=DEFAULT_RESAMPLES, seed=0) -> float:
     """One-sided bootstrap p-value for mean(b - a) > 0.
 
-    Deterministic for a fixed seed: resample indices are drawn in fixed-size
-    chunks from one generator, so the p-value never depends on scheduling.
+    Deterministic for a fixed seed: resample indices are drawn from one
+    generator in chunks of at most ``_RESAMPLE_CHUNK`` resamples, which
+    bounds the memory of the index array at ``_RESAMPLE_CHUNK * n``.
     """
     diffs = _paired_diffs(a, b)
     n = len(diffs)

@@ -64,6 +64,16 @@ DEEP_EXPRESSIONS = {
 LONG_ELIF_CHAIN = "if a:\n    pass\n" + "elif a:\n    def f():\n        'doc'\n" * 1500
 
 
+# Embedding vectors whose float64 norm is not a positive finite number: a
+# zero vector, an empty one, one whose norm underflows to 0 and one whose
+# norm overflows to inf.
+BAD_NORM_VECTORS = {
+    "zero": [0.0, 0.0],
+    "empty": [],
+    "denormal": [1e-320, 0.0],
+    "huge": [1e308, 1e308],
+}
+
 # Worst-case bounds: each is a fixed multiple of a measurement on a quiet
 # 2-core x86 host (Python 3.11), the best of three untraced runs for the
 # time and the tracemalloc peak of one traced run for the memory.

@@ -16,7 +16,7 @@ from codediv.rewards import OBJECTIVES
 from codediv.similarity import SimMatrix
 from codediv.simulator import SimulationConfig
 
-from conftest import DEEP_EXPRESSIONS, RENAMED_PAIR
+from conftest import BAD_NORM_VECTORS, DEEP_EXPRESSIONS, RENAMED_PAIR
 
 
 def write_corpus(path, rows):
@@ -450,6 +450,39 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"error: parse: embeddings line 1: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("vector", BAD_NORM_VECTORS.values(), ids=BAD_NORM_VECTORS)
+    def test_embedding_norm_checked(self, duplicate_corpus, tmp_path, capsys, vector):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text(
+            json.dumps({"prompt_id": "p1", "sample_id": 0, "vector": vector})
+            + "\n"
+            + json.dumps({"prompt_id": "p1", "sample_id": 1, "vector": [1.0] * len(vector)})
+            + "\n"
+        )
+        out = tmp_path / "out"
+        argv = ["report", "--corpus", str(duplicate_corpus), "--k", "1", "--embeddings", str(emb)]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        norm = "inf" if vector == BAD_NORM_VECTORS["huge"] else "0.0"
+        assert err == f"error: parse: embeddings line 1: vector norm is {norm}, not a positive finite number\n"
+        assert not out.exists()
+
+
+class TestKeyedInputs:
+    @pytest.mark.parametrize(
+        "command",
+        [["similarity"], ["report", "--k", "1"], ["advantages", "--objective", "base"]],
+        ids=lambda command: command[0],
+    )
+    def test_lone_surrogate_prompt_id_refused(self, tmp_path, capsys, command):
+        # JSON can carry a lone surrogate; no output file could encode it.
+        corpus = write_corpus(tmp_path / "c.jsonl", [("p\ud800", 0, "x = 1\n", True)])
+        out = tmp_path / "out"
+        assert main([*command, "--corpus", str(corpus), "--out", str(out)]) == 1
+        message = "field 'prompt_id' must be valid Unicode text (surrogates not allowed)"
+        assert capsys.readouterr().err == f"error: parse: line 1: {message}\n"
+        assert not out.exists()
+
 
 class TestAdvantagesCommand:
     def test_base_all_correct_zero_vector(self, duplicate_corpus, tmp_path):
@@ -777,6 +810,17 @@ class TestSimulateCommand:
         assert len(lines) == 4  # steps + 1
         record = json.loads(lines[0])
         assert set(record) == {"step", "pass_at", "jdiv", "entropy", "logits"}
+
+    def test_rerun_removes_stale_traces(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["simulate", "--config", str(self._config(tmp_path, seeds=[0])), "--out", str(out)]) == 0
+        assert "trace_01_combined_s0.jsonl" in os.listdir(out)
+        config = self._config(tmp_path, seeds=[0], objectives=["base"])
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "notes.txt", "trace_00_base_s0.jsonl"]
+        assert read_json(out / "manifest.json")["params"]["objectives"] == ["base"]
 
     def test_zero_steps_single_record(self, tmp_path):
         config = self._config(tmp_path, steps=0, objectives=["base"], seeds=[0])

@@ -13,11 +13,13 @@ from codediv.ingest import (
     _length_summary,
     _strip_comments,
     extract_code,
+    keyed_records,
     length_stats,
     load_corpus,
     parse_corpus,
     strip_comments_docstrings,
 )
+from codediv.metrics import load_embeddings
 from codediv.tokenizer import format_debug, parse, tokenize
 
 from conftest import (
@@ -35,6 +37,42 @@ def record(pid, sid, text, correct, **extra):
     rec = {"prompt_id": pid, "sample_id": sid, "text": text, "correct": correct}
     rec.update(extra)
     return json.dumps(rec)
+
+
+class TestKeyedRecords:
+    def test_labels_records_and_keys(self):
+        lines = ['{"prompt_id": "p", "sample_id": 1, "x": 2}', " \n", '{"prompt_id": "q", "sample_id": 0}']
+        assert list(keyed_records(lines, where="embeddings line")) == [
+            ("embeddings line 1", {"prompt_id": "p", "sample_id": 1, "x": 2}, ("p", 1)),
+            ("embeddings line 3", {"prompt_id": "q", "sample_id": 0}, ("q", 0)),
+        ]
+
+    @pytest.mark.parametrize("reader, where", [(parse_corpus, "line"), (load_embeddings, "embeddings line")])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("{not json", "invalid JSON record: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ("[1, 2]", "record must be an object"),
+            ('"p"', "record must be an object"),
+            ('{"sample_id": 0}', "field 'prompt_id' must be a string"),
+            ('{"prompt_id": ["p"], "sample_id": 0}', "field 'prompt_id' must be a string"),
+            (
+                '{"prompt_id": "p\\ud800", "sample_id": 0}',
+                "field 'prompt_id' must be valid Unicode text (surrogates not allowed)",
+            ),
+            ('{"prompt_id": "p"}', "field 'sample_id' must be an integer >= 0"),
+            ('{"prompt_id": "p", "sample_id": true}', "field 'sample_id' must be an integer >= 0"),
+            ('{"prompt_id": "p", "sample_id": -1}', "field 'sample_id' must be an integer >= 0"),
+            ('{"prompt_id": "p", "sample_id": 1.0}', "field 'sample_id' must be an integer >= 0"),
+            ('{"prompt_id": "p", "sample_id": "1"}', "field 'sample_id' must be an integer >= 0"),
+            ('{"prompt_id": "p", "sample_id": 0}', "duplicate sample (prompt_id='p', sample_id=0)"),
+        ],
+    )
+    def test_both_inputs_refuse_a_bad_line_alike(self, reader, where, line, message):
+        first = json.dumps({"prompt_id": "p", "sample_id": 0, "source": "x", "correct": True, "vector": [1.0]})
+        with pytest.raises(CorpusError) as info:
+            reader([first, "", line])
+        assert str(info.value) == f"{where} 3: {message}"
 
 
 class TestParseCorpus:

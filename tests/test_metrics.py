@@ -16,7 +16,7 @@ from codediv.metrics import (
 )
 from codediv.similarity import SimMatrix, jdiv
 
-from conftest import group_of
+from conftest import BAD_NORM_VECTORS, group_of
 
 
 def pass_at_k_enumeration(n, m, k):
@@ -167,6 +167,13 @@ class TestVendiScore:
         with pytest.raises(ValueError, match="sample 1"):
             vendi_score(vectors)
 
+    @pytest.mark.parametrize("vector", BAD_NORM_VECTORS.values(), ids=BAD_NORM_VECTORS)
+    def test_norm_must_be_positive_and_finite(self, vector):
+        # The suite turns a numpy RuntimeWarning into an error, so this also
+        # checks that an overflowing norm is refused without one.
+        with pytest.raises(ValueError, match="^embedding of sample 0 has norm (0.0|inf), not a positive finite number$"):
+            vendi_score([vector, [1.0] * len(vector)])
+
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="2-D"):
             vendi_score([1.0, 2.0])
@@ -277,6 +284,19 @@ class TestEmbeddingIO:
         lines = [json.dumps({"prompt_id": "p", "sample_id": 1, "vector": [1.0]}), json.dumps(record)]
         with pytest.raises(ValueError, match=f"^embeddings line 2: field '{key}' must be"):
             load_embeddings(lines)
+
+    @pytest.mark.parametrize("vector", BAD_NORM_VECTORS.values(), ids=BAD_NORM_VECTORS)
+    def test_norm_must_be_positive_and_finite(self, vector):
+        lines = [
+            json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [1.0, 0.0]}),
+            json.dumps({"prompt_id": "p", "sample_id": 1, "vector": vector}),
+        ]
+        with pytest.raises(ValueError, match="^embeddings line 2: vector norm is (0.0|inf), not a positive finite number$"):
+            load_embeddings(lines)
+
+    def test_missing_vector_named(self):
+        with pytest.raises(ValueError, match="^embeddings line 1: missing field 'vector'$"):
+            load_embeddings([json.dumps({"prompt_id": "p", "sample_id": 0})])
 
     def test_missing_sample_named(self):
         corpus = parse_corpus([json.dumps({"prompt_id": "p", "sample_id": 5, "source": "a", "correct": True})])
