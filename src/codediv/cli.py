@@ -183,7 +183,7 @@ def cmd_similarity(args):
 
     def matrices():
         for group in corpus:
-            matrix = pairwise_matrix([tokenize(s) for s in group.sources()], min_match=args.min_match)
+            matrix = pairwise_matrix([tokenize(s) for s in group.sources], min_match=args.min_match)
             yield f"{_slug(group.prompt_id)}.simmatrix.txt", matrix.to_text()
 
     params = {"min_match": args.min_match, "gst_backend": GST_BACKEND}
@@ -202,7 +202,7 @@ def _streams_and_stripped(group):
     takes megabytes.
     """
     streams, stripped = [], []
-    for source in group.sources():
+    for source in group.sources:
         tree = parse(source)
         streams.append(tokenize(source, tree))
         stripped.append(strip_comments_docstrings(source, tree))
@@ -332,10 +332,10 @@ def cmd_advantages(args):
     needs_matrix = objective in rewards.MATRIX_OBJECTIVES
 
     def compute(group):
-        outcome = rewards.GroupOutcome.from_flags(group.correct_flags())
+        outcome = rewards.GroupOutcome.from_flags(group.correct)
         matrix = None
         if needs_matrix:
-            matrix = pairwise_matrix([tokenize(s) for s in group.sources()], min_match=args.min_match)
+            matrix = pairwise_matrix([tokenize(s) for s in group.sources], min_match=args.min_match)
         try:
             vec = rewards.advantages(
                 objective,
@@ -370,25 +370,33 @@ def _load_report(path):
     """A report's metric values as ``{prompt_id: {label: number}}``, labels
     ``pass@<k>`` for each k in ``params.k_list`` and ``_REPORT_METRICS``.
     Absent and null values are left out; any other value that is not a
-    number is a ``parse`` error, as is a file not shaped like a report."""
+    finite number (a float, or an integer within the float range) is a
+    ``parse`` error, as is a file not shaped like a report."""
     report = _read_input(path, "report", _read_json)
     prompts = report.get("prompts") if isinstance(report, dict) else None
     params = report.get("params") if isinstance(report, dict) else None
     if not isinstance(prompts, dict) or not all(isinstance(r, dict) for r in prompts.values()):
         raise CliError("parse", f"{path}: not a report file ('prompts' must be an object of objects)")
-    if not isinstance(params, dict) or not isinstance(params.get("k_list"), list):
+    k_list = params.get("k_list") if isinstance(params, dict) else None
+    if not isinstance(k_list, list):
         raise CliError("parse", f"{path}: not a report file ('params.k_list' must be a list)")
+    for k in k_list:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise CliError("parse", f"{path}: not a report file ('params.k_list' must hold integers >= 1, got {k!r})")
     table = {}
     for pid, record in prompts.items():
         pass_at = {} if record.get("pass_at") is None else record["pass_at"]
         if not isinstance(pass_at, dict):
             raise CliError("parse", f"{path}: prompt {pid!r}: pass_at must be an object or null, got {pass_at!r}")
-        values = {f"pass@{k}": pass_at.get(str(k)) for k in params["k_list"]}
+        values = {f"pass@{k}": pass_at.get(str(k)) for k in k_list}
         values.update((name, record.get(name)) for name in _REPORT_METRICS)
         table[pid] = {label: value for label, value in values.items() if value is not None}
         for label, value in table[pid].items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise CliError("parse", f"{path}: prompt {pid!r}: {label} must be a number or null, got {value!r}")
+            # abs(value) <= max is False for NaN, inf and ints beyond the float range alike.
+            if not abs(value) <= sys.float_info.max:
+                raise CliError("parse", f"{path}: prompt {pid!r}: {label} must be a finite number, got {value!r}")
     return table
 
 
@@ -408,8 +416,19 @@ def cmd_compare(args):
         shared = [pid for pid in prompt_ids if label in values_a[pid] and label in values_b[pid]]
         if len(shared) < 2:
             continue
-        a_vals = np.array([values_a[pid][label] for pid in shared])
-        b_vals = np.array([values_b[pid][label] for pid in shared])
+        a_vals = np.array([values_a[pid][label] for pid in shared], dtype=np.float64)
+        b_vals = np.array([values_b[pid][label] for pid in shared], dtype=np.float64)
+        # A resampled mean sums up to len(shared) copies of one change.
+        with np.errstate(over="ignore"):
+            too_large = np.flatnonzero(~np.isfinite((b_vals - a_vals) * len(shared)))
+        if too_large.size:
+            i = int(too_large[0])
+            change = float(b_vals[i]) - float(a_vals[i])
+            raise CliError(
+                "parse",
+                f"{args.report_b} against {args.report_a}: prompt {shared[i]!r}: {label} changes by"
+                f" {change!r}, too large to average over {len(shared)} prompts",
+            )
         change = stats.aggregate_changes(a_vals, b_vals)
         p_value = stats.paired_bootstrap(a_vals, b_vals, resamples=args.resamples, seed=args.seed)
         comparison[label] = {**change, "p_value": p_value}

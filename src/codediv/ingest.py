@@ -28,34 +28,24 @@ class CorpusError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    sample_id: int
-    text: str  # raw completion
-    source: str | None  # extracted code; None when no fenced block exists
-    correct: bool
-
-
-@dataclass
 class SampleGroup:
-    """All generations for one prompt, ordered by sample_id."""
+    """All generations for one prompt, as columns in ``sample_id`` order:
+    the raw completions ``texts``, the extracted code ``sources`` ("" where
+    a completion has no fenced block) and the ``correct`` flags."""
 
     prompt_id: str
-    samples: list
+    sample_ids: tuple
+    texts: tuple
+    sources: tuple
+    correct: tuple
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.sample_ids)
 
     @property
     def m(self) -> int:
-        return sum(1 for s in self.samples if s.correct)
-
-    def sources(self):
-        """Extracted source per sample; missing extractions map to ''."""
-        return [s.source if s.source is not None else "" for s in self.samples]
-
-    def correct_flags(self):
-        return [s.correct for s in self.samples]
+        return sum(self.correct)
 
 
 def keyed_records(lines, where="line"):
@@ -99,9 +89,10 @@ def keyed_records(lines, where="line"):
 def parse_corpus(lines) -> list:
     """Parse line-delimited records into SampleGroups sorted by prompt_id.
 
-    Lines are read by ``keyed_records``. Raises CorpusError naming the
-    offending line for a missing or mistyped ``correct``, ``text`` or
-    ``source``.
+    Lines are read by ``keyed_records``. A text with no fenced block has
+    source "", and a record with only a source has that source as its
+    text. Raises CorpusError naming the offending line for a missing or
+    mistyped ``correct``, ``text`` or ``source``.
     """
     groups: dict = {}
     for label, record, (prompt_id, sample_id) in keyed_records(lines):
@@ -121,16 +112,13 @@ def parse_corpus(lines) -> list:
             raise CorpusError(f"{label}: record needs 'text' or 'source'")
 
         if source is None:
-            source = extract_code(text)
+            source = extract_code(text) or ""
         if text is None:
             text = source
-        sample = Sample(sample_id=sample_id, text=text, source=source, correct=correct)
-        groups.setdefault(prompt_id, []).append(sample)
+        groups.setdefault(prompt_id, []).append((sample_id, text, source, correct))
 
-    return [
-        SampleGroup(prompt_id=pid, samples=sorted(samples, key=lambda s: s.sample_id))
-        for pid, samples in sorted(groups.items())
-    ]
+    # Keys are unique, so each prompt's rows sort by sample_id alone.
+    return [SampleGroup(pid, *zip(*sorted(rows))) for pid, rows in sorted(groups.items())]
 
 
 def load_corpus(path) -> list:
@@ -358,8 +346,8 @@ def length_stats(corpus) -> dict:
     Keys ``raw_chars``, ``code_chars``, ``raw_tokens`` and ``code_tokens``,
     each a dict of ``count``, ``mean``, ``median``, ``p90`` and ``max``.
     """
-    raw = [s.text for group in corpus for s in group.samples]
-    code = [source for group in corpus for source in group.sources()]
+    raw = [text for group in corpus for text in group.texts]
+    code = [source for group in corpus for source in group.sources]
     return {
         "raw_chars": _length_summary([len(t) for t in raw]),
         "code_chars": _length_summary([len(t) for t in code]),

@@ -41,12 +41,16 @@ def vendi_score(vectors) -> float:
 
     ``vectors`` is an (n, d) array-like of finite values, one row per
     sample, n >= 1, and each row's float64 norm a positive finite number
-    (so no zero row, and none whose norm underflows or overflows). The
+    (so no zero row, and none whose norm underflows or overflows). Any
+    other input, an integer beyond the float range too, is a ValueError. The
     score is exp of the Shannon entropy of the eigenvalues of K/n, K the
     cosine similarity kernel of the L2-normalized rows. Tiny or negative
     eigenvalues (floating-point residue) are clamped to zero.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    try:
+        vectors = np.asarray(vectors, dtype=np.float64)
+    except OverflowError as err:  # an int beyond the float range
+        raise ValueError(f"embeddings must be numbers within the float range: {err}") from err
     if vectors.ndim != 2:
         raise ValueError("embeddings must be a 2-D array (n, d)")
     if not np.isfinite(vectors).all():
@@ -74,7 +78,7 @@ def correct_only_view(group, matrix: SimMatrix) -> SimMatrix:
     Sample order is preserved. The view may be empty (``n == 0``); callers
     then report the correct-only diagnostics as absent.
     """
-    idx = [i for i, s in enumerate(group.samples) if s.correct]
+    idx = [i for i, correct in enumerate(group.correct) if correct]
     return SimMatrix(matrix.scores[np.ix_(idx, idx)])
 
 
@@ -97,7 +101,7 @@ def load_embeddings(lines):
             raise ValueError(f"{label}: vector must be a list of numbers, not booleans")
         try:
             vector = np.asarray(vector, dtype=np.float64)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int beyond the float range
             raise ValueError(f"{label}: vector must be a list of numbers: {err}") from err
         if vector.ndim != 1:
             raise ValueError(f"{label}: vector must be flat")
@@ -119,10 +123,8 @@ def embeddings_for_group(table, group) -> np.ndarray:
     array, (0, 1) for an empty group."""
     by_sample = table.get(group.prompt_id, {})
     rows = []
-    for s in group.samples:
-        if s.sample_id not in by_sample:
-            raise ValueError(
-                f"no embedding for prompt {group.prompt_id!r} sample {s.sample_id}"
-            )
-        rows.append(by_sample[s.sample_id])
+    for sample_id in group.sample_ids:
+        if sample_id not in by_sample:
+            raise ValueError(f"no embedding for prompt {group.prompt_id!r} sample {sample_id}")
+        rows.append(by_sample[sample_id])
     return np.stack(rows) if rows else np.zeros((0, 1))

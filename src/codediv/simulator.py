@@ -355,6 +355,8 @@ class SimulationConfig:
         if not isinstance(eval_raw, dict) or set(eval_raw) - {"k_list"}:
             _fail("eval", f"expected an object whose only key is 'k_list', got {eval_raw!r}")
         k_list = _check("eval", eval_raw.get("k_list", list(DEFAULT_K_LIST)), list, 1)
+        if max(k_list, default=0) > sys.float_info.max:
+            _fail("eval", f"k {max(k_list)} is beyond the float range that pass@k = 1-(1-q)^k needs")
         if raw:
             _fail(min(raw), "unknown key")
         return cls(world, objectives, seeds, tuple(k_list), **top)

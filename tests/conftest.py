@@ -74,6 +74,13 @@ BAD_NORM_VECTORS = {
     "huge": [1e308, 1e308],
 }
 
+# Embedding vectors with an integer component beyond the float range, which
+# no float64 array can hold.
+BAD_RANGE_VECTORS = {
+    "int-beyond-float": [10**400, 1],
+    "negative-int-beyond-float": [-10**309, 0],
+}
+
 # Worst-case bounds: each is a fixed multiple of a measurement on a quiet
 # 2-core x86 host (Python 3.11), the best of three untraced runs for the
 # time and the tracemalloc peak of one traced run for the memory.

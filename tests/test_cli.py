@@ -751,6 +751,59 @@ class TestCompareCommand:
             assert capsys.readouterr().err == f"error: parse: {bad}: prompt 'b': {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"), (10**400, str(10**400))],
+        ids=["nan", "inf", "-inf", "int-beyond-float"],
+    )
+    def test_metric_value_not_finite_refused(self, tmp_path, capsys, value, shown):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"prompts": {"a": {"jdiv": 0.5}, "b": {"jdiv": 0.25}}, "params": {"k_list": [1]}}))
+        bad = tmp_path / "bad.json"
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        bad.write_text(json.dumps({"prompts": {"a": {"jdiv": 0.5}, "b": {"pass_at": {"1": value}}}, "params": {"k_list": [1]}}))
+        out = tmp_path / "cmp"
+        for a, b in ((bad, good), (good, bad)):
+            assert main(["compare", "--report-a", str(a), "--report-b", str(b), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: parse: {bad}: prompt 'b': pass@1 must be a finite number, got {shown}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values_a, values_b, prompt, change",
+        [
+            ([1e308, 0.0], [-1e308, 0.0], "a", "-inf"),
+            ([0.0, -1e308], [0.0, 1e308], "b", "inf"),
+            # Finite changes whose resampled sum of 2 would overflow.
+            ([0.0, 0.0], [1e308, -1e308], "a", "1e+308"),
+        ],
+    )
+    def test_change_too_large_to_average_refused(self, tmp_path, capsys, values_a, values_b, prompt, change):
+        paths = []
+        for name, values in (("a.json", values_a), ("b.json", values_b)):
+            path = tmp_path / name
+            prompts = {pid: {"jdiv": value} for pid, value in zip("ab", values)}
+            path.write_text(json.dumps({"prompts": prompts, "params": {"k_list": []}}))
+            paths.append(path)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--report-a", str(paths[0]), "--report-b", str(paths[1]), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: parse: {paths[1]} against {paths[0]}: prompt {prompt!r}: jdiv changes by {change},"
+            " too large to average over 2 prompts\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", [0, True, 1.0, "1", "\ud800", None])
+    def test_k_list_entries_must_be_positive_integers(self, tmp_path, capsys, k):
+        # A lone surrogate label could not be written to comparison.txt.
+        path = tmp_path / "r.json"
+        prompts = {pid: {"pass_at": {str(k): 0.5}} for pid in "ab"}
+        path.write_text(json.dumps({"prompts": prompts, "params": {"k_list": [1, k]}}))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--report-a", str(path), "--report-b", str(path), "--out", str(out)]) == 1
+        problem = f"'params.k_list' must hold integers >= 1, got {k!r}"
+        assert capsys.readouterr().err == f"error: parse: {path}: not a report file ({problem})\n"
+        assert not out.exists()
+
     def test_metric_paired_over_prompts_defining_it_in_both(self, tmp_path):
         a = tmp_path / "a.json"
         a.write_text(json.dumps({

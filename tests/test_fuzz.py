@@ -1,12 +1,19 @@
-"""Seeded fuzz of the CLI's two keyed inputs, the corpus and the embeddings file.
+"""Seeded fuzz of the CLI's inputs: the corpus and the embeddings file, two
+reports for ``compare`` and a ``simulate`` config.
 
-Each example writes both files from valid records with a few bad values
-mixed in and runs ``similarity``, ``report --k 1 --embeddings`` and
-``advantages --objective combined`` through ``main``. A run exits 0, or it
-exits 1 with one ``error: <class>: `` line whose class is not ``internal``.
+The keyed-input property writes both keyed files from valid records with a
+few bad values mixed in and runs ``similarity``, ``report --k 1
+--embeddings`` and ``advantages --objective combined`` through ``main``.
+The ``compare`` property edits two real reports, and the ``simulate``
+property draws small configs, valid ones and the shapes of
+``TestSimulationConfig.REFUSALS``. A run exits 0, or it exits 1 with one
+``error: <class>: `` line whose class is not ``internal``. For ``compare``
+and ``simulate``, every JSON file of a run that exits 0 also parses without
+NaN or Infinity, and a rerun into a second directory writes the same bytes.
 """
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -17,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codediv.cli import main
+from codediv.rewards import OBJECTIVES
 
-from conftest import BAD_NORM_VECTORS
+import test_simulator
+from conftest import BAD_NORM_VECTORS, BAD_RANGE_VECTORS
 
 SOURCES = [
     "def f(x):\n    return x + 1\n",
@@ -41,7 +50,7 @@ BAD_VALUES = [
     [(file, "sample_id", value) for file in ("corpus", "embeddings") for value in (True, -1, 1.5, "0")],
     [("corpus", "correct", 1), ("corpus", "correct", MISSING)],
     [("corpus", "text", 5), ("corpus", "source", ["x"]), ("corpus", "text", MISSING)],
-    [("embeddings", "vector", vector) for vector in BAD_NORM_VECTORS.values()],
+    [("embeddings", "vector", vector) for vector in [*BAD_NORM_VECTORS.values(), *BAD_RANGE_VECTORS.values()]],
     [("embeddings", "vector", vector) for vector in ([True, False], [[1.0], [2.0]], [1.0, 2.0, 3.0], MISSING)],
     # Whole lines that replace a record, and "repeat" for a record written twice.
     [(file, None, line) for file in ("corpus", "embeddings") for line in ("[1, 2]", '"record"', "{not json", "repeat")],
@@ -114,6 +123,197 @@ def test_keyed_inputs_never_end_as_internal_errors():
                     match = ERROR_LINE.fullmatch(err)
                     assert match and match.group(1) != "internal", (command[0], err)
                 outcomes.append(code)
+
+    check()
+    # Refusals alone must not satisfy the property.
+    assert outcomes.count(0) >= 0.3 * len(outcomes), (outcomes.count(0), len(outcomes))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not a JSON number: {name}")
+
+
+def outputs(out):
+    """``{name: bytes}`` of a run's files, each JSON file and JSONL line
+    checked to parse strictly (no NaN or Infinity)."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+        if name.endswith(".jsonl"):
+            for line in files[name].decode("utf-8").splitlines():
+                json.loads(line, parse_constant=_refuse_constant)
+        elif name.endswith(".json"):
+            json.loads(files[name].decode("utf-8"), parse_constant=_refuse_constant)
+    return files
+
+
+def check_run(argv, tmp):
+    """Run ``argv`` into ``tmp/out``: a refusal is one non-internal error
+    line; a success writes strict JSON, and its rerun the same bytes."""
+    code, err = run([*argv, "--out", os.path.join(tmp, "out")])
+    if code != 0:
+        assert code == 1, (argv[0], err)
+        match = ERROR_LINE.fullmatch(err)
+        assert match and match.group(1) != "internal", (argv[0], err)
+        return code
+    assert err == "", (argv[0], err)
+    first = outputs(os.path.join(tmp, "out"))
+    assert run([*argv, "--out", os.path.join(tmp, "rerun")]) == (0, "")
+    assert outputs(os.path.join(tmp, "rerun")) == first
+    return code
+
+
+# (prompt_id, sample_id, SOURCES index) of both corpora; A and B differ in labels.
+REPORT_CORPUS = [(f"p{p}", s, (p + s) % len(SOURCES)) for p in range(3) for s in range(3)]
+
+# Values an edit writes into a report: non-finite and huge numbers (json.dumps
+# writes NaN and Infinity, which json.loads reads back), bools, strings,
+# nulls, containers and finite numbers.
+REPORT_VALUES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400, -10**309, 1e308, -1e308]),
+    st.sampled_from([True, False, "0.5", None, [0.5], {}]),
+    st.floats(-2.0, 2.0),
+    st.integers(-3, 3),
+)
+REPORT_LABELS = ["jdiv", "one_gram_div", "vendi", "eff", "jdiv_correct", "eff_correct", "pass_at:1", "pass_at:2", "pass_at"]
+ODD_K_LISTS = [[], [2], [1, 1], [3], [0], [True], [1.5], ["1"], ["\ud800"], [10**400], 5, None, {}]
+RECORDS = [5, "x", None, [], {}]
+TEXTS = ["", "[1]", "NaN", "{", '{"prompts": 5}']
+
+
+@st.composite
+def report_edits(draw):
+    """A list of (file index, (kind, ...)) edits to apply to reports A and B."""
+    args = {
+        "value": st.tuples(st.integers(0, 2), st.sampled_from(REPORT_LABELS), REPORT_VALUES),
+        "record": st.tuples(st.integers(0, 2), st.sampled_from(RECORDS)),
+        "k_list": st.tuples(st.sampled_from(ODD_K_LISTS)),
+        "drop": st.tuples(st.integers(0, 2)),
+        "text": st.tuples(st.sampled_from(TEXTS)),
+    }
+    edits = []
+    # Most examples make one edit, and most edits write a value.
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        kind = draw(st.sampled_from(["value"] * 6 + ["record", "k_list", "drop", "text"]))
+        edits.append((draw(st.integers(0, 1)), (kind, *draw(args[kind]))))
+    return edits
+
+
+def edited_texts(reports, edits):
+    """The texts of the two reports after ``edits``."""
+    reports = copy.deepcopy(reports)
+    texts = [None, None]
+    for which, (kind, *args) in edits:
+        report = reports[which]
+        if kind == "value":
+            index, label, value = args
+            record = report["prompts"].get(f"p{index}")
+            if not isinstance(record, dict):
+                continue
+            if label.startswith("pass_at:"):
+                if not isinstance(record.get("pass_at"), dict):
+                    record["pass_at"] = {}
+                record["pass_at"][label.split(":")[1]] = value
+            else:
+                record[label] = value
+        elif kind == "record":
+            index, value = args
+            report["prompts"][f"p{index}"] = value
+        elif kind == "k_list":
+            report["params"]["k_list"] = args[0]
+        elif kind == "drop":
+            report["prompts"].pop(f"p{args[0]}", None)
+        else:
+            texts[which] = args[0]
+    return [json.dumps(report) if text is None else text for report, text in zip(reports, texts)]
+
+
+def test_compare_never_ends_as_internal_error(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        corpus = tmp_path / f"{name}.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for pid, sid, source in REPORT_CORPUS:
+                correct = sid % 2 == 0 if name == "a" else sid != 2
+                fh.write(json.dumps({"prompt_id": pid, "sample_id": sid, "source": SOURCES[source], "correct": correct}) + "\n")
+        assert main(["report", "--corpus", str(corpus), "--k", "1,2", "--out", str(tmp_path / name)]) == 0
+        with open(tmp_path / name / "report.json", encoding="utf-8") as fh:
+            reports.append(json.load(fh))
+    outcomes = []
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(report_edits())
+    def check(edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("a.json", "b.json")]
+            for path, text in zip(paths, edited_texts(reports, edits)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = ["compare", "--report-a", paths[0], "--report-b", paths[1], "--resamples", "1000"]
+            outcomes.append(check_run(argv, tmp))
+
+    check()
+    # Refusals alone must not satisfy the property.
+    assert outcomes.count(0) >= 0.3 * len(outcomes), (outcomes.count(0), len(outcomes))
+
+
+@st.composite
+def simulate_configs(draw):
+    """A small config: at most 3 steps, 3 seeds, 16 templates and a group of
+    16, or a refusal's shape laid over one."""
+    objective = st.one_of(
+        st.sampled_from(OBJECTIVES),
+        st.fixed_dictionaries({"name": st.sampled_from(OBJECTIVES)}, optional={"lr": st.floats(0.0, 1.0)}),
+    )
+    families = draw(st.integers(2, 4))
+    world = st.one_of(
+        st.just("default"),
+        st.fixed_dictionaries({
+            "families": st.just(families),
+            "per_family": st.integers(1, 4),
+            "correct_families": st.integers(1, families - 1),
+        }),
+        st.just({"correct": [True, False, False], "similarity": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]}),
+    )
+    config = draw(st.fixed_dictionaries(
+        {
+            "objectives": st.lists(objective, min_size=1, max_size=2),
+            "seeds": st.lists(st.integers(0, 2**32), min_size=1, max_size=3),
+            "steps": st.integers(0, 3),
+        },
+        optional={
+            "world": world,
+            "group_size": st.integers(2, 16),
+            "k": st.integers(1, 16),
+            "lambda_div": st.floats(0.0, 4.0),
+            "entropy_beta": st.floats(0.0, 1.0),
+            "temperature": st.floats(0.1, 4.0),
+            "init_correct_bonus": st.floats(-3.0, 3.0),
+            # pass@k takes any k >= 1 that a float can hold.
+            "eval": st.fixed_dictionaries(
+                {"k_list": st.lists(st.one_of(st.integers(1, 20), st.sampled_from([10**300, 10**400])), max_size=3)}
+            ),
+        },
+    ))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(test_simulator.TestSimulationConfig.REFUSALS)))
+        raw = test_simulator.TestSimulationConfig.REFUSALS[name][0]
+        config = {**config, **raw} if isinstance(raw, dict) else raw
+    return config
+
+
+def test_simulate_never_ends_as_internal_error():
+    outcomes = []
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(simulate_configs())
+    def check(config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(config))
+            outcomes.append(check_run(["simulate", "--config", path], tmp))
 
     check()
     # Refusals alone must not satisfy the property.

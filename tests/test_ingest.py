@@ -86,7 +86,7 @@ class TestParseCorpus:
         group = group_of(corpus, "p1")
         assert group.n == 3
         assert group.m == 2
-        assert [s.sample_id for s in group.samples] == [0, 1, 2]
+        assert group.sample_ids == (0, 1, 2)
 
     def test_empty_stream(self):
         assert len(parse_corpus([])) == 0
@@ -108,7 +108,7 @@ class TestParseCorpus:
     def test_source_wins_over_text(self):
         line = record("p1", 0, "```python\nfrom_text = 1\n```", True, source="explicit = 2\n")
         group = group_of(parse_corpus([line]), "p1")
-        assert group.samples[0].source == "explicit = 2\n"
+        assert group.sources == ("explicit = 2\n",)
 
     def test_sample_order_and_unfenced_source(self):
         lines = [
@@ -118,17 +118,48 @@ class TestParseCorpus:
         ]
         corpus = parse_corpus(lines)
         assert [g.prompt_id for g in corpus] == ["pA", "pB"]
-        samples = group_of(corpus, "pB").samples
-        assert [s.sample_id for s in samples] == [0, 1]
-        assert (samples[0].text, samples[0].source, samples[0].correct) == ("no fence here", None, False)
-        assert samples[1].source == "def f():\n    return 1\n"
-        first = group_of(corpus, "pA").samples[0]
-        assert (first.text, first.source) == ("", "x = 1\n")
+        group = group_of(corpus, "pB")
+        assert group.sample_ids == (0, 1)
+        assert (group.texts[0], group.sources[0], group.correct[0]) == ("no fence here", "", False)
+        assert group.sources[1] == "def f():\n    return 1\n"
+        first = group_of(corpus, "pA")
+        assert (first.texts, first.sources) == (("",), ("x = 1\n",))
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_columns_match_a_per_record_oracle(self, data):
+        # Records of several prompts in shuffled line order: fenced texts,
+        # texts without a fence and source-only records.
+        kinds = st.sampled_from(["fenced", "unfenced", "source"])
+        keys = data.draw(
+            st.lists(st.tuples(st.sampled_from("pqr"), st.integers(0, 9)), min_size=1, max_size=12, unique=True)
+        )
+        rows = []
+        for pid, sid in keys:
+            code = f"x = {sid}\n"
+            kind = data.draw(kinds)
+            correct = data.draw(st.booleans())
+            if kind == "source":
+                rows.append(({"prompt_id": pid, "sample_id": sid, "source": code, "correct": correct}, code, code))
+            else:
+                text = f"```python\n{code}```" if kind == "fenced" else f"no block: {code}"
+                source = code if kind == "fenced" else ""
+                rows.append(({"prompt_id": pid, "sample_id": sid, "text": text, "correct": correct}, text, source))
+        rows = data.draw(st.permutations(rows))
+        corpus = parse_corpus([json.dumps(rec) for rec, _, _ in rows])
+        oracle = {}
+        for rec, text, source in sorted(rows, key=lambda row: (row[0]["prompt_id"], row[0]["sample_id"])):
+            oracle.setdefault(rec["prompt_id"], []).append((rec["sample_id"], text, source, rec["correct"]))
+        assert [g.prompt_id for g in corpus] == sorted(oracle)
+        for group in corpus:
+            want = oracle[group.prompt_id]
+            assert (group.sample_ids, group.texts, group.sources, group.correct) == tuple(zip(*want))
+            assert (group.n, group.m) == (len(want), sum(correct for *_, correct in want))
 
     def test_load_corpus_from_file(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(record("p", 0, "```\nz = 0\n```", True) + "\n")
-        assert group_of(load_corpus(path), "p").samples[0].source == "z = 0\n"
+        assert group_of(load_corpus(path), "p").sources == ("z = 0\n",)
 
 
 class TestExtractCode:

@@ -16,7 +16,7 @@ from codediv.metrics import (
 )
 from codediv.similarity import SimMatrix, jdiv
 
-from conftest import BAD_NORM_VECTORS, group_of
+from conftest import BAD_NORM_VECTORS, BAD_RANGE_VECTORS, group_of
 
 
 def pass_at_k_enumeration(n, m, k):
@@ -174,6 +174,11 @@ class TestVendiScore:
         with pytest.raises(ValueError, match="^embedding of sample 0 has norm (0.0|inf), not a positive finite number$"):
             vendi_score([vector, [1.0] * len(vector)])
 
+    @pytest.mark.parametrize("vector", BAD_RANGE_VECTORS.values(), ids=BAD_RANGE_VECTORS)
+    def test_integer_beyond_float_range_refused(self, vector):
+        with pytest.raises(ValueError, match="^embeddings must be numbers within the float range: "):
+            vendi_score([vector, [1.0, 1.0]])
+
     def test_shape_checked(self):
         with pytest.raises(ValueError, match="2-D"):
             vendi_score([1.0, 2.0])
@@ -292,6 +297,16 @@ class TestEmbeddingIO:
             json.dumps({"prompt_id": "p", "sample_id": 1, "vector": vector}),
         ]
         with pytest.raises(ValueError, match="^embeddings line 2: vector norm is (0.0|inf), not a positive finite number$"):
+            load_embeddings(lines)
+
+    @pytest.mark.parametrize("vector", BAD_RANGE_VECTORS.values(), ids=BAD_RANGE_VECTORS)
+    def test_integer_beyond_float_range_refused(self, vector):
+        lines = [
+            json.dumps({"prompt_id": "p", "sample_id": 0, "vector": [1.0, 0.0]}),
+            json.dumps({"prompt_id": "p", "sample_id": 1, "vector": vector}),
+        ]
+        message = "^embeddings line 2: vector must be a list of numbers: int too large to convert to float$"
+        with pytest.raises(ValueError, match=message):
             load_embeddings(lines)
 
     def test_missing_vector_named(self):

@@ -539,6 +539,10 @@ class TestSimulationConfig:
             "invalid config field 'eval': expected an object whose only key is 'k_list', got {'groups': 10}",
         ),
         "eval-k-list": ({"eval": {"k_list": [1, 0]}}, "invalid config field 'eval': expected an integer >= 1, got 0"),
+        "eval-k-list-beyond-float-range": (
+            {"eval": {"k_list": [1, 10**400]}},
+            f"invalid config field 'eval': k {10**400} is beyond the float range that pass@k = 1-(1-q)^k needs",
+        ),
         "eval-k-list-type": (
             {"eval": {"k_list": 10}},
             "invalid config field 'eval': expected a list of integers >= 1, got 10",
