@@ -151,7 +151,7 @@ def _read_text(path):
 def _read_json(path):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
         raise ValueError(f"{path}: {err}") from err
 
 

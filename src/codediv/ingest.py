@@ -54,8 +54,9 @@ def keyed_records(lines, where="line"):
     Each line is one JSON object keyed by ``prompt_id``, a string of valid
     Unicode text, and ``sample_id``, an integer >= 0; ``key`` is the pair
     and ``label`` is ``"<where> <line number>"``. Raises CorpusError naming
-    the line for invalid JSON, a record that is not an object, a mistyped
-    key and a key seen on an earlier line.
+    the line for invalid JSON (JSON nested too deeply to decode included), a
+    record that is not an object, a mistyped key and a key seen on an
+    earlier line.
     """
     seen = set()
     for lineno, line in enumerate(lines, start=1):
@@ -64,7 +65,7 @@ def keyed_records(lines, where="line"):
         label = f"{where} {lineno}"
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:  # RecursionError: nested too deeply
             raise CorpusError(f"{label}: invalid JSON record: {err}") from err
         if not isinstance(record, dict):
             raise CorpusError(f"{label}: record must be an object")

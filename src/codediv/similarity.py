@@ -38,9 +38,8 @@ any, so a pair above the hit bound goes to the probes unexpanded and a row
 never holds more hits than the bound allows. ``gst_match`` is a group of
 two. Renamed copies, the redundancy this package measures, share one
 structural stream, so their cells reuse a score instead of tiling again.
-A pair is tiled in its order (lower sample index first) because the tie
-break makes tiling asymmetric; a pair that also occurs reversed is tiled
-again from the same runs, so the matrix is the same as tiling every pair.
+A group's distinct streams are ranked by content and each pair is tiled
+once, lower rank first, so permuting the samples permutes the matrix.
 
 The 1-gram metric maps a group's lexical tokens to one vocabulary and
 counts them per source, so a pair's multiset overlap is the sum of the
@@ -230,9 +229,9 @@ def _tile_runs(a, b, heap, k):
     return tiles
 
 
-def _group_tiles(streams, k, reverse=frozenset()):
+def _group_tiles(streams, k):
     """The tiles of each pair ``(s, t)``, s < t, of a group's token id
-    arrays, and of ``(t, s)`` for each ``(s, t)`` in ``reverse``, by pair.
+    arrays, by pair.
 
     The streams are ranked once, concatenated, and the group's k-gram
     windows are sorted once by key, then by stream. The windows of one key
@@ -304,16 +303,12 @@ def _group_tiles(streams, k, reverse=frozenset()):
     for s in range(m):
         probed, bounds, neg, in_s, in_t = row(s) if windows[s] else no_runs
         for t in range(s + 1, m):
-            runs = slice(bounds[t], bounds[t + 1])
-            orders = [(s, t, in_s, in_t)]
-            if (s, t) in reverse:  # the same runs, with i and j swapped
-                orders.append((t, s, in_t, in_s))
-            for x, y, at_x, at_y in orders:
-                if probed[t]:
-                    tiles[x, y] = _probe_tiles(keyed[x], keyed[y], k)
-                else:
-                    heap = list(zip(neg[runs], at_x[runs], at_y[runs]))
-                    tiles[x, y] = _tile_runs(streams[x], streams[y], heap, k)
+            if probed[t]:
+                tiles[s, t] = _probe_tiles(keyed[s], keyed[t], k)
+            else:
+                runs = slice(bounds[t], bounds[t + 1])
+                heap = list(zip(neg[runs], in_s[runs], in_t[runs]))
+                tiles[s, t] = _tile_runs(streams[s], streams[t], heap, k)
     return tiles
 
 
@@ -393,14 +388,12 @@ class SimMatrix:
 def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     """Score every unordered pair in a group of token streams.
 
-    Streams with the same ids are represented by the first of them, and each
-    distinct ordered pair of representatives is tiled once; every cell that
-    repeats the pair gets the same score. A stream paired with itself is not
+    Streams with the same ids share one score, and each pair of distinct
+    streams is tiled once in content order: the shorter first, and of two
+    equally long ones the one whose ids compare lower as a list. So a score
+    depends only on the two programs. A stream paired with itself is not
     tiled: it matches as one tile of its length, or none if it is shorter
-    than ``min_match``. The pair keeps its order (lower index first) because
-    the tie break makes tiling asymmetric: ``gst_match([0,0,1,0],
-    [1,0,0,0], 2)`` matches 2 tokens, the reversed call 4. So the matrix
-    equals tiling every pair (i, j), i < j, directly.
+    than ``min_match``.
     """
     _check_min_match(min_match)
     ids = [_as_ids(s) for s in group]
@@ -408,25 +401,25 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     if n < 1:
         raise ValueError("pairwise_matrix needs at least one stream")
     # _as_ids returns C-contiguous int64 arrays, so equal bytes mean equal
-    # ids. rep numbers the distinct streams in order of first appearance.
-    first = {}
-    rep = [first.setdefault(a.tobytes(), len(first)) for a in ids]
-    streams = list(dict(zip(rep, ids)).values())
-    # (s, t), s < t, is also tiled as (t, s) if some cell has them in that order.
-    reverse = {(rep[j], rep[i]) for i in range(n) for j in range(i + 1, n) if rep[j] < rep[i]}
+    # ids. rep is each sample's rank among the distinct streams; a Python
+    # list compares the same on every platform, unlike the raw bytes.
+    distinct = {a.tobytes(): a for a in ids}
+    streams = sorted(distinct.values(), key=lambda a: (len(a), a.tolist()))
+    rank = {a.tobytes(): r for r, a in enumerate(streams)}
+    rep = [rank[a.tobytes()] for a in ids]
     k = int(min_match)
     lengths = np.array([len(a) for a in streams])
     # A stream tiles itself as one tile, if it has k tokens.
     matched = np.diag(np.where(lengths >= k, lengths, 0))
-    for (s, t), tiles in _group_tiles(streams, k, reverse).items():
-        matched[s, t] = sum(tile[2] for tile in tiles)
+    for (s, t), tiles in _group_tiles(streams, k).items():
+        matched[s, t] = matched[t, s] = sum(tile[2] for tile in tiles)
     # avg_similarity of every cell at once: a stream paired with an empty
     # one matches nothing and scores 0, and two empty streams score 1. Tiles
     # are disjoint in both streams, so 2 * matched <= total and no score
     # exceeds 1.
-    scored = _dice(matched, lengths[:, None] + lengths)
-    upper = np.triu(scored[np.ix_(rep, rep)], 1)
-    return SimMatrix(upper + upper.T + np.eye(n))
+    scores = _dice(matched, lengths[:, None] + lengths)[np.ix_(rep, rep)]
+    np.fill_diagonal(scores, 1.0)
+    return SimMatrix(scores)
 
 
 def jdiv(matrix: SimMatrix) -> float:

@@ -1180,6 +1180,42 @@ class TestUnreadableInputs:
         assert not out.exists()
 
 
+class TestDeeplyNestedJson:
+    """JSON nested deeper than the decoder recurses is invalid JSON in every
+    reader: one error line naming the file or line, and no output."""
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    @pytest.mark.parametrize(
+        "reader, error_class, where",
+        [
+            ("config", "config", "BAD: "),
+            ("report", "parse", "BAD: "),
+            ("corpus", "parse", "line 1: invalid JSON record: "),
+            ("embeddings", "parse", "embeddings line 1: invalid JSON record: "),
+        ],
+    )
+    def test_refused_as_invalid_json(self, duplicate_corpus, tmp_path, capsys, reader, error_class, where):
+        bad = tmp_path / "bad"
+        if reader in ("config", "report"):
+            bad.write_text(self.DEEP)
+        else:
+            field = "text" if reader == "corpus" else "vector"
+            bad.write_text(f'{{"prompt_id": "p1", "sample_id": 0, "correct": true, "{field}": {self.DEEP}}}\n')
+        out = tmp_path / "out"
+        argv = {
+            "config": ["simulate", "--config", str(bad)],
+            "report": ["compare", "--report-a", str(bad), "--report-b", str(bad)],
+            "corpus": ["similarity", "--corpus", str(bad)],
+            "embeddings": ["report", "--corpus", str(duplicate_corpus), "--k", "1", "--embeddings", str(bad)],
+        }[reader]
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        prefix = f"error: {error_class}: {where.replace('BAD', str(bad))}maximum recursion depth exceeded"
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert not out.exists()
+
+
 class TestUnwritableOutputs:
     """An ``--out`` that cannot be created or written ends as one ``output``
     error line. Blocked by a regular file or a directory, not by permission

@@ -7,9 +7,10 @@ few bad values mixed in and runs ``similarity``, ``report --k 1
 The ``compare`` property edits two real reports, and the ``simulate``
 property draws small configs, valid ones and the shapes of
 ``TestSimulationConfig.REFUSALS``. A run exits 0, or it exits 1 with one
-``error: <class>: `` line whose class is not ``internal``. For ``compare``
-and ``simulate``, every JSON file of a run that exits 0 also parses without
-NaN or Infinity, and a rerun into a second directory writes the same bytes.
+``error: <class>: `` line whose class is not ``internal``. Every JSON file of
+a run that exits 0 also parses without NaN or Infinity, and a rerun into a
+second directory writes the same bytes. ``similarity`` on the corpus with
+each prompt's sample ids permuted writes the permuted matrices.
 """
 
 import contextlib
@@ -20,11 +21,13 @@ import os
 import re
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codediv.cli import main
 from codediv.rewards import OBJECTIVES
+from codediv.similarity import SimMatrix
 
 import test_simulator
 from conftest import BAD_NORM_VECTORS, BAD_RANGE_VECTORS
@@ -36,6 +39,8 @@ SOURCES = [
     "import os\n",
     "",
 ]
+# Tiled in this order the pair matches 5 tokens, in the other order 10.
+ASYMMETRIC_PAIR = ["y = x + 1\nx += 1\nz = [x]\nx = 1\nx = 1\n", "x = 1\ny = x + 1\nz = [x]\n"]
 
 # Bad values in families of (file, field, value); a value of MISSING drops
 # the field. An edit draws a family, then one of its values.
@@ -61,11 +66,15 @@ ERROR_LINE = re.compile(r"error: ([a-z]+): .*\n")
 
 @st.composite
 def keyed_inputs(draw):
-    """(corpus lines, embeddings lines) for 1-2 prompts of 3-4 samples."""
+    """(corpus lines, embeddings lines, {prompt_id: a permutation of its
+    sample ids}) for 1-2 prompts of 3-4 samples."""
     files = {"corpus": [], "embeddings": []}
+    permutations = {}
     for p in range(draw(st.integers(1, 2))):
-        for s in range(draw(st.integers(3, 4))):
-            source = draw(st.sampled_from(SOURCES))
+        n = draw(st.integers(3, 4))
+        permutations[f"p{p}"] = draw(st.permutations(range(n)))
+        for s in range(n):
+            source = draw(st.sampled_from(SOURCES + ASYMMETRIC_PAIR))
             text = f"prose\n```python\n{source}```\n"
             correct = draw(st.booleans())
             files["corpus"].append({"prompt_id": f"p{p}", "sample_id": s, "text": text, "correct": correct})
@@ -84,7 +93,7 @@ def keyed_inputs(draw):
             lines[name].append(lines[name][i])
         else:
             lines[name][i] = value
-    return lines["corpus"], lines["embeddings"]
+    return lines["corpus"], lines["embeddings"], permutations
 
 
 def run(argv):
@@ -93,40 +102,6 @@ def run(argv):
     with contextlib.redirect_stderr(err):
         code = main(argv)
     return code, err.getvalue()
-
-
-def test_keyed_inputs_never_end_as_internal_errors():
-    outcomes = []
-
-    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
-    @given(keyed_inputs())
-    def check(case):
-        corpus_lines, embedding_lines = case
-        with tempfile.TemporaryDirectory() as tmp:
-            corpus = os.path.join(tmp, "corpus.jsonl")
-            embeddings = os.path.join(tmp, "emb.jsonl")
-            with open(corpus, "w", encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in corpus_lines))
-            with open(embeddings, "w", encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in embedding_lines))
-            commands = [
-                ["similarity", "--corpus", corpus],
-                ["report", "--corpus", corpus, "--k", "1", "--embeddings", embeddings],
-                ["advantages", "--corpus", corpus, "--objective", "combined"],
-            ]
-            for i, command in enumerate(commands):
-                code, err = run([*command, "--out", os.path.join(tmp, f"out{i}")])
-                if code == 0:
-                    assert err == "", (command[0], err)
-                else:
-                    assert code == 1, (command[0], err)
-                    match = ERROR_LINE.fullmatch(err)
-                    assert match and match.group(1) != "internal", (command[0], err)
-                outcomes.append(code)
-
-    check()
-    # Refusals alone must not satisfy the property.
-    assert outcomes.count(0) >= 0.3 * len(outcomes), (outcomes.count(0), len(outcomes))
 
 
 def _refuse_constant(name):
@@ -162,6 +137,58 @@ def check_run(argv, tmp):
     assert run([*argv, "--out", os.path.join(tmp, "rerun")]) == (0, "")
     assert outputs(os.path.join(tmp, "rerun")) == first
     return code
+
+
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+def matrices(out):
+    """``{file name: SimMatrix}`` of a ``similarity`` run."""
+    files = outputs(out)
+    return {name: SimMatrix.from_text(files[name].decode("utf-8")) for name in files if name.endswith(".simmatrix.txt")}
+
+
+def test_keyed_inputs_never_end_as_internal_errors():
+    outcomes = []
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(keyed_inputs())
+    def check(case):
+        corpus_lines, embedding_lines, permutations = case
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = os.path.join(tmp, "corpus.jsonl")
+            embeddings = os.path.join(tmp, "emb.jsonl")
+            write_lines(corpus, corpus_lines)
+            write_lines(embeddings, embedding_lines)
+            commands = [
+                ["similarity", "--corpus", corpus],
+                ["report", "--corpus", corpus, "--k", "1", "--embeddings", embeddings],
+                ["advantages", "--corpus", corpus, "--objective", "combined"],
+            ]
+            codes = [check_run(command, os.path.join(tmp, command[0])) for command in commands]
+            outcomes.extend(codes)
+            if codes[0] != 0:
+                return
+            # Sample s of a prompt becomes sample perm[s], so the matrix read
+            # at rows and columns perm is the one written for the corpus.
+            records = [json.loads(line) for line in corpus_lines]
+            for record in records:
+                record["sample_id"] = permutations[record["prompt_id"]][record["sample_id"]]
+            relabelled = os.path.join(tmp, "relabelled.jsonl")
+            write_lines(relabelled, [json.dumps(record) for record in records])
+            assert run(["similarity", "--corpus", relabelled, "--out", os.path.join(tmp, "relabelled")]) == (0, "")
+            expected = matrices(os.path.join(tmp, "similarity", "out"))
+            got = matrices(os.path.join(tmp, "relabelled"))
+            assert got.keys() == expected.keys()
+            for name, matrix in got.items():
+                perm = permutations[name.removesuffix(".simmatrix.txt")]
+                assert np.array_equal(matrix.scores[np.ix_(perm, perm)], expected[name].scores), name
+
+    check()
+    # Refusals alone must not satisfy the property.
+    assert outcomes.count(0) >= 0.3 * len(outcomes), (outcomes.count(0), len(outcomes))
 
 
 # (prompt_id, sample_id, SOURCES index) of both corpora; A and B differ in labels.

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codediv import similarity
@@ -39,6 +39,20 @@ WIDE_IDS = st.lists(
 
 def as_ids(values):
     return np.asarray(values, dtype=np.intc)
+
+
+def content_order(a, b):
+    """The pair in the order ``pairwise_matrix`` tiles it: the shorter
+    stream first, and of two equally long ones the smaller id list."""
+    key_a, key_b = (len(a), np.asarray(a).tolist()), (len(b), np.asarray(b).tolist())
+    return (a, b) if key_a <= key_b else (b, a)
+
+
+def brute_force_cell(a, b, min_match):
+    """A matrix cell of ``a`` and ``b``: the brute-force tiles of the pair in
+    content order, scored."""
+    a, b = content_order(a, b)
+    return avg_similarity(MatchSet.from_tiles(brute_force_tiles(a, b, min_match)), len(a), len(b))
 
 
 class TestGstMatch:
@@ -219,11 +233,11 @@ class TestTilingPaths:
 
     def test_group_probes_equal_bruteforce(self, rng, monkeypatch, probe_calls):
         # Every pair of a group takes the probe path, keyed by the group's
-        # shared rank tables at each stream's offset. A short first stream
-        # keeps the first pairs' extension low, so a longer pair tiled later
-        # must grow the tables again. Two streams spell a k-gram across
-        # their boundary and a third holds it; empty streams and streams
-        # shorter than k sit among random ones.
+        # shared rank tables at each stream's offset. Rows are tiled shortest
+        # stream first, so a short stream keeps the first pairs' extension
+        # low and a longer pair tiled later must grow the tables again. Two
+        # streams spell a k-gram across their boundary and a third holds it;
+        # empty streams and streams shorter than k sit among random ones.
         monkeypatch.setattr(similarity, "PROBE_HITS_PER_TOKEN", 0)
         regrown = 0
         for _ in range(150):
@@ -245,8 +259,7 @@ class TestTilingPaths:
             scores = pairwise_matrix(group, min_match).scores
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    brute = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], min_match))
-                    assert scores[i, j] == avg_similarity(brute, len(group[i]), len(group[j]))
+                    assert scores[i, j] == brute_force_cell(group[i], group[j], min_match)
             levels = [min(pair).bit_length() for pair in probe_calls]
             regrown += any(later > levels[0] for later in levels[1:])
         assert regrown >= 30  # of 150 groups
@@ -282,10 +295,9 @@ class TestTilingPaths:
             expected = []
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    brute = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], 5))
-                    assert scores[i, j] == avg_similarity(brute, len(group[i]), len(group[j]))
+                    assert scores[i, j] == brute_force_cell(group[i], group[j], 5)
                     if periodic[i] and periodic[j]:
-                        expected.append((len(group[i]), len(group[j])))
+                        expected.append(tuple(map(len, content_order(group[i], group[j]))))
             assert sorted(probe_calls) == sorted(expected)
 
 
@@ -381,6 +393,8 @@ class TestAvgSimilarity:
         assert avg_similarity(empty, 7, 0) == 0.0
 
     @given(a=IDS, b=IDS)
+    # Tiled as (a, b) this pair matches 6 tokens, as (b, a) only 3.
+    @example(a=as_ids([0, 2, 2, 0, 2, 0]), b=as_ids([2, 0, 2, 2, 1, 0, 2, 0]))
     @settings(max_examples=150, deadline=None)
     def test_score_symmetry(self, a, b):
         assert pairwise_matrix([a, b], 3).scores[0, 1] == pairwise_matrix([b, a], 3).scores[0, 1]
@@ -415,20 +429,44 @@ class TestPairwiseMatrix:
             expected = np.eye(n)
             for i in range(n):
                 for j in range(i + 1, n):
-                    match = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], min_match))
-                    score = avg_similarity(match, len(group[i]), len(group[j]))
-                    expected[i, j] = expected[j, i] = score
+                    expected[i, j] = expected[j, i] = brute_force_cell(group[i], group[j], min_match)
             assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
 
-    def test_asymmetric_pair_keeps_its_order(self):
+    def test_asymmetric_pair_scores_the_same_in_either_order(self):
         # The tie break makes tiling asymmetric: (a, b) matches 2 tokens and
-        # (b, a) all 4. Stream 2 repeats stream 0, so cell (1, 2) is the
-        # reversed pair and must not reuse cell (0, 1).
-        group = [as_ids([0, 0, 1, 0]), as_ids([1, 0, 0, 0]), as_ids([0, 0, 1, 0])]
-        scores = pairwise_matrix(group, min_match=2).scores
-        assert scores[0, 1] == scores[1, 0] == 0.5
-        assert scores[1, 2] == scores[2, 1] == 1.0
-        assert scores[0, 2] == 1.0
+        # (b, a) all 4. a comes first in content order (equal lengths, the
+        # smaller ids), so every cell of the pair scores (a, b), whichever
+        # sample comes first.
+        a, b = as_ids([0, 0, 1, 0]), as_ids([1, 0, 0, 0])
+        assert (gst_match(a, b, 2).matched_tokens, gst_match(b, a, 2).matched_tokens) == (2, 4)
+        for group in ([a, b, a], [b, a, b]):
+            scores = pairwise_matrix(group, min_match=2).scores
+            assert scores[0, 1] == scores[1, 2] == 0.5
+            assert scores[0, 2] == 1.0
+
+    @pytest.mark.parametrize("bound", [0, similarity.PROBE_HITS_PER_TOKEN], ids=["probes", "default"])
+    @given(
+        streams=st.lists(IDS, max_size=3),
+        picks=st.lists(st.integers(0, 8), min_size=1, max_size=8),
+        min_match=st.integers(1, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_permuted_group_gives_permuted_matrix(self, bound, streams, picks, min_match, data):
+        # A small pool, so groups repeat streams: an empty stream, one
+        # shorter than min_match, two pairs that tile differently in their
+        # two orders (at min_match 2 and 3) and random streams. A bound of 0
+        # sends every pair with a k-gram hit to the length probes.
+        short = data.draw(st.lists(st.integers(0, 6), max_size=min_match - 1))
+        pool = [as_ids([]), as_ids(short), as_ids([0, 0, 1, 0]), as_ids([1, 0, 0, 0])]
+        pool += [as_ids([0, 2, 2, 0, 2, 0]), as_ids([2, 0, 2, 2, 1, 0, 2, 0]), *streams]
+        group = [pool[p % len(pool)] for p in picks]
+        order = data.draw(st.permutations(range(len(group))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "PROBE_HITS_PER_TOKEN", bound)
+            scores = pairwise_matrix(group, min_match).scores
+            permuted = pairwise_matrix([group[i] for i in order], min_match).scores
+        assert np.array_equal(permuted, scores[np.ix_(order, order)])
 
     def test_duplicate_heavy_groups_match_bruteforce_cells(self, rng):
         for _ in range(200):
@@ -437,8 +475,8 @@ class TestPairwiseMatrix:
             # A small pool, so most groups repeat streams. It holds an empty
             # stream, one shorter than min_match, and the asymmetric pair
             # above with each token widened to k: for min_match >= 2 one
-            # order matches 2k tokens and the other 4k. Random pairs are
-            # rarely asymmetric.
+            # order matches 2k tokens and the other 4k, and only the content
+            # order may score. Random pairs are rarely asymmetric.
             k = (min_match + 1) // 2
             pool = [as_ids([]), random_id_stream(rng, max_len=min_match - 1, alphabet=alphabet)]
             pool += [random_id_stream(rng, max_len=12, alphabet=alphabet) for _ in range(2)]
@@ -448,14 +486,13 @@ class TestPairwiseMatrix:
             expected = np.eye(n)
             for i in range(n):
                 for j in range(i + 1, n):
-                    match = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], min_match))
-                    score = avg_similarity(match, len(group[i]), len(group[j]))
-                    expected[i, j] = expected[j, i] = score
+                    expected[i, j] = expected[j, i] = brute_force_cell(group[i], group[j], min_match)
             assert np.array_equal(pairwise_matrix(group, min_match).scores, expected)
 
-    def test_tiles_each_distinct_ordered_pair_once(self, rng, monkeypatch):
-        # Every pair of distinct streams is tiled by the heap, once per
-        # order it occurs in; a stream paired with itself is not tiled.
+    def test_tiles_each_distinct_unordered_pair_once(self, rng, monkeypatch):
+        # Every pair of distinct streams is tiled by the heap once, in
+        # content order, whichever order its samples come in; a stream
+        # paired with itself is not tiled.
         calls = []
         tile_runs = similarity._tile_runs
 
@@ -475,7 +512,7 @@ class TestPairwiseMatrix:
                 for i in range(n)
                 for j in range(i + 1, n)
             ]
-            keys = {(a, b) for _, _, a, b in cells if a != b}
+            keys = {content_order(a, b) for _, _, a, b in cells if a != b}
             assert len(calls) == len(keys)
             assert set(calls) == keys
             for i, j, a, b in cells:
@@ -529,10 +566,9 @@ class TestPairwiseMatrix:
             scores = pairwise_matrix(group, min_match).scores
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
-                    a, b = group[i], group[j]
+                    a, b = content_order(group[i], group[j])
                     direct = avg_similarity(gst_match(a, b, min_match), len(a), len(b))
-                    brute = MatchSet.from_tiles(brute_force_tiles(a, b, min_match))
-                    assert scores[i, j] == direct == avg_similarity(brute, len(a), len(b))
+                    assert scores[i, j] == direct == brute_force_cell(a, b, min_match)
 
     def test_huge_min_match_equals_one_past_longest(self, rng):
         # A stream shorter than k keys nothing and ranking stops at the
