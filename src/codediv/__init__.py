@@ -2,12 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .tokenizer import TokenStream, token_vocabulary, tokenize
+from .tokenizer import TokenStream, tokenize
 from .similarity import (
     GST_BACKEND,
     MatchSet,
     SimMatrix,
-    avg_similarity,
     clusters,
     effective_clusters,
     gst_match,
@@ -21,14 +20,12 @@ __all__ = [
     "MatchSet",
     "SimMatrix",
     "TokenStream",
-    "avg_similarity",
     "clusters",
     "effective_clusters",
     "gst_match",
     "jdiv",
     "one_gram_div",
     "pairwise_matrix",
-    "token_vocabulary",
     "tokenize",
     "__version__",
 ]

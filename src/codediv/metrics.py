@@ -29,23 +29,16 @@ def pass_at_k(n: int, m: int, k: int) -> float:
     return float(1.0 - np.prod(1.0 - k / np.arange(n - m + 1, n + 1)))
 
 
-def _norms(vectors):
-    """L2 norms along the last axis; one that underflows reads 0, one that
-    overflows inf, with no numpy warning."""
-    with np.errstate(over="ignore", under="ignore"):
-        return np.linalg.norm(vectors, axis=-1)
-
-
 def vendi_score(vectors) -> float:
     """Effective number of distinct samples in embedding space.
 
     ``vectors`` is an (n, d) array-like of finite values, one row per
-    sample, n >= 1, and each row's float64 norm a positive finite number
-    (so no zero row, and none whose norm underflows or overflows). Any
-    other input, an integer beyond the float range too, is a ValueError. The
-    score is exp of the Shannon entropy of the eigenvalues of K/n, K the
-    cosine similarity kernel of the L2-normalized rows. Tiny or negative
-    eigenvalues (floating-point residue) are clamped to zero.
+    sample, n >= 1, and no row zero or empty; a row's scale does not matter,
+    however small or large. Any other input, an integer beyond the float
+    range too, is a ValueError. The score is exp of the Shannon entropy of
+    the eigenvalues of K/n, K the cosine similarity kernel of the
+    L2-normalized rows. Tiny or negative eigenvalues (floating-point
+    residue) are clamped to zero.
     """
     try:
         vectors = np.asarray(vectors, dtype=np.float64)
@@ -58,12 +51,14 @@ def vendi_score(vectors) -> float:
     n = vectors.shape[0]
     if n < 1:
         raise ValueError("vendi score needs at least one embedding")
-    norms = _norms(vectors)
-    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    bad = np.flatnonzero(~vectors.any(axis=1))
     if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"embedding of sample {i} has norm {norms[i]}, not a positive finite number")
-    unit = vectors / norms[:, None]
+        raise ValueError(f"embedding of sample {bad[0]} has norm 0.0, not a positive finite number")
+    # Each row times the power of two that brings its largest magnitude into
+    # [0.5, 1), so no norm underflows or overflows. The scaling is exact: a
+    # row's direction, all the cosine kernel reads, keeps every bit.
+    vectors = np.ldexp(vectors, -np.frexp(np.abs(vectors).max(axis=1, keepdims=True))[1])
+    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
     kernel = unit @ unit.T
     eigvals = np.linalg.eigvalsh(kernel / n)
     eigvals = np.where(eigvals < EIGENVALUE_TOLERANCE, 0.0, eigvals)
@@ -86,7 +81,7 @@ def load_embeddings(lines):
     """Parse line-delimited embedding records {prompt_id, sample_id, vector}.
 
     Returns {prompt_id: {sample_id: vector}}, each vector a flat finite
-    ``float64`` array whose norm is a positive finite number. Lines are read
+    ``float64`` array that is not zero or empty. Lines are read
     by ``ingest.keyed_records``, so the keys are typed and unique as in a
     corpus. The dimension must be uniform across the whole stream. Every
     bad record is a ValueError naming its line.
@@ -107,9 +102,8 @@ def load_embeddings(lines):
             raise ValueError(f"{label}: vector must be flat")
         if not np.isfinite(vector).all():
             raise ValueError(f"{label}: vector contains NaN or Inf")
-        norm = float(_norms(vector))
-        if not 0.0 < norm < np.inf:
-            raise ValueError(f"{label}: vector norm is {norm}, not a positive finite number")
+        if not vector.any():
+            raise ValueError(f"{label}: vector norm is 0.0, not a positive finite number")
         if dim is None:
             dim = vector.size
         elif vector.size != dim:

@@ -4,7 +4,7 @@ Scale conventions, fixed across the package:
 
 * Verifier outcomes c in {0, 1} map to signed rewards r = 2c - 1 in
   {-1, +1}. Base (correctness) advantages are computed on the signed
-  scale and mean-centered by default.
+  scale and mean-centered.
 * The group-max leave-one-out advantage (``passk_loo``) is evaluated on
   the signed scale, so a uniquely-correct sample scores raw +2, then the
   group is mean-centered. The affine map changes magnitudes only, never
@@ -66,15 +66,13 @@ class AdvantageVector:
             raise ValueError("advantages must be finite")
 
 
-def base_advantages(outcome: GroupOutcome, centered=True) -> AdvantageVector:
+def base_advantages(outcome: GroupOutcome) -> AdvantageVector:
     """Per-sample signed reward with the group mean as baseline."""
     a = outcome.r.astype(np.float64)
-    if centered:
-        a = a - a.sum() / len(a)
-    return AdvantageVector("base", a, {"centered": centered})
+    return AdvantageVector("base", a - a.sum() / len(a), {"centered": True})
 
 
-def passk_loo_advantages(outcome: GroupOutcome, centered=True) -> AdvantageVector:
+def passk_loo_advantages(outcome: GroupOutcome) -> AdvantageVector:
     """Leave-one-out advantage of the group-max reward, over the whole group.
 
     Raw value: max_j r_j - max_{j != i} r_j on signed rewards, positive
@@ -85,9 +83,7 @@ def passk_loo_advantages(outcome: GroupOutcome, centered=True) -> AdvantageVecto
     # when i is the one correct sample of a group of two or more.
     pivotal = outcome.m == 1 and outcome.n > 1
     a = np.where(outcome.correct & pivotal, 2.0, 0.0)
-    if centered:
-        a = a - a.mean()
-    return AdvantageVector("passk_loo", a, {"centered": centered})
+    return AdvantageVector("passk_loo", a - a.mean(), {"centered": True})
 
 
 def pkpo_advantages(outcome: GroupOutcome, k: int) -> AdvantageVector:

@@ -1,10 +1,13 @@
 """Pairwise program similarity and group redundancy diagnostics.
 
 The pairwise score is greedy string tiling over structural token streams
-with the Dice-style average metric 2*matched/(len_a+len_b). Group-level
-diagnostics derived from the resulting matrix: diversity (one minus the
-mean pairwise similarity), threshold clustering via connected components,
-and the effective cluster count (exponential of the cluster-size entropy).
+with the Dice-style average metric 2*matched/(len_a+len_b), computed in one
+place (``_dice``). Equal streams match in full at any length, so two copies
+of a program shorter than ``min_match`` are duplicates, while a short
+stream matches nothing in a different one. Group-level diagnostics derived
+from the resulting matrix: diversity (one minus the mean pairwise
+similarity), threshold clustering via connected components, and the
+effective cluster count (exponential of the cluster-size entropy).
 
 A lexical 1-gram variant over surface tokens is provided as a cheaper,
 rename-sensitive control metric.
@@ -328,18 +331,6 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     return MatchSet.from_tiles(_group_tiles([_as_ids(a), _as_ids(b)], int(min_match))[0, 1])
 
 
-def avg_similarity(match: MatchSet, len_a: int, len_b: int) -> float:
-    """Average similarity 2*matched/(len_a+len_b), clamped to [0, 1].
-
-    Two empty streams count as duplicates (1.0); one empty stream scores 0.
-    """
-    if len_a == 0 and len_b == 0:
-        return 1.0
-    if len_a == 0 or len_b == 0:
-        return 0.0
-    return min(1.0, max(0.0, 2.0 * match.matched_tokens / (len_a + len_b)))
-
-
 def _dice(common, total):
     """``2 * common / total`` elementwise, as Python floats compute it; a
     total of 0, a pair of empty inputs, counts as duplicates and scores 1."""
@@ -391,9 +382,9 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     Streams with the same ids share one score, and each pair of distinct
     streams is tiled once in content order: the shorter first, and of two
     equally long ones the one whose ids compare lower as a list. So a score
-    depends only on the two programs. A stream paired with itself is not
-    tiled: it matches as one tile of its length, or none if it is shorter
-    than ``min_match``.
+    depends only on the two programs. A stream paired with an equal one is
+    not tiled: it matches in full, so equal programs score 1.0 even when
+    they are shorter than ``min_match``.
     """
     _check_min_match(min_match)
     ids = [_as_ids(s) for s in group]
@@ -409,17 +400,15 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     rep = [rank[a.tobytes()] for a in ids]
     k = int(min_match)
     lengths = np.array([len(a) for a in streams])
-    # A stream tiles itself as one tile, if it has k tokens.
-    matched = np.diag(np.where(lengths >= k, lengths, 0))
+    # A stream matches an equal one in full, shorter than k or not.
+    matched = np.diag(lengths)
     for (s, t), tiles in _group_tiles(streams, k).items():
         matched[s, t] = matched[t, s] = sum(tile[2] for tile in tiles)
-    # avg_similarity of every cell at once: a stream paired with an empty
-    # one matches nothing and scores 0, and two empty streams score 1. Tiles
-    # are disjoint in both streams, so 2 * matched <= total and no score
-    # exceeds 1.
-    scores = _dice(matched, lengths[:, None] + lengths)[np.ix_(rep, rep)]
-    np.fill_diagonal(scores, 1.0)
-    return SimMatrix(scores)
+    # The Dice score of every cell at once, the diagonal's 1.0 included: a
+    # stream paired with an empty one matches nothing and scores 0, and two
+    # empty streams score 1. Tiles are disjoint in both streams, so
+    # 2 * matched <= total and no score exceeds 1.
+    return SimMatrix(_dice(matched, lengths[:, None] + lengths)[np.ix_(rep, rep)])
 
 
 def jdiv(matrix: SimMatrix) -> float:

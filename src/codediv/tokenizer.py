@@ -19,10 +19,12 @@ none of the block begin/end kinds, and the resulting stream is flagged
 ``fallback`` so reports can count degraded inputs. Blank source (such as a
 sample with no code) is the empty stream, with no module to begin or end.
 
-Streams are stored as three ``array('i')`` buffers (kind ids, lines,
-columns); no per-token object exists unless ``TokenStream.tokens`` is asked
-for. The emitter appends each token's three ints to one flat list and splits
-it into the buffers at the end, which costs less than half as much per token
+A stream is three ``array('i')`` buffers: the kind ids, and each token's
+line and column (``TokenStream.lines`` and ``.cols``), which
+``format_debug`` prints. ``TokenStream`` has one constructor, taking the
+three sequences, and the emitter and the fallback lexer build through it.
+The emitter appends each token's three ints to one flat list and splits it
+into the buffers at the end, which costs less than half as much per token
 as three bound ``append`` calls (CPython 3.11).
 """
 
@@ -32,7 +34,6 @@ import keyword
 import tokenize as _stdtok
 import warnings
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,53 +89,25 @@ VOCABULARY = (
 KIND_IDS = {kind: i for i, kind in enumerate(VOCABULARY)}
 
 
-def token_vocabulary():
-    """Return the closed vocabulary of structural token kinds, in id order."""
-    return list(VOCABULARY)
-
-
-@dataclass(frozen=True)
-class StructuralToken:
-    kind: str
-    line: int  # 1-based
-    col: int  # 0-based
-
-
 class TokenStream:
     """Ordered structural tokens for one program.
 
-    Kind ids, lines and columns live in three parallel ``array('i')``
-    buffers. ``tokens`` builds StructuralToken objects on demand for
-    debugging; the matcher reads ``ids``, a zero-copy view of the kind ids.
+    ``kind_ids`` are indices into ``VOCABULARY``; ``lines`` (1-based) and
+    ``cols`` (0-based) give each token's position, one entry per kind id.
+    All three are stored as ``array('i')`` copies, a memcpy when given an
+    ``array('i')``. The matcher reads ``ids``, a zero-copy view of the kind
+    ids.
 
     Equality is defined over the kind sequence only: positions are debug
     metadata and change under renaming or reformatting, while the kind
     sequence is the representation the matcher compares.
     """
 
-    __slots__ = ("fallback", "_kind_ids", "_lines", "_cols")
+    __slots__ = ("fallback", "_kind_ids", "lines", "cols")
 
-    def __init__(self, tokens, fallback=False):
-        tokens = tuple(tokens)
-        self._kind_ids = array("i", [KIND_IDS[t.kind] for t in tokens])
-        self._lines = array("i", [t.line for t in tokens])
-        self._cols = array("i", [t.col for t in tokens])
+    def __init__(self, kind_ids=(), lines=(), cols=(), fallback=False):
+        self._kind_ids, self.lines, self.cols = array("i", kind_ids), array("i", lines), array("i", cols)
         self.fallback = bool(fallback)
-
-    @classmethod
-    def _from_arrays(cls, kind_ids, lines, cols, fallback):
-        """Wrap the emitter's or the fallback lexer's buffers without copying."""
-        stream = cls.__new__(cls)
-        stream._kind_ids, stream._lines, stream._cols = kind_ids, lines, cols
-        stream.fallback = fallback
-        return stream
-
-    @property
-    def tokens(self):
-        return tuple(
-            StructuralToken(VOCABULARY[k], line, col)
-            for k, line, col in zip(self._kind_ids, self._lines, self._cols)
-        )
 
     @property
     def kinds(self):
@@ -165,7 +138,7 @@ def format_debug(stream: TokenStream) -> str:
     """Debug form consumed by the CLI: one ``kind line:col`` row per token."""
     return "\n".join(
         f"{VOCABULARY[k]} {line}:{col}"
-        for k, line, col in zip(stream._kind_ids, stream._lines, stream._cols)
+        for k, line, col in zip(stream._kind_ids, stream.lines, stream.cols)
     )
 
 
@@ -203,7 +176,7 @@ def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
     degrades to the lexer fallback and the stream is flagged.
     """
     if not source.strip():
-        return TokenStream(())
+        return TokenStream()
     if tree is NOT_PARSED:
         tree = parse(source)
     if tree is not None:
@@ -212,8 +185,8 @@ def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
         except RecursionError:
             pass
         else:
-            return TokenStream._from_arrays(*arrays, False)
-    return TokenStream._from_arrays(*_lex_fallback(source), True)
+            return TokenStream(*arrays)
+    return TokenStream(*_lex_fallback(source), fallback=True)
 
 
 # The kind ids the emitter appends, resolved once.

@@ -64,14 +64,17 @@ DEEP_EXPRESSIONS = {
 LONG_ELIF_CHAIN = "if a:\n    pass\n" + "elif a:\n    def f():\n        'doc'\n" * 1500
 
 
-# Embedding vectors whose float64 norm is not a positive finite number: a
-# zero vector, an empty one, one whose norm underflows to 0 and one whose
-# norm overflows to inf.
-BAD_NORM_VECTORS = {
-    "zero": [0.0, 0.0],
-    "empty": [],
+# Embedding vectors with no direction, which are refused: a zero vector and
+# an empty one.
+ZERO_VECTORS = {"zero": [0.0, 0.0], "empty": []}
+
+# Embedding vectors whose plain float64 norm underflows to 0 or overflows to
+# inf. Each has a direction, (1, 0) or (1, 1), so each is accepted.
+EXTREME_SCALE_VECTORS = {
     "denormal": [1e-320, 0.0],
     "huge": [1e308, 1e308],
+    "tiny": [1e-200, 0.0],
+    "large": [1e200, 0.0],
 }
 
 # Embedding vectors with an integer component beyond the float range, which

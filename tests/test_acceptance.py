@@ -26,7 +26,6 @@ from codediv.rewards import (
 )
 from codediv.similarity import (
     SimMatrix,
-    avg_similarity,
     clusters,
     effective_clusters,
     gst_match,
@@ -92,15 +91,12 @@ def test_03_passk_loo_pivotality():
         for n in range(2, 11):
             for bits in itertools.product([0, 1], repeat=n):
                 outcome = GroupOutcome.from_flags([b == 1 for b in bits])
-                raw = passk_loo_advantages(outcome, centered=False).a
+                # Raw credit on the signed scale: +2 for the unique correct
+                # sample, else 0; the group is then mean-centered.
                 unique = sum(bits) == 1
-                for i, bit in enumerate(bits):
-                    if bit and unique:
-                        assert raw[i] > 0.0
-                        assert raw[i] == 2.0  # signed scale
-                    else:
-                        assert raw[i] == 0.0
+                raw = np.array([2.0 if bit and unique else 0.0 for bit in bits])
                 centered = passk_loo_advantages(outcome).a
+                assert centered.tobytes() == (raw - raw.mean()).tobytes(), bits
                 assert abs(centered.sum()) <= 1e-9
         # Single-sample groups have no leave-one-out contrast: 0 by convention.
         assert passk_loo_advantages(GroupOutcome.from_flags([True])).a.tolist() == [0.0]
@@ -108,16 +104,9 @@ def test_03_passk_loo_pivotality():
 
 def test_04_rename_invariance_pairs():
     with criterion(4, "rename invariance of the fixture pairs"):
-        streams = [tokenize(s) for s in RENAMED_PAIR]
-        match = gst_match(streams[0], streams[1], min_match=5)
-        score = avg_similarity(match, len(streams[0]), len(streams[1]))
+        score = pairwise_matrix([tokenize(s) for s in RENAMED_PAIR], min_match=5).scores[0, 1]
         assert score == 1.0
-        variant_streams = [tokenize(s) for s in VARIANT_PAIR]
-        variant_score = avg_similarity(
-            gst_match(variant_streams[0], variant_streams[1], min_match=5),
-            len(variant_streams[0]),
-            len(variant_streams[1]),
-        )
+        variant_score = pairwise_matrix([tokenize(s) for s in VARIANT_PAIR], min_match=5).scores[0, 1]
         assert variant_score < score
 
 

@@ -16,7 +16,7 @@ from codediv.rewards import OBJECTIVES
 from codediv.similarity import SimMatrix
 from codediv.simulator import SimulationConfig
 
-from conftest import BAD_NORM_VECTORS, DEEP_EXPRESSIONS, RENAMED_PAIR
+from conftest import DEEP_EXPRESSIONS, EXTREME_SCALE_VECTORS, RENAMED_PAIR, ZERO_VECTORS
 
 
 def write_corpus(path, rows):
@@ -450,7 +450,7 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"error: parse: embeddings line 1: {message}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("vector", BAD_NORM_VECTORS.values(), ids=BAD_NORM_VECTORS)
+    @pytest.mark.parametrize("vector", ZERO_VECTORS.values(), ids=ZERO_VECTORS)
     def test_embedding_norm_checked(self, duplicate_corpus, tmp_path, capsys, vector):
         emb = tmp_path / "emb.jsonl"
         emb.write_text(
@@ -463,9 +463,23 @@ class TestReportCommand:
         argv = ["report", "--corpus", str(duplicate_corpus), "--k", "1", "--embeddings", str(emb)]
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        norm = "inf" if vector == BAD_NORM_VECTORS["huge"] else "0.0"
-        assert err == f"error: parse: embeddings line 1: vector norm is {norm}, not a positive finite number\n"
+        assert err == "error: parse: embeddings line 1: vector norm is 0.0, not a positive finite number\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("vector", EXTREME_SCALE_VECTORS.values(), ids=EXTREME_SCALE_VECTORS)
+    def test_embedding_of_any_scale_accepted(self, duplicate_corpus, tmp_path, vector):
+        # The second sample has the first one's direction at unit scale.
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text(
+            json.dumps({"prompt_id": "p1", "sample_id": 0, "vector": vector})
+            + "\n"
+            + json.dumps({"prompt_id": "p1", "sample_id": 1, "vector": [1.0 if x else 0.0 for x in vector]})
+            + "\n"
+        )
+        out = tmp_path / "out"
+        argv = ["report", "--corpus", str(duplicate_corpus), "--k", "1", "--embeddings", str(emb)]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert read_json(out / "report.json")["prompts"]["p1"]["vendi"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestKeyedInputs:

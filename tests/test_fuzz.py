@@ -30,7 +30,7 @@ from codediv.rewards import OBJECTIVES
 from codediv.similarity import SimMatrix
 
 import test_simulator
-from conftest import BAD_NORM_VECTORS, BAD_RANGE_VECTORS
+from conftest import BAD_RANGE_VECTORS, EXTREME_SCALE_VECTORS, ZERO_VECTORS
 
 SOURCES = [
     "def f(x):\n    return x + 1\n",
@@ -55,7 +55,7 @@ BAD_VALUES = [
     [(file, "sample_id", value) for file in ("corpus", "embeddings") for value in (True, -1, 1.5, "0")],
     [("corpus", "correct", 1), ("corpus", "correct", MISSING)],
     [("corpus", "text", 5), ("corpus", "source", ["x"]), ("corpus", "text", MISSING)],
-    [("embeddings", "vector", vector) for vector in [*BAD_NORM_VECTORS.values(), *BAD_RANGE_VECTORS.values()]],
+    [("embeddings", "vector", vector) for vector in [*ZERO_VECTORS.values(), *EXTREME_SCALE_VECTORS.values(), *BAD_RANGE_VECTORS.values()]],
     [("embeddings", "vector", vector) for vector in ([True, False], [[1.0], [2.0]], [1.0, 2.0, 3.0], MISSING)],
     # Whole lines that replace a record, and "repeat" for a record written twice.
     [(file, None, line) for file in ("corpus", "embeddings") for line in ("[1, 2]", '"record"', "{not json", "repeat")],

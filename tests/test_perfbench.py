@@ -12,7 +12,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
+import codediv
 from codediv import cli
+from codediv.tokenizer import TokenStream, tokenize
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -23,6 +27,21 @@ def _recorder():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.Recorder()
+
+
+def _rl_groups_hook():
+    # workloads.py imports its siblings as the top-level modules ``checks``
+    # and ``gen``: they are found on perfbench/ and dropped again after.
+    sys.path.insert(0, PERFBENCH)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(PERFBENCH)
+        for name in ("checks", "gen"):
+            sys.modules.pop(name, None)
+    return module.RlGroups.hook
 
 
 def test_selftest_passes():
@@ -76,3 +95,23 @@ def test_traced_simulate_counts_one_step_per_step(tmp_path):
     names = [span[0] for span in rec.spans]
     assert names.count("simulator.run") == 2
     assert names.count("simulator.step") == 6
+
+
+def test_direct_reads_of_the_package():
+    # run.py records codediv.GST_BACKEND, and the rl-groups hook builds the
+    # stream of a completion with no code, or a blank fence, as
+    # TokenStream([]), which gen.rl_groups never exercises.
+    assert isinstance(codediv.GST_BACKEND, str)
+    assert TokenStream([]) == tokenize("")
+    assert not TokenStream([]).fallback
+    texts = [
+        "No code, only prose.",
+        "```python\n\n```\n",
+        "```python\ndef f(x):\n    return x + 1\n```\n",
+        "```python\ndef g(y):\n    return y + 1\n```\n",
+    ]
+    scores, adv = _rl_groups_hook()(texts, [False, True, True, False])
+    assert scores.shape == (4, 4) and adv.shape == (4,)
+    assert np.isfinite(scores).all() and np.isfinite(adv).all()
+    # Two blank streams are duplicates, and a blank one matches no code.
+    assert scores[0, 1] == 1.0 and scores[0, 2] == 0.0 and scores[2, 3] == 1.0

@@ -48,9 +48,13 @@ class TestBaseAdvantages:
         vec = base_advantages(outcome(True, False, False))
         assert np.allclose(vec.a, [4 / 3, -2 / 3, -2 / 3], atol=1e-12)
 
-    def test_raw_variant(self):
-        vec = base_advantages(outcome(True, False), centered=False)
-        assert vec.a.tolist() == [1.0, -1.0]
+    def test_literal_definition_exhaustive(self):
+        # The signed reward 2c - 1 minus its group mean, computed as written.
+        for n in range(1, 8):
+            for flags in all_flag_vectors(n):
+                r = [1.0 if flag else -1.0 for flag in flags]
+                literal = [x - sum(r) / n for x in r]
+                assert base_advantages(outcome(*flags)).a.tolist() == literal, flags
 
     def test_centered_sums_to_zero(self):
         for n in range(1, 8):
@@ -60,9 +64,9 @@ class TestBaseAdvantages:
 
 class TestPassKLoo:
     def test_unique_correct_pivotal(self):
-        raw = passk_loo_advantages(outcome(True, False, False), centered=False)
-        assert raw.a.tolist() == [2.0, 0.0, 0.0]
+        # Raw credit [2, 0, 0] on the signed scale, minus its mean 2/3.
         centered = passk_loo_advantages(outcome(True, False, False))
+        assert centered.a.tolist() == [2.0 - 2 / 3, -2 / 3, -2 / 3]
         assert np.allclose(centered.a, [4 / 3, -2 / 3, -2 / 3], atol=1e-12)
 
     def test_two_correct_nobody_pivotal(self):
@@ -75,28 +79,26 @@ class TestPassKLoo:
         assert passk_loo_advantages(outcome(True)).a.tolist() == [0.0]
 
     def test_pivotality_law_exhaustive(self):
-        # Raw advantage is +2 exactly for the unique correct sample, else 0.
+        # Raw advantage is +2 exactly for the unique correct sample, else 0;
+        # the credit is that minus its group mean.
         for n in range(2, 11):
             for flags in all_flag_vectors(n):
-                out = outcome(*flags)
-                raw = passk_loo_advantages(out, centered=False).a
                 m = sum(flags)
-                for i, flag in enumerate(flags):
-                    if flag and m == 1:
-                        assert raw[i] == 2.0
-                    else:
-                        assert raw[i] == 0.0
-                centered = passk_loo_advantages(out).a
+                raw = [2.0 if flag and m == 1 else 0.0 for flag in flags]
+                centered = passk_loo_advantages(outcome(*flags)).a
+                assert centered.tolist() == [x - sum(raw) / n for x in raw], flags
                 assert abs(centered.sum()) < 1e-9
 
     def test_literal_definition_exhaustive(self):
-        # max_j r_j - max_{j != i} r_j, computed as written on the signed scale.
+        # max_j r_j - max_{j != i} r_j, computed as written on the signed
+        # scale, minus its group mean.
         for n in range(2, 11):
             for flags in all_flag_vectors(n):
                 r = [1.0 if flag else -1.0 for flag in flags]
                 literal = np.array([max(r) - max(r[:i] + r[i + 1 :]) for i in range(n)])
-                raw = passk_loo_advantages(outcome(*flags), centered=False).a
-                assert raw.dtype == literal.dtype and raw.tobytes() == literal.tobytes(), flags
+                centered = passk_loo_advantages(outcome(*flags)).a
+                expected = literal - literal.mean()
+                assert centered.dtype == expected.dtype and centered.tobytes() == expected.tobytes(), flags
 
 
 class TestPkpo:
@@ -118,12 +120,13 @@ class TestPkpo:
 
     def test_k_equals_n_matches_group_loo_on_binary_scale(self):
         # Single subset: pkpo equals the {0,1}-scale group LOO, which is the
-        # signed-scale raw passk_loo divided by two.
+        # signed-scale raw passk_loo (+2 for a unique correct sample, else 0)
+        # divided by two; passk_loo is that raw credit mean-centered.
         for flags in all_flag_vectors(5):
             out = outcome(*flags)
-            pk = pkpo_advantages(out, k=5).a
-            raw_signed = passk_loo_advantages(out, centered=False).a
-            assert np.allclose(pk, raw_signed / 2.0, atol=1e-12)
+            raw_signed = np.array([2.0 if flag and sum(flags) == 1 else 0.0 for flag in flags])
+            assert np.allclose(pkpo_advantages(out, k=5).a, raw_signed / 2.0, atol=1e-12)
+            assert np.allclose(passk_loo_advantages(out).a, raw_signed - raw_signed.mean(), atol=1e-12)
 
     def test_matches_bruteforce_everywhere(self):
         for n in range(1, 8):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from codediv import similarity
 from codediv.similarity import (
-    MatchSet,
     SimMatrix,
-    avg_similarity,
     clusters,
     count_lex_tokens,
     effective_clusters,
@@ -48,11 +46,19 @@ def content_order(a, b):
     return (a, b) if key_a <= key_b else (b, a)
 
 
+def dice(matched, len_a, len_b):
+    """The pair score of two streams that are not both empty."""
+    return 2 * matched / (len_a + len_b)
+
+
 def brute_force_cell(a, b, min_match):
-    """A matrix cell of ``a`` and ``b``: the brute-force tiles of the pair in
+    """A matrix cell of ``a`` and ``b``: 1.0 if the streams are equal, which
+    match in full at any length; else the brute-force tiles of the pair in
     content order, scored."""
+    if np.array_equal(a, b):
+        return 1.0
     a, b = content_order(a, b)
-    return avg_similarity(MatchSet.from_tiles(brute_force_tiles(a, b, min_match)), len(a), len(b))
+    return dice(sum(tile[2] for tile in brute_force_tiles(a, b, min_match)), len(a), len(b))
 
 
 class TestGstMatch:
@@ -366,13 +372,14 @@ class TestHostileShapes:
         assert bounded_call(lambda: gst_match(a, b), measured_s, measured_mb).tiles == expected
 
 
-class TestAvgSimilarity:
+class TestPairScore:
     def test_identical_full_score(self):
         ids = as_ids([1, 2, 3, 4, 5, 6])
         assert pairwise_matrix([ids, ids], min_match=5).scores[0, 1] == 1.0
 
     def test_empty_match_zero(self):
-        assert avg_similarity(MatchSet.from_tiles([]), 10, 10) == 0.0
+        a, b = as_ids([0] * 10), as_ids([1] * 10)
+        assert pairwise_matrix([a, b], min_match=5).scores[0, 1] == 0.0
 
     def test_two_run_example_full_score(self):
         a = as_ids([0] * 5 + [1] * 5)
@@ -387,10 +394,10 @@ class TestAvgSimilarity:
         assert pairwise_matrix([a, b], min_match=2).scores[0, 1] > 0.0
 
     def test_empty_stream_conventions(self):
-        empty = MatchSet.from_tiles([])
-        assert avg_similarity(empty, 0, 0) == 1.0
-        assert avg_similarity(empty, 0, 7) == 0.0
-        assert avg_similarity(empty, 7, 0) == 0.0
+        empty, seven = as_ids([]), as_ids([1] * 7)
+        assert pairwise_matrix([empty, empty]).scores[0, 1] == 1.0
+        assert pairwise_matrix([empty, seven]).scores[0, 1] == 0.0
+        assert pairwise_matrix([seven, empty]).scores[0, 1] == 0.0
 
     @given(a=IDS, b=IDS)
     # Tiled as (a, b) this pair matches 6 tokens, as (b, a) only 3.
@@ -516,8 +523,8 @@ class TestPairwiseMatrix:
             assert len(calls) == len(keys)
             assert set(calls) == keys
             for i, j, a, b in cells:
-                if a == b:  # one tile of the whole stream, or none under k
-                    assert scores[i, j] == (1.0 if len(a) >= 2 or not a else 0.0)
+                if a == b:  # a full match, whatever the length
+                    assert scores[i, j] == 1.0
 
     def test_near_duplicate_group_memory_is_bounded(self):
         # Collapsed sampling: 64 copies of one 150-token program over 44
@@ -538,8 +545,7 @@ class TestPairwiseMatrix:
         for i, j in rng.choice(64, size=(40, 2)):
             if i != j:
                 i, j = min(i, j), max(i, j)
-                brute = MatchSet.from_tiles(brute_force_tiles(group[i], group[j], 5))
-                assert matrix.scores[i, j] == avg_similarity(brute, 150, 150)
+                assert matrix.scores[i, j] == brute_force_cell(group[i], group[j], 5)
 
     def test_keys_never_match_across_stream_boundaries(self, rng):
         # The group's distinct streams are ranked as one concatenation. Here
@@ -567,8 +573,24 @@ class TestPairwiseMatrix:
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
                     a, b = content_order(group[i], group[j])
-                    direct = avg_similarity(gst_match(a, b, min_match), len(a), len(b))
+                    if np.array_equal(a, b):
+                        direct = 1.0
+                    else:
+                        direct = dice(gst_match(a, b, min_match).matched_tokens, len(a), len(b))
                     assert scores[i, j] == direct == brute_force_cell(a, b, min_match)
+
+    def test_equal_programs_shorter_than_min_match_are_duplicates(self):
+        # `pass` is 3 tokens and `import os` 4, both below the default
+        # min_match of 5; equal streams still match in full, while a short
+        # stream matches nothing in a different one.
+        assert len(tokenize("pass\n")) == 3
+        assert pairwise_matrix([tokenize("pass\n")] * 2).scores[0, 1] == 1.0
+        assert pairwise_matrix([tokenize("import os\n"), tokenize("import sys\n")]).scores[0, 1] == 1.0
+        assert pairwise_matrix([tokenize("pass\n"), tokenize("import os\n")]).scores[0, 1] == 0.0
+        matrix = pairwise_matrix([tokenize("pass\n")] * 8)
+        assert jdiv(matrix) == 0.0
+        assert clusters(matrix) == (0,) * 8
+        assert effective_clusters(clusters(matrix)) == 1.0
 
     def test_huge_min_match_equals_one_past_longest(self, rng):
         # A stream shorter than k keys nothing and ranking stops at the

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 from codediv.tokenizer import (
     _HANDLERS,
     _KINDS,
+    KIND_IDS,
     VOCABULARY,
-    StructuralToken,
     TokenStream,
     format_debug,
     parse,
-    token_vocabulary,
     tokenize,
 )
 
@@ -24,7 +23,7 @@ from conftest import DEEP_EXPRESSIONS, LONG_ELIF_CHAIN, RENAMED_PAIR, VARIANT_PA
 
 class TestVocabulary:
     def test_contains_core_kinds(self):
-        vocab = set(token_vocabulary())
+        vocab = set(VOCABULARY)
         expected = {
             "DEF_BEGIN",
             "DEF_END",
@@ -39,14 +38,14 @@ class TestVocabulary:
         assert expected <= vocab
 
     def test_closed_and_large_enough(self):
-        vocab = token_vocabulary()
+        vocab = VOCABULARY
         assert len(vocab) == len(set(vocab))
         assert len(vocab) >= 25
         # Pinned: the id order is a wire format, append-only within a major
         # version.
         assert len(vocab) == 44
-        assert tuple(vocab) == VOCABULARY
-        assert vocab[:2] == ["MODULE_BEGIN", "MODULE_END"]
+        assert KIND_IDS == {kind: i for i, kind in enumerate(vocab)}
+        assert vocab[:2] == ("MODULE_BEGIN", "MODULE_END")
 
     def test_no_identifier_text_kinds(self):
         # Kinds are a fixed enumeration: tokenizing any program introduces
@@ -144,7 +143,7 @@ class TestProperties:
         for src in programs:
             stream = tokenize(src)
             assert not stream.fallback
-            positions = [(t.line, t.col) for t in stream.tokens]
+            positions = list(zip(stream.lines, stream.cols))
             assert positions == sorted(positions), src
 
     def test_determinism(self):
@@ -152,7 +151,8 @@ class TestProperties:
         first = tokenize(src)
         second = tokenize(src)
         assert first == second
-        assert [t for t in first.tokens] == [t for t in second.tokens]
+        assert (first.lines, first.cols) == (second.lines, second.cols)
+        assert format_debug(first) == format_debug(second)
 
 
 class TestFallback:
@@ -203,7 +203,7 @@ class TestDeepExpressions:
         # Spine operators outermost first, then the leftmost operand, then
         # right operands innermost first; nested right operands recurse.
         stream = tokenize("x = a * b + (c - d) - e\n")
-        assert [(t.kind, t.col) for t in stream.tokens[2:-1]] == [
+        assert list(zip(stream.kinds, stream.cols))[2:-1] == [
             ("IDENT", 0),
             ("BINOP", 4),
             ("BINOP", 4),
@@ -257,7 +257,7 @@ class TestDeepExpressions:
         # Spine nodes outermost first, then the base, then call arguments
         # and slices innermost first; nested arguments recurse.
         stream = tokenize("y = f(a)[i].g(b, k=c)\n")
-        assert [(t.kind, t.col) for t in stream.tokens[2:-1]] == [
+        assert list(zip(stream.kinds, stream.cols))[2:-1] == [
             ("IDENT", 0),
             ("APPLY", 4),
             ("ATTR", 4),
@@ -576,12 +576,15 @@ class TestDebugFormat:
 class TestArrayStorage:
     PROGRAMS = (RENAMED_PAIR[0], VARIANT_PAIR[0], VARIANT_PAIR[1], "def f(:\n    return x +\n")
 
-    def test_built_from_tokens_equals_emitted(self):
-        for src in self.PROGRAMS:
+    def test_rebuilt_from_arrays_equals_emitted(self):
+        # Blank, fallback and parsed sources round-trip through the one
+        # constructor with their kinds, positions and flag.
+        for src in ("", " \n") + self.PROGRAMS:
             emitted = tokenize(src)
-            rebuilt = TokenStream(list(emitted.tokens), fallback=emitted.fallback)
+            rebuilt = TokenStream(emitted.ids, emitted.lines, emitted.cols, emitted.fallback)
             assert rebuilt == emitted
-            assert rebuilt.tokens == emitted.tokens
+            assert rebuilt.fallback == emitted.fallback
+            assert (rebuilt.lines, rebuilt.cols) == (emitted.lines, emitted.cols)
             assert rebuilt.ids.tolist() == emitted.ids.tolist()
             assert format_debug(rebuilt) == format_debug(emitted)
 
@@ -595,27 +598,28 @@ class TestArrayStorage:
             assert ids.tolist() == [VOCABULARY.index(k) for k in stream.kinds]
         assert TokenStream([]).ids.shape == (0,)
 
-    def test_tokens_round_trip_kinds_and_positions(self):
-        tokens = [
-            StructuralToken("MODULE_BEGIN", 1, 0),
-            StructuralToken("ASSIGN", 3, 4),
-            StructuralToken("IDENT", 3, 4),
-            StructuralToken("LIT_STR", 7, 120),
-            StructuralToken("MODULE_END", 70000, 2),
-        ]
-        stream = TokenStream(tokens)
-        assert stream.tokens == tuple(tokens)
-        assert stream.kinds == tuple(t.kind for t in tokens)
-        assert [(t.line, t.col) for t in stream.tokens] == [(t.line, t.col) for t in tokens]
+    def test_arrays_round_trip_kinds_and_positions(self):
+        kinds = ("MODULE_BEGIN", "ASSIGN", "IDENT", "LIT_STR", "MODULE_END")
+        lines, cols = [1, 3, 3, 7, 70000], [0, 4, 4, 120, 2]
+        stream = TokenStream([KIND_IDS[k] for k in kinds], lines, cols)
+        assert stream.kinds == kinds
+        assert stream.lines.tolist() == lines
+        assert stream.cols.tolist() == cols
         assert len(stream) == 5
         assert not stream.fallback
+
+    def test_arrays_are_copied(self):
+        stream = tokenize("x = 1\n")
+        rebuilt = TokenStream(stream._kind_ids, stream.lines, stream.cols)
+        rebuilt.lines[0] = 99
+        assert stream.lines[0] == 1
 
     def test_fallback_keeps_flag(self):
         stream = tokenize("def f(:\n    x = 1\n")
         assert stream.fallback
         assert repr(stream) == f"TokenStream({len(stream)} tokens, fallback)"
-        assert TokenStream(stream.tokens, fallback=True).fallback
-        assert not TokenStream(stream.tokens).fallback
+        assert TokenStream(stream.ids, stream.lines, stream.cols, fallback=True).fallback
+        assert not TokenStream(stream.ids, stream.lines, stream.cols).fallback
 
     def test_shared_tree_gives_same_stream(self):
         for src in self.PROGRAMS:
@@ -627,5 +631,5 @@ class TestArrayStorage:
     def test_equality_and_hash_follow_kinds(self):
         a, b = tokenize("x = 1\n"), tokenize("\n\ny   =   2\n")
         assert a == b and hash(a) == hash(b)
-        assert [t.line for t in a.tokens] != [t.line for t in b.tokens]
+        assert a.lines != b.lines
         assert a != tokenize("x = f(1)\n")
