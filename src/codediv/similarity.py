@@ -33,14 +33,16 @@ tables, grown to the levels it needs and kept for the group's later pairs.
 The tests check both against a brute-force extension-scan oracle, tile for
 tile.
 
-A group is tiled row by row. Its distinct streams are ranked once and
-their k-gram windows sorted once by key and stream; each stream then joins
-its keys with those of all later streams in one pass. The pass counts
-every pair's hits from per-(key, stream) window counts before expanding
-any, so a pair above the hit bound goes to the probes unexpanded and a row
-never holds more hits than the bound allows. ``gst_match`` is a group of
-two. Renamed copies, the redundancy this package measures, share one
-structural stream, so their cells reuse a score instead of tiling again.
+A group is tiled in batches of consecutive rows. Its distinct streams are
+ranked once and their k-gram windows sorted once by key and stream; the
+streams of a batch then join their keys with those of all later streams in
+one pass. The pass counts every pair's hits from per-(key, stream) window
+counts before expanding any, so a pair above the hit bound goes to the
+probes unexpanded. A batch holds at most the hits that one pair below the
+bound may expand, or one row's, never the whole group's, and each pair's
+tiles are scored as they come. ``gst_match`` is a group of two. Renamed
+copies, the redundancy this package measures, share one structural stream,
+so their cells reuse a score instead of tiling again.
 A group's distinct streams are ranked by content and each pair is tiled
 once, lower rank first, so permuting the samples permutes the matrix.
 
@@ -70,7 +72,8 @@ DEFAULT_TAU = 0.7
 #: A pair with more exact k-gram hits than this many per token is tiled by
 #: length probes instead: repetitive streams give hits by the million but
 #: few runs. On random pairs of 100-600 tokens the two paths cost about the
-#: same at 4-16 hits per token.
+#: same at 4-16 hits per token. The group join batches rows while their hits
+#: fit this many per token of the group's two longest streams.
 PROBE_HITS_PER_TOKEN = 8
 
 
@@ -232,22 +235,35 @@ def _tile_runs(a, b, heap, k):
     return tiles
 
 
+def _row_batches(row_hits, budget):
+    """Consecutive runs ``(s0, s1)`` over the rows of ``row_hits``, each as long
+    as its hits sum to at most ``budget``; a row above it is a run alone."""
+    before = np.concatenate(([0], np.cumsum(row_hits)))
+    s0 = 0
+    while s0 < len(row_hits):
+        s1 = max(int(np.searchsorted(before, before[s0] + budget, "right")) - 1, s0 + 1)
+        yield s0, s1
+        s0 = s1
+
+
 def _group_tiles(streams, k):
     """The tiles of each pair ``(s, t)``, s < t, of a group's token id
-    arrays, by pair.
+    arrays, yielded as ``((s, t), tiles)`` in row order.
 
     The streams are ranked once, concatenated, and the group's k-gram
     windows are sorted once by key, then by stream. The windows of one key
-    in one stream form a (key, stream) group. Row s joins its groups with
-    the later streams' groups of the same keys, all at once. It counts each
-    pair's hits exactly from the group sizes before expanding any, leaves
-    the pairs above the hit bound to the length probes, and cuts the other
-    pairs' hits into their maximal common runs. So a row holds at most
-    ``PROBE_HITS_PER_TOKEN`` hits per token of its pairs, never the hits of
-    the whole group.
+    in one stream form a (key, stream) group. Consecutive rows are joined
+    in batches, each row's groups with the later streams' groups of the
+    same keys, all at once. A batch counts each pair's hits exactly from
+    the group sizes before expanding any, leaves the pairs above the hit
+    bound to the length probes, and cuts the other pairs' hits into their
+    maximal common runs. A batch holds at most ``PROBE_HITS_PER_TOKEN``
+    hits per token of the group's two longest streams, the most one pair
+    may expand, or else one row's hits, rather than the whole group's.
     """
     m = len(streams)
     lengths = np.array([len(ids) for ids in streams])
+    k = min(k, int(lengths.max()) + 1)  # any k past the longest stream keys nothing; this one fits int64
     windows = [max(n - k + 1, 0) for n in lengths.tolist()]  # a stream shorter than k keys nothing
     offsets = np.cumsum(lengths) - lengths
     # Ranking stops at the level that keys a k-gram, or at level 0 if no
@@ -261,8 +277,9 @@ def _group_tiles(streams, k):
     order = np.argsort(keys, kind="stable")
     keys, owner, starts = keys[order], owner[order], starts[order]
     new_key = np.diff(keys, prepend=-1) != 0
+    del keys, order  # the batches keep only the arrays they read
     first = np.flatnonzero(new_key | (np.diff(owner, prepend=-1) != 0))
-    size = np.diff(first, append=len(keys))  # windows of each (key, stream) group
+    size = np.diff(first, append=len(owner))  # windows of each (key, stream) group
     owner = owner[first]
     # A key's groups are contiguous, by stream; key_end[g] is one past them.
     new_key = new_key[first]
@@ -270,49 +287,56 @@ def _group_tiles(streams, k):
     by_owner = np.argsort(owner, kind="stable")
     row_groups = np.searchsorted(owner[by_owner], np.arange(m + 1))
     width = int(lengths.max()) + 1
+    # Row s's hits (exact below 2^53): each window of its groups times the
+    # windows from the group's end to its key's. The last row has no pairs.
+    row_hits = np.bincount(
+        owner, weights=size * (np.append(first, len(starts))[key_end] - first - size), minlength=m
+    )[:-1]
 
-    def row(s):
-        """Which later streams s leaves to the probes, and the runs of s
-        against the others: per stream t, ``bounds[t]:bounds[t + 1]`` of
-        the run lists (-length, start in s, start in t)."""
-        la = int(lengths[s])
-        ga = by_owner[row_groups[s] : row_groups[s + 1]]
+    def join_rows(s0, s1):
+        """Which pairs of rows s0..s1-1 go to the probes, and the runs of
+        the others: pair (s, t) is p = (s - s0) * m + t, its runs
+        ``bounds[p]:bounds[p + 1]`` of the run lists (-length, start in s,
+        start in t)."""
+        ga = by_owner[row_groups[s0] : row_groups[s1]]
         later = key_end[ga] - ga - 1  # groups of later streams with ga's key
         gb = np.repeat(ga + 1 - np.cumsum(later) + later, later) + np.arange(later.sum())
         ga = np.repeat(ga, later)
-        pair_hits = size[ga] * size[gb]
-        hits = np.bincount(owner[gb], weights=pair_hits, minlength=m)  # exact below 2^53
-        probed = hits > PROBE_HITS_PER_TOKEN * (la + lengths)
-        join = ~probed[owner[gb]]
-        ga, gb, pair_hits = ga[join], gb[join], pair_hits[join]
+        pair, pair_hits = (owner[ga] - s0) * m + owner[gb], size[ga] * size[gb]
+        hits = np.bincount(pair, weights=pair_hits, minlength=(s1 - s0) * m)
+        # Only two empty streams have 0 tokens; the floor keeps an infinite
+        # factor off them, and moves no bound of a pair with hits.
+        probed = hits > PROBE_HITS_PER_TOKEN * np.maximum(lengths[s0:s1, None] + lengths, 1).ravel()
+        join = ~probed[pair]
+        ga, gb, pair, pair_hits = ga[join], gb[join], pair[join], pair_hits[join]
         # Hit h of group pair p pairs window q of ga's group with window r
-        # of gb's. Hits in s and t are packed as (t * (la + width) + i - j
-        # + width) * (la + 1) + i and sorted: by pair, diagonal, then i.
+        # of gb's. Hits in s and t are packed as (pair * 2 * width + i - j +
+        # width) * width + i and sorted: by pair, diagonal, then i.
         # Consecutive hits of one diagonal's run differ by exactly 1, and
         # hits on two diagonals or pairs by at least k + 1.
         p = np.repeat(np.arange(len(pair_hits)), pair_hits)
         q, r = np.divmod(np.arange(len(p)) - (np.cumsum(pair_hits) - pair_hits)[p], size[gb][p])
         i, j = starts[first[ga][p] + q], starts[first[gb][p] + r]
-        packed = np.sort((owner[gb][p] * (la + width) + i - j + width) * (la + 1) + i)
+        packed = np.sort((pair[p] * 2 * width + i - j + width) * width + i)
         gap = np.diff(packed, prepend=-2, append=packed[-1:] + 2) != 1
         head, tail = packed[gap[:-1]], packed[gap[1:]]
-        diagonal, i = np.divmod(head, la + 1)
-        t, diagonal = np.divmod(diagonal, la + width)
-        bounds = np.searchsorted(t, np.arange(m + 1))
-        return probed, bounds, (head - tail - k).tolist(), i.tolist(), (i - diagonal + width).tolist()
+        diagonal, i = np.divmod(head, width)
+        pair, diagonal = np.divmod(diagonal, 2 * width)
+        bounds = np.searchsorted(pair, np.arange(len(hits) + 1))
+        return probed.tolist(), bounds.tolist(), (head - tail - k).tolist(), i.tolist(), (i - diagonal + width).tolist()
 
-    no_runs = np.zeros(m, dtype=bool), np.zeros(m + 1, dtype=np.int64), [], [], []
-    tiles = {}
-    for s in range(m):
-        probed, bounds, neg, in_s, in_t = row(s) if windows[s] else no_runs
-        for t in range(s + 1, m):
-            if probed[t]:
-                tiles[s, t] = _probe_tiles(keyed[s], keyed[t], k)
-            else:
-                runs = slice(bounds[t], bounds[t + 1])
-                heap = list(zip(neg[runs], in_s[runs], in_t[runs]))
-                tiles[s, t] = _tile_runs(streams[s], streams[t], heap, k)
-    return tiles
+    budget = PROBE_HITS_PER_TOKEN * max(int(np.sort(lengths)[-2:].sum()), 1)
+    for s0, s1 in _row_batches(row_hits, budget):
+        probed, bounds, neg, in_s, in_t = join_rows(s0, s1)
+        for s in range(s0, s1):
+            for t in range(s + 1, m):
+                p = (s - s0) * m + t
+                if probed[p]:
+                    yield (s, t), _probe_tiles(keyed[s], keyed[t], k)
+                else:
+                    runs = slice(bounds[p], bounds[p + 1])
+                    heap = list(zip(neg[runs], in_s[runs], in_t[runs]))
+                    yield (s, t), _tile_runs(streams[s], streams[t], heap, k)
 
 
 def _check_min_match(min_match):
@@ -328,7 +352,7 @@ def gst_match(a, b, min_match=DEFAULT_MIN_MATCH):
     in ``b``. Deterministic for fixed inputs.
     """
     _check_min_match(min_match)
-    return MatchSet.from_tiles(_group_tiles([_as_ids(a), _as_ids(b)], int(min_match))[0, 1])
+    return MatchSet.from_tiles(next(_group_tiles([_as_ids(a), _as_ids(b)], int(min_match)))[1])
 
 
 def _dice(common, total):
@@ -402,7 +426,7 @@ def pairwise_matrix(group, min_match=DEFAULT_MIN_MATCH) -> SimMatrix:
     lengths = np.array([len(a) for a in streams])
     # A stream matches an equal one in full, shorter than k or not.
     matched = np.diag(lengths)
-    for (s, t), tiles in _group_tiles(streams, k).items():
+    for (s, t), tiles in _group_tiles(streams, k):
         matched[s, t] = matched[t, s] = sum(tile[2] for tile in tiles)
     # The Dice score of every cell at once, the diagonal's 1.0 included: a
     # stream paired with an empty one matches nothing and scores 0, and two
