@@ -180,11 +180,20 @@ def cmd_tokens(args):
 
 def cmd_similarity(args):
     corpus = _load_corpus(args.corpus)
+    # Every name is fixed before any file is written: two prompt ids can
+    # share a slug ("a b" and "a_b-7dbde935"), and one matrix would replace
+    # the other.
+    names = {}
+    for group in corpus:
+        name = f"{_slug(group.prompt_id)}.simmatrix.txt"
+        if name in names:
+            raise CliError("input", f"prompt ids {names[name]!r} and {group.prompt_id!r} both name {name}")
+        names[name] = group.prompt_id
 
     def matrices():
-        for group in corpus:
+        for name, group in zip(names, corpus):
             matrix = pairwise_matrix([tokenize(s) for s in group.sources], min_match=args.min_match)
-            yield f"{_slug(group.prompt_id)}.simmatrix.txt", matrix.to_text()
+            yield name, matrix.to_text()
 
     params = {"min_match": args.min_match, "gst_backend": GST_BACKEND}
     _write_outputs(args.out, "similarity", {"corpus": args.corpus}, params, matrices(), sweep="*.simmatrix.txt")

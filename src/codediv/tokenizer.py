@@ -8,16 +8,18 @@ or whitespace therefore produce equal streams, which is the property the
 similarity layer builds on.
 
 Well-formed source is parsed with the standard ``ast`` module (``parse``)
-and walked in source order, as JPlag's front ends do: a table maps each node
-type that is "one kind, then its children" to that kind, and handler methods
-cover the node types with their own order or begin/end pairs (see
-``_StructuralEmitter``). A caller that also needs the tree, such as the
-comment and docstring stripper in ``ingest``, parses once and hands the
-same tree to ``tokenize``. Generated code is frequently malformed; in that
-case a plain lexer pass still normalizes identifiers and literals but emits
-none of the block begin/end kinds, and the resulting stream is flagged
-``fallback`` so reports can count degraded inputs. Blank source (such as a
-sample with no code) is the empty stream, with no module to begin or end.
+and walked in source order, as JPlag's front ends do, by three rules (see
+``_StructuralEmitter``): one table maps each node type that is "one kind,
+then its children" to that kind, a second maps each loop, ``with``, ``try``
+and comprehension to the begin/end pair around its children, and handler
+methods cover the node types with an order of their own. A caller that
+also needs the tree, such as the comment and docstring stripper in
+``ingest``, parses once and hands the same tree to ``tokenize``. Generated
+code is frequently malformed; in that case a plain lexer pass still
+normalizes identifiers and literals but emits none of the block begin/end
+kinds, and the resulting stream is flagged ``fallback`` so reports can
+count degraded inputs. Blank source (such as a sample with no code) is the
+empty stream, with no module to begin or end.
 
 A stream is three ``array('i')`` buffers: the kind ids, and each token's
 line and column (``TokenStream.lines`` and ``.cols``), which
@@ -94,9 +96,12 @@ class TokenStream:
 
     ``kind_ids`` are indices into ``VOCABULARY``; ``lines`` (1-based) and
     ``cols`` (0-based) give each token's position, one entry per kind id.
-    All three are stored as ``array('i')`` copies, a memcpy when given an
-    ``array('i')``. The matcher reads ``ids``, a zero-copy view of the kind
-    ids.
+    A structural stream has ``ast``'s positions: lines end at "\n", "\r\n"
+    or a lone "\r", and columns count UTF-8 bytes. A fallback stream has
+    the ``tokenize`` module's: lines end at "\n", and columns count
+    characters (``s = 'é' +`` puts its BINOP at 1:8). All three are stored
+    as ``array('i')`` copies, a memcpy when given an ``array('i')``. The
+    matcher reads ``ids``, a zero-copy view of the kind ids.
 
     Equality is defined over the kind sequence only: positions are debug
     metadata and change under renaming or reformatting, while the kind
@@ -192,14 +197,12 @@ def tokenize(source: str, tree=NOT_PARSED) -> TokenStream:
 # The kind ids the emitter appends, resolved once.
 (
     _MODULE_BEGIN, _MODULE_END, _DEF_BEGIN, _DEF_END, _CLASS_BEGIN, _CLASS_END,
-    _IF_BEGIN, _ELIF, _ELSE, _IF_END, _FOR_BEGIN, _FOR_END, _WHILE_BEGIN, _WHILE_END,
-    _TRY_BEGIN, _EXCEPT, _FINALLY, _TRY_END, _WITH_BEGIN, _WITH_END, _COMP_BEGIN, _COMP_END,
+    _IF_BEGIN, _ELIF, _ELSE, _IF_END, _FINALLY,
     _ASSIGN, _APPLY, _IMPORT, _LAMBDA, _BINOP, _SUBSCRIPT, _ATTR,
     _LIT_NUM, _LIT_STR, _LIT_BOOLNONE, _IDENT,
 ) = (KIND_IDS[kind] for kind in """
     MODULE_BEGIN MODULE_END DEF_BEGIN DEF_END CLASS_BEGIN CLASS_END
-    IF_BEGIN ELIF ELSE IF_END FOR_BEGIN FOR_END WHILE_BEGIN WHILE_END
-    TRY_BEGIN EXCEPT FINALLY TRY_END WITH_BEGIN WITH_END COMP_BEGIN COMP_END
+    IF_BEGIN ELIF ELSE IF_END FINALLY
     ASSIGN APPLY IMPORT LAMBDA BINOP SUBSCRIPT ATTR
     LIT_NUM LIT_STR LIT_BOOLNONE IDENT
 """.split())
@@ -224,19 +227,28 @@ class _StructuralEmitter:
     Every token is three ints appended to one flat list, ``buf``: its kind
     id, line and column. ``walk`` emits ``Name`` and ``Constant`` leaves,
     the most frequent nodes, itself, and dispatches every other node on its
-    type through two module tables:
+    type by three rules:
 
-    * ``_HANDLERS`` maps the types that need their own order or kinds (block
-      begin/end pairs, flattened annotations, the iterative BinOp and postfix
-      spines) to the ``stmt_*``/``expr_*`` methods named after them.
     * ``_KINDS`` maps the types whose tokens are one kind at the node, then
-      the node's children in field order (``x = y``: ASSIGN, targets, value).
+      the node's children in field order (``x = y``: ASSIGN, targets, value;
+      ``except E:``: EXCEPT, type, body).
+    * ``_BLOCKS`` maps loops, ``with``, ``try`` and comprehensions to a
+      begin and an end kind. ``block`` emits the begin kind at the node, the
+      children in field order with ELSE or FINALLY at the first statement
+      of a non-empty ``orelse`` or ``finalbody``, then the end kind at the
+      node's end.
+    * ``_HANDLERS`` maps every other type with an order or kinds of its own
+      (``if``/``elif`` chains, ``match``, definitions, flattened
+      annotations, the iterative BinOp and postfix spines) to the
+      ``stmt_*``/``expr_*`` method named after it, and each ``_BLOCKS``
+      type to ``block``.
 
     Any other node (``Expr``, ``Await``, ``Starred``, ``Slice``, ``Tuple``,
-    ...) emits nothing itself and walks its expression and statement
-    children. A ``_KINDS`` node costs one Python frame per nesting level, so
-    600 nested ``not`` or ``-`` stay under the recursion limit; a handler
-    node costs two.
+    ``withitem``, ``comprehension``, ...) emits nothing itself and walks
+    its children. A ``_KINDS`` node costs one Python frame per nesting
+    level, so 600 nested ``not`` or ``-`` stay under the recursion limit; a
+    handler or block node costs two or three, and the parser's own nesting
+    limits bind before the recursion limit does.
     """
 
     def __init__(self):
@@ -247,7 +259,12 @@ class _StructuralEmitter:
         buf = self.buf
         buf += (_MODULE_BEGIN, 1, 0)
         self.suite(tree.body)
-        buf += (_MODULE_END, source.count("\n") + 1, len(source.rsplit("\n", 1)[-1]))
+        # The end of the source as ``ast`` counts positions: lines end at
+        # "\n", "\r\n" or a lone "\r", and columns count UTF-8 bytes.
+        if "\r" in source:
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
+        last = source[source.rfind("\n") + 1 :]
+        buf += (_MODULE_END, source.count("\n") + 1, len(last.encode()))
         flat = array("i", buf)
         return flat[0::3], flat[1::3], flat[2::3]
 
@@ -329,53 +346,21 @@ class _StructuralEmitter:
                 break
         self.end(_IF_END, node)
 
-    def stmt_For(self, node):
-        self._loop(node, _FOR_BEGIN, _FOR_END, node.target, node.iter)
-
-    stmt_AsyncFor = stmt_For
-
-    def stmt_While(self, node):
-        self._loop(node, _WHILE_BEGIN, _WHILE_END, node.test)
-
-    def _loop(self, node, begin_kind, end_kind, *heads):
-        self.begin(begin_kind, node)
-        for head in heads:
-            self.walk(head)
-        self.suite(node.body)
-        if node.orelse:
-            self.begin(_ELSE, node.orelse[0])
-            self.suite(node.orelse)
-        self.end(end_kind, node)
-
-    def stmt_Try(self, node):
-        self.begin(_TRY_BEGIN, node)
-        self.suite(node.body)
-        for handler in node.handlers:
-            self.begin(_EXCEPT, handler)
-            if handler.type is not None:
-                self.walk(handler.type)
-            self.suite(handler.body)
-        if node.orelse:
-            self.begin(_ELSE, node.orelse[0])
-            self.suite(node.orelse)
-        if node.finalbody:
-            self.begin(_FINALLY, node.finalbody[0])
-            self.suite(node.finalbody)
-        self.end(_TRY_END, node)
-
-    if hasattr(ast, "TryStar"):  # `except*`, Python 3.11+
-        stmt_TryStar = stmt_Try
-
-    def stmt_With(self, node):
-        self.begin(_WITH_BEGIN, node)
-        for item in node.items:
-            self.walk(item.context_expr)
-            if item.optional_vars is not None:
-                self.walk(item.optional_vars)
-        self.suite(node.body)
-        self.end(_WITH_END, node)
-
-    stmt_AsyncWith = stmt_With
+    def block(self, node):
+        cls = type(node)
+        begin, end = _BLOCKS[cls]
+        buf = self.buf
+        buf += (begin, node.lineno, node.col_offset)
+        for field in cls._fields:
+            child = getattr(node, field)
+            if type(child) is list:
+                if child and field in _SUITE_MARKERS:
+                    buf += (_SUITE_MARKERS[field], child[0].lineno, child[0].col_offset)
+                for item in child:
+                    self.walk(item)
+            elif isinstance(child, _WALKED):
+                self.walk(child)
+        buf += (end, node.end_lineno, node.end_col_offset)
 
     def stmt_AnnAssign(self, node):
         # Annotations are flattened away; a bare declaration keeps its target.
@@ -481,22 +466,6 @@ class _StructuralEmitter:
                 self.walk(key)
             self.walk(value)
 
-    def _comprehension(self, node):
-        self.begin(_COMP_BEGIN, node)
-        if type(node) is ast.DictComp:
-            self.walk(node.key)
-            self.walk(node.value)
-        else:
-            self.walk(node.elt)
-        for gen in node.generators:
-            self.walk(gen.target)
-            self.walk(gen.iter)
-            for cond in gen.ifs:
-                self.walk(cond)
-        self.end(_COMP_END, node)
-
-    expr_ListComp = expr_SetComp = expr_GeneratorExp = expr_DictComp = _comprehension
-
     # -- shared -------------------------------------------------------
 
     @staticmethod
@@ -549,15 +518,40 @@ _KINDS = {
         ast.Yield: "YIELD",
         ast.YieldFrom: "YIELD",
         ast.NamedExpr: "ASSIGN",
+        ast.ExceptHandler: "EXCEPT",
     }.items()
 }
 
-# Node type -> the emitter method named ``stmt_<type>`` or ``expr_<type>``.
+# Node types whose tokens are a begin kind at the node, the children in
+# field order, then an end kind at the node's end (``_StructuralEmitter.block``).
+_BLOCKS = {
+    node_type: (KIND_IDS[kind + "_BEGIN"], KIND_IDS[kind + "_END"])
+    for node_type, kind in {
+        ast.For: "FOR",
+        ast.AsyncFor: "FOR",
+        ast.While: "WHILE",
+        ast.With: "WITH",
+        ast.AsyncWith: "WITH",
+        ast.Try: "TRY",
+        getattr(ast, "TryStar", ast.Try): "TRY",  # `except*`, Python 3.11+
+        ast.ListComp: "COMP",
+        ast.SetComp: "COMP",
+        ast.GeneratorExp: "COMP",
+        ast.DictComp: "COMP",
+    }.items()
+}
+
+# The kind a block emits at the first statement of these suites.
+_SUITE_MARKERS = {"orelse": _ELSE, "finalbody": _FINALLY}
+
+# Node type -> the emitter method named ``stmt_<type>`` or ``expr_<type>``,
+# or ``block`` for a ``_BLOCKS`` type.
 _HANDLERS = {
     vars(ast)[name[5:]]: method
     for name, method in vars(_StructuralEmitter).items()
     if name.startswith(("stmt_", "expr_"))
 }
+_HANDLERS.update(dict.fromkeys(_BLOCKS, _StructuralEmitter.block))
 
 
 # Lexer fallback tables. Structure keywords are dropped entirely: without a

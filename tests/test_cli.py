@@ -260,6 +260,16 @@ class TestSimilarityCommand:
         names = os.listdir(out)
         assert any(n.startswith("a_b_c-") and n.endswith(".simmatrix.txt") for n in names)
 
+    def test_prompt_ids_sharing_a_file_name_are_refused(self, tmp_path, capsys):
+        # "a b" slugs to "a_b-7dbde935", which is already a safe id.
+        rows = [("a b", 0, "x = 1\n", True), ("a_b-7dbde935", 0, "y = 2\n", True)]
+        corpus = write_corpus(tmp_path / "c.jsonl", rows)
+        out = tmp_path / "out"
+        assert main(["similarity", "--corpus", str(corpus), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: input: ") and "'a b'" in err and "'a_b-7dbde935'" in err
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_duplicate_corpus_diagnostics(self, duplicate_corpus, tmp_path):

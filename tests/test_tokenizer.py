@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codediv.tokenizer import (
+    _BLOCKS,
     _HANDLERS,
     _KINDS,
     KIND_IDS,
@@ -139,6 +140,7 @@ class TestProperties:
             "    def m(self):\n"
             "        yield from (i for i in range(3))\n"
             "        lambda q=1: q + 2\n",
+            *MODULE_END_DEBUG,
         ]
         for src in programs:
             stream = tokenize(src)
@@ -542,6 +544,59 @@ EXCEPT_STAR_DEBUG = (
 )
 
 
+# Block shapes ALL_NODES_PROGRAM lacks: a bare ``except:``, ``try`` with
+# only ``finally``, ``try``/``except`` alone, ``while`` without ``else``, an
+# async comprehension and a dict comprehension with two generators.
+BLOCK_SHAPES_PROGRAM = """\
+async def f(xs):
+    try:
+        g()
+    except:
+        pass
+    try:
+        g()
+    finally:
+        h()
+    try:
+        g()
+    except E as e:
+        h(e)
+    while xs:
+        xs.pop()
+    ys = [y async for y in aiter(xs) if y]
+    return {k: v for k in xs for v in k}
+"""
+
+BLOCK_SHAPES_DEBUG = (
+    "MODULE_BEGIN 1:0\nDEF_BEGIN 1:0\nIDENT 1:12\n"
+    "TRY_BEGIN 2:4\nAPPLY 3:8\nIDENT 3:8\n"
+    "EXCEPT 4:4\nPASS 5:8\nTRY_END 5:12\n"
+    "TRY_BEGIN 6:4\nAPPLY 7:8\nIDENT 7:8\n"
+    "FINALLY 9:8\nAPPLY 9:8\nIDENT 9:8\nTRY_END 9:11\n"
+    "TRY_BEGIN 10:4\nAPPLY 11:8\nIDENT 11:8\n"
+    "EXCEPT 12:4\nIDENT 12:11\nAPPLY 13:8\nIDENT 13:8\nIDENT 13:10\nTRY_END 13:12\n"
+    "WHILE_BEGIN 14:4\nIDENT 14:10\nAPPLY 15:8\nATTR 15:8\nIDENT 15:8\nWHILE_END 15:16\n"
+    "ASSIGN 16:4\nIDENT 16:4\nCOMP_BEGIN 16:9\nIDENT 16:10\nIDENT 16:22\nAPPLY 16:27\n"
+    "IDENT 16:27\nIDENT 16:33\nIDENT 16:40\nCOMP_END 16:42\n"
+    "RETURN 17:4\nCOMP_BEGIN 17:11\nIDENT 17:12\nIDENT 17:15\nIDENT 17:21\nIDENT 17:26\n"
+    "IDENT 17:33\nIDENT 17:38\nCOMP_END 17:40\nDEF_END 17:40\n"
+    "MODULE_END 18:0"
+)
+
+# Sources whose last line ``ast`` and a count of "\n" and characters
+# measure differently, and their pinned format_debug.
+MODULE_END_DEBUG = {
+    "x = 1\ry = 2": (
+        "MODULE_BEGIN 1:0\nASSIGN 1:0\nIDENT 1:0\nLIT_NUM 1:4\n"
+        "ASSIGN 2:0\nIDENT 2:0\nLIT_NUM 2:4\nMODULE_END 2:5"
+    ),
+    's = "ééé"; t = 1': (
+        "MODULE_BEGIN 1:0\nASSIGN 1:0\nIDENT 1:0\nLIT_STR 1:4\n"
+        "ASSIGN 1:14\nIDENT 1:14\nLIT_NUM 1:18\nMODULE_END 1:19"
+    ),
+}
+
+
 class TestDebugFormat:
     def test_golden_lines(self):
         out = format_debug(tokenize("x = f(1)\n"))
@@ -570,7 +625,18 @@ class TestDebugFormat:
     def test_program_covers_every_table_entry(self):
         programs = [ALL_NODES_PROGRAM] + [EXCEPT_STAR_PROGRAM] * (sys.version_info >= (3, 11))
         present = {type(node) for src in programs for node in ast.walk(parse(src))}
-        assert set(_KINDS) | set(_HANDLERS) <= present
+        assert set(_KINDS) | set(_BLOCKS) | set(_HANDLERS) <= present
+
+    def test_block_shapes_pinned(self):
+        stream = tokenize(BLOCK_SHAPES_PROGRAM)
+        assert not stream.fallback
+        assert format_debug(stream) == BLOCK_SHAPES_DEBUG
+
+    @pytest.mark.parametrize("source", sorted(MODULE_END_DEBUG))
+    def test_module_end_counts_like_ast(self, source):
+        # A lone "\r" ends a line and columns count UTF-8 bytes, as in
+        # every position ``ast`` gives the other tokens.
+        assert format_debug(tokenize(source)) == MODULE_END_DEBUG[source]
 
 
 class TestArrayStorage:
