@@ -92,8 +92,13 @@ def load_embeddings(lines):
         if "vector" not in record:
             raise ValueError(f"{label}: missing field 'vector'")
         vector = record["vector"]
-        if isinstance(vector, list) and any(isinstance(x, bool) for x in vector):
-            raise ValueError(f"{label}: vector must be a list of numbers, not booleans")
+        if isinstance(vector, list):
+            if any(isinstance(x, bool) for x in vector):
+                raise ValueError(f"{label}: vector must be a list of numbers, not booleans")
+            # A nested list is left to the flatness check below.
+            for x in vector:
+                if not isinstance(x, (int, float, list)):
+                    raise ValueError(f"{label}: vector must be a list of numbers, got {x!r}")
         try:
             vector = np.asarray(vector, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as err:  # OverflowError: an int beyond the float range

@@ -344,7 +344,11 @@ class SimulationConfig:
             if entry:
                 _fail("objectives", f"{name!r}: unknown keys {sorted(entry)}")
             # Score one group now: what rewards refuses (pkpo's k > n, diversity on n < 3) fails here.
-            eye = np.eye(params.group_size)
+            try:
+                eye = np.eye(params.group_size)
+            except (MemoryError, ValueError):  # ValueError: a size beyond numpy's array limits
+                n = params.group_size
+                _fail("group_size", f"too large to allocate a {n} x {n} similarity matrix")
             try:
                 _group_advantages(name, params, rewards.GroupOutcome.from_flags(eye[0]), SimMatrix(eye))
             except ValueError as err:

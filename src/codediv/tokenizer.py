@@ -18,8 +18,10 @@ also needs the tree, such as the comment and docstring stripper in
 code is frequently malformed; in that case a plain lexer pass still
 normalizes identifiers and literals but emits none of the block begin/end
 kinds, and the resulting stream is flagged ``fallback`` so reports can
-count degraded inputs. Blank source (such as a sample with no code) is the
-empty stream, with no module to begin or end.
+count degraded inputs. One table, ``_FALLBACK_KINDS``, gives that pass
+each keyword's and operator's kind, so which words it drops does not
+depend on the interpreter's keyword lists. Blank source (such as a
+sample with no code) is the empty stream, with no module to begin or end.
 
 A stream is three ``array('i')`` buffers: the kind ids, and each token's
 line and column (``TokenStream.lines`` and ``.cols``), which
@@ -32,7 +34,6 @@ as three bound ``append`` calls (CPython 3.11).
 
 import ast
 import io
-import keyword
 import tokenize as _stdtok
 import warnings
 from array import array
@@ -554,51 +555,35 @@ _HANDLERS = {
 _HANDLERS.update(dict.fromkeys(_BLOCKS, _StructuralEmitter.block))
 
 
-# Lexer fallback tables. Structure keywords are dropped entirely: without a
-# parse there is no reliable begin/end pairing.
-_SKIPPED_KEYWORDS = frozenset(
-    "def class if elif else for while try except finally with as async await match case".split()
-)
-_KEYWORD_KINDS = {
-    "return": "RETURN",
-    "yield": "YIELD",
-    "raise": "RAISE",
-    "assert": "ASSERT",
-    "import": "IMPORT",
-    "from": "IMPORT",
-    "lambda": "LAMBDA",
-    "del": "DEL",
-    "global": "SCOPE",
-    "nonlocal": "SCOPE",
-    "break": "BREAK_CONT",
-    "continue": "BREAK_CONT",
-    "pass": "PASS",
-    "True": "LIT_BOOLNONE",
-    "False": "LIT_BOOLNONE",
-    "None": "LIT_BOOLNONE",
-    "and": "BINOP",
-    "or": "BINOP",
-    "not": "UNARYOP",
-    "in": "COMPARE",
-    "is": "COMPARE",
+# The fallback lexer's kind id for a NAME or OP token's text: a NAME not
+# listed is an IDENT (``_`` included), an OP not listed emits nothing. The
+# structure keywords map to None and are dropped: without a parse there is
+# no reliable begin/end pairing.
+_FALLBACK_KINDS = {
+    text: None if kind is None else KIND_IDS[kind]
+    for kind, texts in (
+        (None, "def class if elif else for while try except finally with as async await match case"),
+        ("RETURN", "return"),
+        ("YIELD", "yield"),
+        ("RAISE", "raise"),
+        ("ASSERT", "assert"),
+        ("IMPORT", "import from"),
+        ("LAMBDA", "lambda"),
+        ("DEL", "del"),
+        ("SCOPE", "global nonlocal"),
+        ("BREAK_CONT", "break continue"),
+        ("PASS", "pass"),
+        ("LIT_BOOLNONE", "True False None ..."),
+        ("BINOP", "and or + - * / // % ** @ & | ^ << >>"),
+        ("AUG_ASSIGN", "+= -= *= /= //= %= **= @= &= |= ^= <<= >>="),
+        ("UNARYOP", "not ~"),
+        ("COMPARE", "in is == != < > <= >="),
+        ("ASSIGN", "= :="),
+        ("ATTR", "."),
+        ("SUBSCRIPT", "["),
+    )
+    for text in texts.split()
 }
-_OP_KINDS = {
-    "=": "ASSIGN",
-    ":=": "ASSIGN",
-    "==": "COMPARE",
-    "!=": "COMPARE",
-    "<": "COMPARE",
-    ">": "COMPARE",
-    "<=": "COMPARE",
-    ">=": "COMPARE",
-    "~": "UNARYOP",
-    ".": "ATTR",
-    "[": "SUBSCRIPT",
-    "...": "LIT_BOOLNONE",
-}
-for _op in ("+", "-", "*", "/", "//", "%", "**", "@", "&", "|", "^", "<<", ">>"):
-    _OP_KINDS[_op] = "BINOP"
-    _OP_KINDS[_op + "="] = "AUG_ASSIGN"
 
 
 def _lex_fallback(source: str):
@@ -612,22 +597,18 @@ def _lex_fallback(source: str):
     gen = _stdtok.generate_tokens(io.StringIO(source).readline)
     try:
         for tok in gen:
-            kind = None
             if tok.type == _stdtok.NAME:
-                if keyword.iskeyword(tok.string) or keyword.issoftkeyword(tok.string):
-                    if tok.string in _SKIPPED_KEYWORDS:
-                        continue
-                    kind = _KEYWORD_KINDS.get(tok.string)
-                else:
-                    kind = "IDENT"
-            elif tok.type == _stdtok.NUMBER:
-                kind = "LIT_NUM"
-            elif tok.type == _stdtok.STRING:
-                kind = "LIT_STR"
+                kind = _FALLBACK_KINDS.get(tok.string, _IDENT)
             elif tok.type == _stdtok.OP:
-                kind = _OP_KINDS.get(tok.string)
+                kind = _FALLBACK_KINDS.get(tok.string)
+            elif tok.type == _stdtok.NUMBER:
+                kind = _LIT_NUM
+            elif tok.type == _stdtok.STRING:
+                kind = _LIT_STR
+            else:
+                continue
             if kind is not None:
-                kind_ids.append(KIND_IDS[kind])
+                kind_ids.append(kind)
                 lines.append(tok.start[0])
                 cols.append(tok.start[1])
     except (_stdtok.TokenError, IndentationError, SyntaxError, ValueError):

@@ -56,7 +56,7 @@ BAD_VALUES = [
     [("corpus", "correct", 1), ("corpus", "correct", MISSING)],
     [("corpus", "text", 5), ("corpus", "source", ["x"]), ("corpus", "text", MISSING)],
     [("embeddings", "vector", vector) for vector in [*ZERO_VECTORS.values(), *EXTREME_SCALE_VECTORS.values(), *BAD_RANGE_VECTORS.values()]],
-    [("embeddings", "vector", vector) for vector in ([True, False], [[1.0], [2.0]], [1.0, 2.0, 3.0], MISSING)],
+    [("embeddings", "vector", vector) for vector in ([True, False], [[1.0], [2.0]], [1.0, 2.0, 3.0], ["1", "2"], [None, 1.0], MISSING)],
     # Whole lines that replace a record, and "repeat" for a record written twice.
     [(file, None, line) for file in ("corpus", "embeddings") for line in ("[1, 2]", '"record"', "{not json", "repeat")],
 ]

@@ -9,6 +9,7 @@ from codediv.metrics import load_embeddings
 from codediv.similarity import SimMatrix, clusters, effective_clusters, one_gram_matrix, pairwise_matrix
 
 NESTED_VECTOR = '{"prompt_id": "p", "sample_id": 0, "vector": [[1.0, 2.0]]}'
+STRING_VECTOR = '{"prompt_id": "p", "sample_id": 0, "vector": ["1", " 3 "]}'
 ADVANTAGES = ["advantages", "--corpus", "c.jsonl", "--objective", "combined", "--out", "out"]
 
 REFUSALS = {
@@ -19,6 +20,10 @@ REFUSALS = {
     "no_sources": (lambda: one_gram_matrix([]), "one_gram_matrix needs at least one source"),
     "no_changes": (lambda: stats.aggregate_changes([], []), "aggregate_changes needs at least one pair"),
     "nested_vector": (lambda: load_embeddings([NESTED_VECTOR]), "embeddings line 1: vector must be flat"),
+    "string_in_vector": (
+        lambda: load_embeddings([STRING_VECTOR]),
+        "embeddings line 1: vector must be a list of numbers, got '1'",
+    ),
     # Refused while the command line is parsed, before any file is opened.
     "lambda_div_not_a_number": (
         lambda: main([*ADVANTAGES, "--lambda-div", "x"]),

@@ -514,6 +514,16 @@ class TestSimulationConfig:
             "invalid config field 'lr': expected a finite number, got inf",
         ),
         "group-size": ({"group_size": 1}, "invalid config field 'group_size': expected an integer >= 2, got 1"),
+        # 728 TiB exceeds any address space, so the allocation fails at once;
+        # 10**10 fails numpy's own size check first.
+        "group-size-unallocatable": (
+            {"group_size": 10_000_000, "steps": 1},
+            "invalid config field 'group_size': too large to allocate a 10000000 x 10000000 similarity matrix",
+        ),
+        "group-size-beyond-numpy": (
+            {"group_size": 10**10},
+            "invalid config field 'group_size': too large to allocate a 10000000000 x 10000000000 similarity matrix",
+        ),
         "k": ({"k": 0}, "invalid config field 'k': expected an integer >= 1, got 0"),
         "pkpo-k": (
             {"objectives": [{"name": "pkpo", "k": 20}]},

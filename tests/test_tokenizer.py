@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from codediv.tokenizer import (
     _BLOCKS,
+    _FALLBACK_KINDS,
     _HANDLERS,
     _KINDS,
     KIND_IDS,
@@ -174,6 +175,46 @@ class TestFallback:
 
     def test_wellformed_not_flagged(self):
         assert not tokenize("x = 1\n").fallback
+
+    def test_underscore_is_an_identifier(self):
+        # `_` lexes as IDENT, as the structural emitter emits it, both as a
+        # loop variable and as an operand.
+        stream = tokenize("for _ in range(3):\n    total = _ + (1\n")
+        assert stream.fallback
+        assert format_debug(stream) == "\n".join([
+            "IDENT 1:4",
+            "COMPARE 1:6",
+            "IDENT 1:9",
+            "LIT_NUM 1:15",
+            "IDENT 2:4",
+            "ASSIGN 2:10",
+            "IDENT 2:12",
+            "BINOP 2:14",
+            "LIT_NUM 2:17",
+        ])
+
+    def test_match_and_case_names_are_dropped(self):
+        # Structure keywords are dropped even where they are names.
+        stream = tokenize("match = case(1)\nmatch case:\n    case y: x = [\n")
+        assert stream.fallback
+        assert format_debug(stream) == "\n".join([
+            "ASSIGN 1:6",
+            "LIT_NUM 1:13",
+            "IDENT 3:9",
+            "IDENT 3:12",
+            "ASSIGN 3:14",
+            "SUBSCRIPT 3:16",
+        ])
+
+    def test_every_hard_keyword_is_in_the_table(self):
+        # A hard keyword added to Python cannot lex as IDENT unnoticed.
+        assert not set(keyword.kwlist) - _FALLBACK_KINDS.keys()
+
+    def test_other_soft_keywords_are_identifiers(self):
+        for word in set(keyword.softkwlist) - {"match", "case"}:
+            stream = tokenize(f"{word} = (\n")
+            assert stream.fallback
+            assert stream.kinds == ("IDENT", "ASSIGN"), word
 
 
 class TestBlankSource:
